@@ -31,10 +31,6 @@ class PrivacyBudget:
         if self.kind == "pure" and self.delta != 0:
             raise ValueError("pure DP has delta = 0")
 
-    def with_note(self, note: str) -> "PrivacyBudget":
-        return PrivacyBudget(self.kind, self.eps, self.delta, self.rho,
-                             self.provenance + (note,))
-
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "provenance": list(self.provenance)}
         if self.kind == "zcdp":

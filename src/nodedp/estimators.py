@@ -211,7 +211,8 @@ def eigvec_deflation(
         raise ValueError("need D >= 1 and eps >= 0")
     rng = as_generator(seed)
     n = g.n
-    A2 = g.as_float() @ g.as_float()
+    A = g.as_float()
+    A2 = A @ A
     D2 = float(D) * float(D)
     conc = 0.0 if eps == 0 else extension_score_concentration(eps, D)
     use_extension_lp = use_lipschitz and float(np.max(A2.sum(axis=1), initial=0.0)) > D2

@@ -94,18 +94,25 @@ def debias_flip(m: np.ndarray, eps: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphereSample:
-    """A unit vector drawn by rejection sampling plus the trial count used."""
+    """Unit vectors drawn by rejection sampling plus the trial counts used.
+
+    A single draw (size=None) holds one vector of shape (n,) and an int; a
+    batched draw (size=k) holds shape (k, n) and an int array of shape (k,),
+    one candidate count per draw.
+    """
 
     v: np.ndarray
-    accepted_after: int
+    accepted_after: int | np.ndarray
 
 
 def _envelope(Q: np.ndarray, concentration: float):
     """Angular-central-Gaussian envelope for density exp(c * v'Qv) on the sphere.
 
-    Returns (Abar, L, log_bound) where Abar = c (lmax I - Q) >= 0, the
-    envelope is ACG with inverse covariance Omega = I + Abar (Cholesky factor
-    L), and log_bound bounds log of exp(-v'Abar v) * (v'Omega v)^{n/2}.
+    Returns (Abar, lmax, L, log_bound) where lmax is the top eigenvalue of Q,
+    Abar = c (lmax I - Q) >= 0, the envelope is ACG with inverse covariance
+    Omega = I + Abar (Cholesky factor L), and log_bound bounds log of
+    exp(-v'Abar v) * (v'Omega v)^{n/2}. This is the one eigendecomposition of
+    Q per sampler call.
     """
     n = Q.shape[0]
     evals = np.linalg.eigvalsh(Q)
@@ -120,31 +127,59 @@ def _envelope(Q: np.ndarray, concentration: float):
     return Abar, lmax, L, log_bound
 
 
-def _rejection_sample(score_shifted, Q, concentration, rng, trial_cap, batch):
-    """Core rejection loop.
+def _rejection_sample(score, vectorized, Q, constant, concentration, rng, trial_cap,
+                      batch, size):
+    """Core rejection loop for density exp(concentration * score(v)).
 
-    score_shifted(V) must return log-target values <= -diag(V Abar V') for the
-    rows of V, i.e. the caller pre-shifts so the target is bounded by the
-    quadratic envelope.
+    score is the unshifted score; the caller guarantees score(v) <= v'Qv +
+    constant for every unit v. The log-target is shifted by lmax + constant,
+    with lmax from the envelope, so that it is bounded by -v'Abar v.
+    Candidates come in batches of `batch`. A vectorized score maps the (m, n)
+    batch to its m scores in one call; otherwise score takes one vector and
+    is called lazily, in stream order, only until the last draw is accepted.
+    size=None returns one draw; size=k returns k i.i.d. draws from the one
+    envelope, carrying the unused candidates of a batch over to the next
+    draw. trial_cap bounds the candidates of each draw.
     """
+    if size is not None and size < 1:
+        raise ValueError("size must be None or positive")
     n = Q.shape[0]
     Abar, lmax, L, log_bound = _envelope(Q, concentration)
-    trials = 0
-    while trials < trial_cap:
+    shift = lmax + constant
+    count = 1 if size is None else size
+    draws = np.empty((count, n))
+    counts = np.zeros(count, dtype=np.int64)
+    k = trials = 0  # draws accepted; candidates tried for draw k
+    while k < count:
+        if trials >= trial_cap:
+            raise RejectionCapExceeded(trials, trial_cap)
         m = min(batch, trial_cap - trials)
         z = rng.standard_normal((m, n))
-        # z ~ N(0, Omega^{-1}): solve L^T x = z^T.
-        x = solve_triangular(L.T, z.T, lower=False).T
-        v = x / np.linalg.norm(x, axis=1, keepdims=True)
-        quad = np.einsum("ij,jk,ik->i", v, Abar, v)
+        # x ~ N(0, Omega^{-1}): solve L^T x = z^T in place of z, then project
+        # onto the sphere in place.
+        v = solve_triangular(L.T, z.T, lower=False, overwrite_b=True).T
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        quad = np.einsum("ij,ij->i", v @ Abar, v)
         logu = np.log(rng.random(m))
-        for i in range(m):
-            trials += 1
-            log_target = score_shifted(v[i])
-            log_accept = log_target + 0.5 * n * math.log1p(quad[i]) - log_bound
-            if logu[i] < log_accept:
-                return SphereSample(v=v[i], accepted_after=trials)
-    raise RejectionCapExceeded(trials, trial_cap)
+        if vectorized:
+            log_accept = (concentration * (score(v) - shift)
+                          + 0.5 * n * np.log1p(quad) - log_bound)
+            hits = np.flatnonzero(logu < log_accept)
+        else:
+            hits = (i for i in range(m)
+                    if logu[i] < concentration * (score(v[i]) - shift)
+                    + 0.5 * n * math.log1p(quad[i]) - log_bound)
+        start = 0  # first candidate of this batch not yet counted
+        for i in hits:
+            draws[k], counts[k] = v[i], trials + i + 1 - start
+            k, trials, start = k + 1, 0, i + 1
+            if k == count:
+                break
+        else:
+            trials += m - start
+    if size is None:
+        return SphereSample(v=draws[0], accepted_after=int(counts[0]))
+    return SphereSample(v=draws, accepted_after=counts)
 
 
 def sample_sphere_exp(
@@ -152,22 +187,24 @@ def sample_sphere_exp(
     concentration: float,
     seed: SeedLike,
     trial_cap: int = DEFAULT_TRIAL_CAP,
+    size: int | None = None,
 ) -> SphereSample:
     """Exact sample from density proportional to exp(concentration * v'Mv) on
     the unit sphere, by rejection from the angular central Gaussian envelope
-    with inverse covariance I + concentration (lmax(M) I - M)."""
+    with inverse covariance I + concentration (lmax(M) I - M).
+
+    size=None draws one vector; size=k draws k i.i.d. vectors from one
+    envelope (see SphereSample), with trial_cap applied to each draw. A
+    single draw consumes the random stream exactly as size=1 does.
+    """
     M = np.asarray(M, dtype=np.float64)
     if concentration < 0:
         raise ValueError("concentration must be nonnegative")
     if not np.allclose(M, M.T, atol=1e-10):
         raise ValueError("M must be symmetric")
     rng = as_generator(seed)
-    evmax = float(np.linalg.eigvalsh(M)[-1])
-
-    def score_shifted(v):
-        return concentration * (v @ M @ v - evmax)
-
-    return _rejection_sample(score_shifted, M, concentration, rng, trial_cap, batch=256)
+    return _rejection_sample(lambda V: np.einsum("ij,ij->i", V @ M, V), True, M, 0.0,
+                             concentration, rng, trial_cap, batch=256, size=size)
 
 
 def sample_lipschitz_exp(
@@ -177,6 +214,8 @@ def sample_lipschitz_exp(
     seed: SeedLike,
     upper_bound_constant: float = 0.0,
     trial_cap: int = DEFAULT_TRIAL_CAP,
+    size: int | None = None,
+    vectorized: bool = False,
 ) -> SphereSample:
     """Exact sample from density proportional to exp(concentration * score(v)).
 
@@ -184,6 +223,12 @@ def sample_lipschitz_exp(
     unit v, where Q = upper_bound_quadratic; the envelope is built from Q
     exactly as in sample_sphere_exp, so the acceptance ratio stays bounded
     even when score is only an extension of the quadratic form.
+
+    By default score takes one unit vector and is called once per candidate,
+    only until a draw is accepted, which suits a costly score such as the
+    LP extension. With vectorized=True it takes an (m, n) array of unit rows
+    and returns their m scores, and is called once per batch of candidates.
+    size and trial_cap behave as in sample_sphere_exp.
     """
     Q = np.asarray(upper_bound_quadratic, dtype=np.float64)
     if concentration < 0:
@@ -191,10 +236,5 @@ def sample_lipschitz_exp(
     if not np.allclose(Q, Q.T, atol=1e-10):
         raise ValueError("upper_bound_quadratic must be symmetric")
     rng = as_generator(seed)
-    evmax = float(np.linalg.eigvalsh(Q)[-1])
-    shift = evmax + upper_bound_constant
-
-    def score_shifted(v):
-        return concentration * (score(v) - shift)
-
-    return _rejection_sample(score_shifted, Q, concentration, rng, trial_cap, batch=64)
+    return _rejection_sample(score, vectorized, Q, upper_bound_constant, concentration,
+                             rng, trial_cap, batch=64, size=size)

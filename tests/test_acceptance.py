@@ -319,9 +319,7 @@ def test_criterion_7_sphere_sampler_exactness():
     details = []
     for ci, (M, conc) in enumerate(cases):
         rng = spawn(1007, ci)
-        draws = np.empty((100_000, 3))
-        for i in range(draws.shape[0]):
-            draws[i] = sample_sphere_exp(M, conc, rng).v
+        draws = sample_sphere_exp(M, conc, rng, size=100_000).v
         masses = quadrature_masses(
             lambda V: conc * np.einsum("ij,jk,ik->i", V, M, V), nth=900, nph=1800
         )

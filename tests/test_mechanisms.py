@@ -197,6 +197,119 @@ def test_rejection_cap():
         sample_sphere_exp(M, 200.0, 0, trial_cap=1)
 
 
+def _reference_single_draw(M, conc, rng, batch=256):
+    # Plain single-draw ACG rejection loop, written out independently of the
+    # library: the reference for how one draw consumes the random stream.
+    n = M.shape[0]
+    evals = np.linalg.eigvalsh(M)
+    lmax, lmin = evals[-1], evals[0]
+    Abar = conc * (lmax * np.eye(n) - M)
+    L = np.linalg.cholesky(np.eye(n) + Abar)
+    wstar = min(max(n / 2.0 - 1.0, 0.0), conc * (lmax - lmin))
+    log_bound = -wstar + 0.5 * n * math.log1p(wstar)
+    trials = 0
+    while True:
+        z = rng.standard_normal((batch, n))
+        x = np.linalg.solve(L.T, z.T).T
+        v = x / np.linalg.norm(x, axis=1, keepdims=True)
+        logu = np.log(rng.random(batch))
+        for i in range(batch):
+            trials += 1
+            w = v[i] @ Abar @ v[i]
+            log_accept = conc * (v[i] @ M @ v[i] - lmax) + 0.5 * n * math.log1p(w) - log_bound
+            if logu[i] < log_accept:
+                return v[i], trials
+
+
+def test_single_draw_matches_reference_loop_and_stream():
+    M = np.array([[1.0, 0.4, 0.0, 0.2], [0.4, -0.5, 0.3, 0.0],
+                  [0.0, 0.3, 0.8, -0.6], [0.2, 0.0, -0.6, 0.1]])
+    for k in range(5):
+        rng_lib, rng_ref = spawn(85, k), spawn(85, k)
+        got = sample_sphere_exp(M, 6.0, rng_lib)
+        v_ref, trials_ref = _reference_single_draw(M, 6.0, rng_ref)
+        assert got.accepted_after == trials_ref
+        np.testing.assert_allclose(got.v, v_ref, atol=1e-12)
+        # Both consumed the same number of variates from the stream.
+        assert rng_lib.random() == rng_ref.random()
+
+
+def test_samplers_run_one_eigendecomposition_per_call(monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    M = np.diag([2.0, 0.5, -0.5, 0.0])
+    sample_sphere_exp(M, 3.0, 0)
+    assert len(calls) == 1
+    sample_lipschitz_exp(lambda v: float(v @ M @ v), M, 3.0, 0)
+    assert len(calls) == 2
+    sample_sphere_exp(M, 3.0, 0, size=50)
+    sample_lipschitz_exp(lambda v: float(v @ M @ v), M, 3.0, 0, size=50)
+    assert len(calls) == 4
+
+
+def test_batched_draws_shape_norms_and_counts():
+    M = np.diag([1.5, 0.0, -1.0, 0.5, 0.2])
+    s = sample_sphere_exp(M, 4.0, spawn(87, 0), size=300)
+    assert s.v.shape == (300, 5)
+    assert np.allclose(np.linalg.norm(s.v, axis=1), 1.0, atol=1e-12)
+    assert s.accepted_after.shape == (300,)
+    assert s.accepted_after.dtype.kind == "i" and s.accepted_after.min() >= 1
+    # Concentration 0 accepts every candidate: one trial per draw, so a cap
+    # of 1 holds per draw even though 40 candidates are used in total.
+    z = sample_lipschitz_exp(lambda v: 0.0, M, 0.0, spawn(87, 1), trial_cap=1, size=40)
+    assert z.v.shape == (40, 5)
+    assert np.array_equal(z.accepted_after, np.ones(40, dtype=np.int64))
+    with pytest.raises(ValueError):
+        sample_sphere_exp(M, 4.0, 0, size=0)
+
+
+def test_batched_draw_that_hits_its_cap_raises():
+    # Q = 0 and constant 0: score 0 is accepted at once, score -inf never.
+    # The first three draws succeed, the fourth exhausts its own cap.
+    calls = []
+
+    def score(v):
+        calls.append(1)
+        return 0.0 if len(calls) <= 3 else -math.inf
+
+    with pytest.raises(RejectionCapExceeded) as err:
+        sample_lipschitz_exp(score, np.zeros((3, 3)), 1.0, spawn(89, 0),
+                             trial_cap=10, size=5)
+    assert (err.value.trials, err.value.cap) == (10, 10)
+    assert len(calls) == 3 + 10
+
+
+def test_vectorized_score_matches_per_vector_score():
+    # Same stream, same law: scoring a batch at once or one candidate at a
+    # time accepts the same candidates.
+    M = np.diag([2.0, 0.5, -0.5, 0.0])
+    lazy = sample_lipschitz_exp(lambda v: float(v @ M @ v), M, 3.0, spawn(91, 0),
+                                upper_bound_constant=0.5, size=200)
+    batched = sample_lipschitz_exp(lambda V: np.einsum("ij,ij->i", V @ M, V), M, 3.0,
+                                   spawn(91, 0), upper_bound_constant=0.5, size=200,
+                                   vectorized=True)
+    assert np.array_equal(lazy.accepted_after, batched.accepted_after)
+    np.testing.assert_allclose(lazy.v, batched.v, atol=1e-12)
+
+
+def test_single_draw_equals_first_of_size_one():
+    M = np.array([[1.0, 0.8, 0.0], [0.8, -0.5, 0.3], [0.0, 0.3, 0.2]])
+    for seed in range(4):
+        one = sample_sphere_exp(M, 3.0, seed)
+        batch = sample_sphere_exp(M, 3.0, seed, size=1)
+        assert np.array_equal(one.v, batch.v[0])
+        assert one.accepted_after == batch.accepted_after[0]
+        ext = sample_lipschitz_exp(lambda v: float(v @ M @ v), M, 3.0, seed)
+        ext1 = sample_lipschitz_exp(lambda v: float(v @ M @ v), M, 3.0, seed, size=1)
+        assert np.array_equal(ext.v, ext1.v[0])
+
+
 def test_lipschitz_sampler_extension_law_quadrature():
     # 3-node path with D=1: the hub degree exceeds D, so the extension score
     # falls below the raw quadratic on part of the sphere. The sampler's law
@@ -265,23 +378,14 @@ def test_lipschitz_sampler_extension_law_quadrature():
     # Drive the sampler with the (LP-equal, verified above) oracle score so
     # the 6000-sample law comparison does not pay ~200 LP solves per draw;
     # the LP-in-the-loop path is exercised once below and in the pipeline
-    # tests.
+    # tests. The oracle scores a whole batch of candidates per call.
     const = float(A2.sum())
-
-    def fast_score(v):
-        return float(shat_oracle(v[None, :])[0])
-
-    draws = np.empty((6000, 3))
-    trials_ext = 0
     rng2 = spawn(79, 1)
-    for i in range(draws.shape[0]):
-        s = sample_lipschitz_exp(fast_score, A2, kappa, rng2,
-                                 upper_bound_constant=const)
-        draws[i] = s.v
-        trials_ext += s.accepted_after
-    trials_quad = sum(
-        sample_sphere_exp(A2, kappa, rng2).accepted_after for _ in range(6000)
-    )
+    ext = sample_lipschitz_exp(shat_oracle, A2, kappa, rng2, upper_bound_constant=const,
+                               size=6000, vectorized=True)
+    draws = ext.v
+    trials_ext = int(ext.accepted_after.sum())
+    trials_quad = int(sample_sphere_exp(A2, kappa, rng2, size=6000).accepted_after.sum())
     assert trials_ext > trials_quad  # acceptance strictly below the quadratic case
     one = sample_lipschitz_exp(
         lambda v: lipschitz_extension_score(g, v, D), A2, kappa, spawn(79, 2),
