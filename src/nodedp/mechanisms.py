@@ -36,6 +36,7 @@ class RejectionCapExceeded(RuntimeError):
 
 
 DEFAULT_TRIAL_CAP = 10_000_000
+_LIPSCHITZ_BATCH = 64  # candidates per batch in sample_lipschitz_exp
 
 
 def laplace(scale: float, seed: SeedLike) -> float:
@@ -215,7 +216,6 @@ def sample_lipschitz_exp(
     upper_bound_constant: float = 0.0,
     trial_cap: int = DEFAULT_TRIAL_CAP,
     size: int | None = None,
-    vectorized: bool = False,
 ) -> SphereSample:
     """Exact sample from density proportional to exp(concentration * score(v)).
 
@@ -224,10 +224,8 @@ def sample_lipschitz_exp(
     exactly as in sample_sphere_exp, so the acceptance ratio stays bounded
     even when score is only an extension of the quadratic form.
 
-    By default score takes one unit vector and is called once per candidate,
-    only until a draw is accepted, which suits a costly score such as the
-    LP extension. With vectorized=True it takes an (m, n) array of unit rows
-    and returns their m scores, and is called once per batch of candidates.
+    score takes one unit vector and is called once per candidate, only until
+    a draw is accepted, which suits a costly score such as the LP extension.
     size and trial_cap behave as in sample_sphere_exp.
     """
     Q = np.asarray(upper_bound_quadratic, dtype=np.float64)
@@ -236,5 +234,5 @@ def sample_lipschitz_exp(
     if not np.allclose(Q, Q.T, atol=1e-10):
         raise ValueError("upper_bound_quadratic must be symmetric")
     rng = as_generator(seed)
-    return _rejection_sample(score, vectorized, Q, upper_bound_constant, concentration,
-                             rng, trial_cap, batch=64, size=size)
+    return _rejection_sample(score, False, Q, upper_bound_constant, concentration,
+                             rng, trial_cap, batch=_LIPSCHITZ_BATCH, size=size)

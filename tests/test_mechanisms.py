@@ -13,6 +13,7 @@ from nodedp import (
     sample_lipschitz_exp,
     sample_sphere_exp,
 )
+from nodedp.mechanisms import DEFAULT_TRIAL_CAP, _LIPSCHITZ_BATCH, _rejection_sample
 from nodedp.rng import spawn
 
 from oracles import quadrature_masses, tv_distance
@@ -291,9 +292,9 @@ def test_vectorized_score_matches_per_vector_score():
     M = np.diag([2.0, 0.5, -0.5, 0.0])
     lazy = sample_lipschitz_exp(lambda v: float(v @ M @ v), M, 3.0, spawn(91, 0),
                                 upper_bound_constant=0.5, size=200)
-    batched = sample_lipschitz_exp(lambda V: np.einsum("ij,ij->i", V @ M, V), M, 3.0,
-                                   spawn(91, 0), upper_bound_constant=0.5, size=200,
-                                   vectorized=True)
+    batched = _rejection_sample(lambda V: np.einsum("ij,ij->i", V @ M, V), True, M, 0.5,
+                                3.0, spawn(91, 0), DEFAULT_TRIAL_CAP,
+                                batch=_LIPSCHITZ_BATCH, size=200)
     assert np.array_equal(lazy.accepted_after, batched.accepted_after)
     np.testing.assert_allclose(lazy.v, batched.v, atol=1e-12)
 
@@ -378,11 +379,12 @@ def test_lipschitz_sampler_extension_law_quadrature():
     # Drive the sampler with the (LP-equal, verified above) oracle score so
     # the 6000-sample law comparison does not pay ~200 LP solves per draw;
     # the LP-in-the-loop path is exercised once below and in the pipeline
-    # tests. The oracle scores a whole batch of candidates per call.
+    # tests. The oracle scores a whole batch of candidates per call, so it
+    # drives the rejection core directly, with sample_lipschitz_exp's batch.
     const = float(A2.sum())
     rng2 = spawn(79, 1)
-    ext = sample_lipschitz_exp(shat_oracle, A2, kappa, rng2, upper_bound_constant=const,
-                               size=6000, vectorized=True)
+    ext = _rejection_sample(shat_oracle, True, A2, const, kappa, rng2, DEFAULT_TRIAL_CAP,
+                            batch=_LIPSCHITZ_BATCH, size=6000)
     draws = ext.v
     trials_ext = int(ext.accepted_after.sum())
     trials_quad = int(sample_sphere_exp(A2, kappa, rng2, size=6000).accepted_after.sum())
