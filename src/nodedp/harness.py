@@ -16,6 +16,7 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -107,9 +108,9 @@ class TrialRecord:
         ]
 
 
-def _run_trial(cfg: ExperimentConfig, grid_index: int, eps: float, delta: float,
-               seed: int) -> TrialRecord:
-    params = cfg.sbm_params()
+def _run_trial(cfg: ExperimentConfig, params: SbmParams, grid_index: int, eps: float,
+               delta: float, seed: int, shared: dict) -> TrialRecord:
+    """One trial; `shared` passes the seed's graph from its first trial to the rest."""
     est_id = cfg.estimator["id"]
     est_params = dict(cfg.estimator.get("params", {}))
     est_params.setdefault("k", params.k)
@@ -117,14 +118,13 @@ def _run_trial(cfg: ExperimentConfig, grid_index: int, eps: float, delta: float,
     start = time.perf_counter()
     D = cfg.resolve_D(params) if cfg.wrapper is not None else est_params.get("D")
     try:
-        graph_rng = spawn(seed, 0)
-        if params.weight_model is not None and est_id == "subspace_estimation":
-            graph = sample_weighted_sbm(params, graph_rng)
-        else:
-            graph = sample_sbm(params, graph_rng)
+        graph = shared.get("graph")
+        if graph is None:  # concurrent trials of a seed may both sample; all keep the first
+            weighted = params.weight_model is not None and est_id == "subspace_estimation"
+            sample = sample_weighted_sbm if weighted else sample_sbm
+            graph = shared.setdefault("graph", sample(params, spawn(seed, 0)))
         mech_seed = spawn(seed, 1, grid_index)
         if cfg.wrapper is not None:
-            D = cfg.resolve_D(params)
             base = make_bounded_base(est_id, params.k, D, est_params)
             eps1 = float(cfg.wrapper.get("eps1", 1.0))
             delta1 = float(cfg.wrapper.get("delta1", 1e-6))
@@ -152,47 +152,52 @@ def _run_trial(cfg: ExperimentConfig, grid_index: int, eps: float, delta: float,
             out = run_pipeline(est_id, graph, est_params, mech_seed,
                                noise_off=cfg.noise_off)
         runtime = 1000.0 * (time.perf_counter() - start)
-        if out.labels is None:
-            return TrialRecord(
-                cfg.scenario, est_id, grid_index, eps, delta, D, seed,
-                "failed", out.diagnostics.get("failure", "estimator-failure"),
-                None, None, runtime, cfg.noise_off, out.diagnostics,
-                [b.to_dict() for b in out.budget],
-            )
-        lo = loss_overall(out.labels, params.theta)
-        lw = loss_worst_case(out.labels, params.theta)
-        return TrialRecord(
-            cfg.scenario, est_id, grid_index, eps, delta, D, seed, "ok", "",
-            lo, lw, runtime, cfg.noise_off, out.diagnostics,
-            [b.to_dict() for b in out.budget],
-        )
+        losses = (None, None)
+        status, error = "failed", out.diagnostics.get("failure", "estimator-failure")
+        if out.labels is not None:
+            status, error = "ok", ""
+            losses = (loss_overall(out.labels, params.theta),
+                      loss_worst_case(out.labels, params.theta))
+        diagnostics, chain = out.diagnostics, [b.to_dict() for b in out.budget]
     except Exception as exc:  # crash isolation: typed failure row
         runtime = 1000.0 * (time.perf_counter() - start)
-        return TrialRecord(
-            cfg.scenario, est_id, grid_index, eps, delta, D, seed,
-            "failed", type(exc).__name__, None, None, runtime, cfg.noise_off,
-            {"traceback": traceback.format_exc(limit=3)}, [],
-        )
+        status, error, losses = "failed", type(exc).__name__, (None, None)
+        diagnostics, chain = {"traceback": _failure_traceback(exc)}, []
+    return TrialRecord(cfg.scenario, est_id, grid_index, eps, delta, D, seed, status,
+                       error, *losses, runtime, cfg.noise_off, diagnostics, chain)
+
+
+def _failure_traceback(exc: Exception) -> str:
+    """exc's innermost three nodedp frames as 'nodedp/truncation.py:<line> in
+    degree_truncate', then its type and message: no path that differs by checkout."""
+    package = Path(__file__).resolve().parent
+    frames = [(Path(f.filename).resolve(), f) for f in traceback.extract_tb(exc.__traceback__)]
+    lines = [f"{path.relative_to(package.parent).as_posix()}:{f.lineno} in {f.name}"
+             for path, f in frames if path.is_relative_to(package)]
+    return "\n".join(lines[-3:] + [f"{type(exc).__name__}: {exc}"])
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
-    """One record per (grid point x seed); failures become typed rows."""
+    """One record per (grid point x seed), in grid-major order; failures become
+    typed rows. Trials run seed-major: a seed's graph (and its truncation) is
+    built by its first trial and dropped after its last."""
+    params = cfg.sbm_params()
     grid = [(gi, eps, delta)
             for gi, (eps, delta) in enumerate(
                 (e, d) for e in cfg.eps_grid for d in cfg.delta_grid)]
-    tasks = [(gi, eps, delta, seed) for gi, eps, delta in grid for seed in cfg.seeds]
+
+    def trials():
+        for seed in cfg.seeds:
+            shared = {}
+            for gi, eps, delta in grid:
+                yield cfg, params, gi, eps, delta, seed, shared
+
     if threads <= 1:
-        return [_run_trial(cfg, *t) for t in tasks]
-    records = [None] * len(tasks)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(_run_trial, cfg, *t): i for i, t in enumerate(tasks)}
-        for fut, i in futures.items():
-            records[i] = fut.result()
-    return records
-
-
-def _quantile(sorted_values, q):
-    return float(np.quantile(np.asarray(sorted_values), q, method="linear"))
+        done = [_run_trial(*t) for t in trials()]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(lambda t: _run_trial(*t), trials()))
+    return sorted(done, key=lambda r: r.grid_index)  # stable: seeds keep their order
 
 
 def summarize(records: list[TrialRecord]) -> list[dict]:
@@ -210,15 +215,9 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
             "trials": len(rs), "failure_rate": 1.0 - len(ok) / len(rs),
         }
         for name in ("loss_overall", "loss_worst_case"):
-            vals = sorted(getattr(r, name) for r in ok)
-            if vals:
-                row[f"{name}_median"] = _quantile(vals, 0.5)
-                row[f"{name}_q10"] = _quantile(vals, 0.1)
-                row[f"{name}_q90"] = _quantile(vals, 0.9)
-            else:
-                row[f"{name}_median"] = None
-                row[f"{name}_q10"] = None
-                row[f"{name}_q90"] = None
+            vals = [getattr(r, name) for r in ok]
+            for stat, q in (("median", 0.5), ("q10", 0.1), ("q90", 0.9)):
+                row[f"{name}_{stat}"] = float(np.quantile(vals, q)) if vals else None
         out.append(row)
     return out
 

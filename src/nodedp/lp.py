@@ -2,8 +2,9 @@
 
 Problems are stored in a solver-agnostic form (objective, typed constraint
 rows, per-variable bounds) and solved with HiGHS via scipy. Constraint rows
-accept either a dense coefficient vector or a {index: coeff} dict, so the
-truncation LPs (n + |E| variables) stay sparse.
+are kept as COO triplets, added one at a time (a dense coefficient vector or
+an {index: coeff} dict) or in batches of index arrays, so the truncation LPs
+(n + |E| variables) stay sparse and assemble in one CSR build.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ RELATIONS = ("<=", "=", ">=")
 class LpProblem:
     objective: np.ndarray
     sense: str = "min"  # "min" or "max"
-    rows: list = field(default_factory=list)  # (coeffs, relation, rhs)
     bounds: list = field(default_factory=list)  # (lo, hi), None = unbounded
+    # One (row, col, coeff, relation, rhs) batch per add_rows call; row
+    # indexes the batch's own rows, in the order they were added.
+    batches: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=np.float64)
@@ -38,23 +41,36 @@ class LpProblem:
         return self.objective.size
 
     def add_row(self, coeffs, relation: str, rhs: float) -> None:
+        """One row from a dense coefficient vector (its nonzeros) or an
+        {index: coeff} dict (every entry, zeros included)."""
+        if isinstance(coeffs, dict):
+            col, coeff = list(coeffs.keys()), list(coeffs.values())
+        else:
+            coeff = np.asarray(coeffs, dtype=np.float64)
+            col = np.nonzero(coeff)[0]
+            coeff = coeff[col]
+        self.add_rows(np.zeros(len(col)), col, coeff, relation, [rhs])
+
+    def add_rows(self, row, col, coeff, relation: str, rhs) -> None:
+        """len(rhs) rows sharing one relation, as COO triplets: entry t puts
+        coeff[t] on variable col[t] of the batch's row row[t]."""
         if relation not in RELATIONS:
             raise ValueError(f"relation must be one of {RELATIONS}")
-        self.rows.append((coeffs, relation, rhs))
-
-    def _row_items(self, coeffs):
-        if isinstance(coeffs, dict):
-            return list(coeffs.items())
-        arr = np.asarray(coeffs, dtype=np.float64)
-        idx = np.nonzero(arr)[0]
-        return [(int(i), float(arr[i])) for i in idx]
+        row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
+        rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
+        if row.size and (row.min() < 0 or row.max() >= rhs.size):
+            raise ValueError("row indices must lie in [0, len(rhs))")
+        self.batches.append((row, col, np.asarray(coeff, dtype=np.float64), relation, rhs))
 
     def dump(self) -> str:
         """Textual debug format."""
         lines = [f"{self.sense} {' + '.join(f'{c:g} x{i}' for i, c in enumerate(self.objective) if c)}"]
-        for coeffs, rel, rhs in self.rows:
-            terms = " + ".join(f"{c:g} x{i}" for i, c in self._row_items(coeffs))
-            lines.append(f"  {terms or '0'} {rel} {rhs:g}")
+        for row, col, coeff, rel, rhs in self.batches:
+            order = np.argsort(row, kind="stable")
+            per_row = np.split(order, np.searchsorted(row[order], np.arange(1, rhs.size)))
+            for b, e in zip(rhs, per_row):
+                terms = " + ".join(f"{c:g} x{i}" for i, c in zip(col[e], coeff[e]))
+                lines.append(f"  {terms or '0'} {rel} {b:g}")
         for i, (lo, hi) in enumerate(self.bounds):
             lines.append(f"  x{i} in [{'-inf' if lo is None else lo:g}, {'inf' if hi is None else hi}]")
         return "\n".join(lines)
@@ -70,33 +86,21 @@ class LpSolution:
 
 
 def _assemble(problem: LpProblem):
-    n = problem.n_vars
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for coeffs, rel, rhs in problem.rows:
-        items = problem._row_items(coeffs)
-        if rel == "<=":
-            ub_rows.append((items, 1.0))
-            ub_rhs.append(rhs)
-        elif rel == ">=":
-            ub_rows.append((items, -1.0))
-            ub_rhs.append(-rhs)
-        else:
-            eq_rows.append(items)
-            eq_rhs.append(rhs)
+    """A_ub x <= b_ub (">=" rows negated) and A_eq x = b_eq, each one CSR
+    build over its rows in the order they were added."""
+    blocks, n_rows = {"ub": [], "eq": []}, {"ub": 0, "eq": 0}
+    for row, col, coeff, rel, rhs in problem.batches:
+        kind, sign = ("eq", 1.0) if rel == "=" else ("ub", -1.0 if rel == ">=" else 1.0)
+        blocks[kind].append((row + n_rows[kind], col, sign * coeff, sign * rhs))
+        n_rows[kind] += rhs.size
 
-    def to_csr(rows, signs=None):
-        data, ri, ci = [], [], []
-        for r, entry in enumerate(rows):
-            items, sign = entry if signs else (entry, 1.0)
-            for i, c in items:
-                ri.append(r)
-                ci.append(i)
-                data.append(sign * c)
-        return sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
+    def stacked(kind):
+        if not blocks[kind]:
+            return None, None
+        row, col, coeff, rhs = (np.concatenate(p) for p in zip(*blocks[kind]))
+        return sparse.csr_matrix((coeff, (row, col)), shape=(n_rows[kind], problem.n_vars)), rhs
 
-    A_ub = to_csr(ub_rows, signs=True) if ub_rows else None
-    A_eq = to_csr(eq_rows) if eq_rows else None
-    return A_ub, np.array(ub_rhs), A_eq, np.array(eq_rhs)
+    return (*stacked("ub"), *stacked("eq"))
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -104,13 +108,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     within FEAS_TOL and the objective is the optimum for the stated sense."""
     c = problem.objective if problem.sense == "min" else -problem.objective
     A_ub, b_ub, A_eq, b_eq = _assemble(problem)
-    res = linprog(
-        c,
-        A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
-        A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
-        bounds=problem.bounds,
-        method="highs",
-    )
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=problem.bounds,
+                  method="highs")
     if res.status == 2:
         return LpSolution("infeasible", None, None, message=res.message)
     if res.status == 3:
@@ -119,9 +118,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         return LpSolution("failed", None, None, message=res.message)
     x = np.asarray(res.x)
     residual = 0.0
-    if A_ub is not None and b_ub.size:
+    if A_ub is not None:
         residual = max(residual, float(np.max(A_ub @ x - b_ub, initial=0.0)))
-    if A_eq is not None and b_eq.size:
+    if A_eq is not None:
         residual = max(residual, float(np.max(np.abs(A_eq @ x - b_eq), initial=0.0)))
     obj = float(problem.objective @ x)
     return LpSolution("optimal", x, obj, residual=residual)

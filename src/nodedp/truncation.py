@@ -120,16 +120,15 @@ def lipschitz_extension_score(
         return 0.0
     # One variable per pair i <= j with (A^2)_ij > 0; C is symmetric.
     coef = np.where(iu == ju, Wobj[iu, ju], 2.0 * Wobj[iu, ju])
-    bounds = [(0.0, float(A2[i, j])) for i, j in zip(iu, ju)]
+    bounds = [(0.0, hi) for hi in A2[iu, ju].tolist()]
     prob = LpProblem(objective=coef, sense="max", bounds=bounds)
-    rows_of = [dict() for _ in range(g.n)]
-    for p, (i, j) in enumerate(zip(iu, ju)):
-        rows_of[i][p] = rows_of[i].get(p, 0.0) + 1.0
-        if j != i:
-            rows_of[j][p] = rows_of[j].get(p, 0.0) + 1.0
-    for i in range(g.n):
-        if rows_of[i]:
-            prob.add_row(rows_of[i], "<=", D2)
+    # Row i sums, once each, the variables of the pairs touching node i.
+    once = np.ones(2 * iu.size, dtype=bool)
+    once[1::2] = iu != ju
+    node = np.column_stack([iu, ju]).ravel()[once]
+    has_row, row = np.unique(node, return_inverse=True)
+    prob.add_rows(row, np.repeat(np.arange(iu.size), 2)[once], np.ones(node.size),
+                  "<=", np.full(has_row.size, D2))
     sol = solve_lp(prob)
     if sol.status != "optimal":
         raise LpFailure(f"extension LP ended with status {sol.status}: {sol.message}")
@@ -156,16 +155,14 @@ def degree_truncate(g: Graph, D: int) -> tuple[Graph, float]:
     obj = np.concatenate([np.ones(n), np.zeros(m)])
     bounds = [(0.0, None)] * n + [(0.0, 1.0)] * m
     prob = LpProblem(objective=obj, sense="min", bounds=bounds)
-    for e, (u, v) in enumerate(zip(iu, ju)):
-        # w_uv >= 1 - x_u - x_v
-        prob.add_row({int(u): 1.0, int(v): 1.0, n + e: 1.0}, ">=", 1.0)
-    deg_rows = [dict() for _ in range(n)]
-    for e, (u, v) in enumerate(zip(iu, ju)):
-        deg_rows[u][n + e] = 1.0
-        deg_rows[v][n + e] = 1.0
-    for u in range(n):
-        if deg_rows[u]:
-            prob.add_row(deg_rows[u], "<=", float(D))
+    e = np.arange(m)
+    # w_uv >= 1 - x_u - x_v, i.e. x_u + x_v + w_e >= 1, one row per edge e.
+    prob.add_rows(np.repeat(e, 3), np.column_stack([iu, ju, n + e]).ravel(),
+                  np.ones(3 * m), ">=", np.ones(m))
+    # sum_v w_uv <= D, one row per node with an edge; entries go edge by edge.
+    has_row, row = np.unique(np.column_stack([iu, ju]).ravel(), return_inverse=True)
+    prob.add_rows(row, np.repeat(n + e, 2), np.ones(2 * m), "<=",
+                  np.full(has_row.size, float(D)))
     sol = solve_lp(prob)
     if sol.status != "optimal":
         raise LpFailure(f"truncation LP ended with status {sol.status}: {sol.message}")
@@ -214,11 +211,16 @@ def truncate_with_certificate(
     noise_off: bool = False,
 ) -> TruncationCertificate:
     """Run the smooth-projection step end to end: truncate, then privately
-    bound its local sensitivity. The certificate costs (eps1, 0) node-DP."""
-    if isinstance(g, WeightedGraph):
-        truncated, d_T = weighted_degree_truncate(g, D)
-    else:
-        truncated, d_T = degree_truncate(g, D)
+    bound its local sensitivity. The certificate costs (eps1, 0) node-DP.
+
+    The projection is deterministic, so it is memoised on g itself, per D and
+    on success only, and lives as long as g; each call still draws its own
+    L_hat noise from seed. Concurrent calls share the memo (dict.setdefault)."""
+    memo = vars(g).setdefault("_projections", {})
+    if D not in memo:
+        memo[D] = (weighted_degree_truncate(g, D) if isinstance(g, WeightedGraph)
+                   else degree_truncate(g, D))
+    truncated, d_T = memo[D]
     L_hat = private_sensitivity_bound(d_T, eps1, delta1, seed, noise_off=noise_off)
     return TruncationCertificate(truncated=truncated, d_T=d_T, L_hat=L_hat,
                                  budget_used=(eps1, delta1))

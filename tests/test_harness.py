@@ -1,11 +1,19 @@
+import gc
 import json
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nodedp
+import nodedp.harness
+import nodedp.truncation
 from nodedp.harness import (
     ExperimentConfig,
     TrialRecord,
+    _run_trial,
     run_sweep,
     summarize,
     write_plotdata_csv,
@@ -13,6 +21,7 @@ from nodedp.harness import (
     write_summary_json,
     write_timings_csv,
 )
+from nodedp.lp import LpSolution
 
 
 def base_config(**overrides):
@@ -160,3 +169,123 @@ def test_noise_off_watermark():
     (rec,) = run_sweep(cfg)
     assert rec.noise_off is True
     assert rec.diagnostics.get("noise_off") is True
+
+
+# ---------------------------------------------------------------------------
+# Seed-major sweeps: one graph and one truncation per seed
+
+
+def truncating_config(**overrides):
+    # D = ceil(0.5 d) = 18 against max degrees 27-30: every trial truncates.
+    return base_config(**{
+        "eps_grid": [500.0, 2000.0, 8000.0],
+        "seeds": [0, 1],
+        "wrapper": {"D_rule": {"mode": "multiple_of_d", "value": 0.5},
+                    "eps1": 1.0, "delta1": 1e-6},
+        **overrides,
+    })
+
+
+def one_trial_at_a_time(cfg):
+    """Each trial on its own, with a freshly sampled graph, in grid-major
+    order: what every trial computed before seeds shared their graph."""
+    params = cfg.sbm_params()
+    grid = [(e, d) for e in cfg.eps_grid for d in cfg.delta_grid]
+    return [_run_trial(cfg, params, gi, eps, delta, seed, {})
+            for gi, (eps, delta) in enumerate(grid) for seed in cfg.seeds]
+
+
+def counting_solve_lp(monkeypatch, result=None):
+    calls = []
+    real = nodedp.truncation.solve_lp
+
+    def spy(problem):
+        calls.append(problem.n_vars)
+        return real(problem) if result is None else result
+
+    monkeypatch.setattr(nodedp.truncation, "solve_lp", spy)
+    return calls
+
+
+def test_sweep_solves_one_truncation_lp_per_seed(monkeypatch):
+    calls = counting_solve_lp(monkeypatch)
+    records = run_sweep(truncating_config())
+    assert len(records) == 6 and all(r.status == "ok" for r in records)
+    assert all(r.diagnostics["d_T"] > 0 for r in records)
+    assert len(calls) == 2
+    # Same graph and D, so the same d_T at every grid point; own L_hat noise.
+    for seed in (0, 1):
+        rows = [r for r in records if r.seed == seed]
+        assert len({r.diagnostics["d_T"] for r in rows}) == 1
+        assert len({r.diagnostics["L_hat"] for r in rows}) == 3
+
+
+def test_sweep_matches_trials_run_one_at_a_time(tmp_path):
+    cfg = truncating_config()
+    write_records_csv(run_sweep(cfg), tmp_path / "sweep.csv")
+    write_records_csv(one_trial_at_a_time(cfg), tmp_path / "alone.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+    # More threads than cores and frequent switches: trials of one seed race
+    # to sample its graph and to memoise its truncation.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_sweep(truncating_config(), threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    write_records_csv(parallel, tmp_path / "parallel.csv")
+    assert (tmp_path / "parallel.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+
+def test_lp_failure_is_a_typed_row_at_every_grid_point(monkeypatch, tmp_path):
+    failed = LpSolution("failed", None, None, message="forced")
+    calls = counting_solve_lp(monkeypatch, result=failed)
+    records = run_sweep(truncating_config())
+    assert [r.error for r in records] == ["LpFailure"] * 6
+    assert len(calls) == 6  # failures are not memoised
+    write_records_csv(records, tmp_path / "sweep.csv")
+    write_records_csv(one_trial_at_a_time(truncating_config()), tmp_path / "alone.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_failure_traceback_has_no_absolute_paths(monkeypatch):
+    failed = LpSolution("failed", None, None, message="forced")
+    counting_solve_lp(monkeypatch, result=failed)
+    rec = run_sweep(truncating_config(eps_grid=[500.0], seeds=[0]))[0]
+    tb = rec.diagnostics["traceback"]
+    root = Path(nodedp.__file__).resolve().parent.parent
+    assert str(root) not in tb
+    lines = tb.splitlines()
+    assert lines[-2].startswith("nodedp/truncation.py:")
+    assert lines[-2].endswith(" in degree_truncate")
+    assert lines[-1].startswith("LpFailure: truncation LP ended with status failed")
+
+
+def test_seed_graph_is_dropped_after_its_last_grid_point(monkeypatch):
+    graphs = []
+    real = nodedp.harness.sample_sbm
+
+    def spy(params, seed):
+        gc.collect()
+        # Every earlier seed's graph (and its memoised truncation) is gone.
+        assert all(ref() is None for ref in graphs)
+        g = real(params, seed)
+        graphs.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(nodedp.harness, "sample_sbm", spy)
+    records = run_sweep(truncating_config(seeds=[0, 1, 2]))
+    assert len(graphs) == 3 and all(r.status == "ok" for r in records)
+
+
+def test_sbm_params_built_once_per_sweep(monkeypatch):
+    calls = []
+    real = ExperimentConfig.sbm_params
+
+    def spy(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(ExperimentConfig, "sbm_params", spy)
+    run_sweep(base_config(eps_grid=[1.0, 2.0], seeds=[0, 1, 2]))
+    assert len(calls) == 1

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
-from nodedp.lp import FEAS_TOL, LpProblem, solve_lp
+from nodedp.lp import FEAS_TOL, LpProblem, _assemble, solve_lp
 from nodedp.rng import spawn
 
 from oracles import dense_simplex_max, vertex_enum_max
@@ -97,3 +98,60 @@ def test_bad_relation_rejected():
     p = LpProblem(objective=np.array([1.0]))
     with pytest.raises(ValueError):
         p.add_row([1.0], "<", 1.0)
+
+
+
+def assembled(problem):
+    """The assembled (A_ub, b_ub, A_eq, b_eq) as plain arrays, dtypes kept."""
+    out = []
+    for part in _assemble(problem):
+        if not sparse.issparse(part):
+            out.append(part)
+        else:
+            out += [part.shape, part.indptr, part.indices, part.data]
+    return out
+
+
+def assert_same_assembly(a, b):
+    for x, y in zip(assembled(a), assembled(b), strict=True):
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        else:
+            assert x == y
+
+
+def test_add_rows_assembles_same_csr_as_add_row():
+    # Runs of one relation as batches against the same rows one at a time,
+    # dense and dict rows alternating; ">=" rows are negated into A_ub.
+    rng = spawn(97, 0)
+    n = 12
+    runs = [("<=", 2), (">=", 3), ("=", 2), ("<=", 1)]
+    rels = [rel for rel, k in runs for _ in range(k)]
+    A = rng.uniform(-1, 1, (len(rels), n)) * (rng.random((len(rels), n)) < 0.4)
+    rhs = rng.uniform(-2, 2, len(rels))
+    per_row = LpProblem(objective=np.ones(n))
+    for i, (row, rel) in enumerate(zip(A, rels)):
+        cols = np.nonzero(row)[0]
+        coeffs = {int(j): float(row[j]) for j in cols} if i % 2 else row
+        per_row.add_row(coeffs, rel, rhs[i])
+    batched, shuffled = LpProblem(objective=np.ones(n)), LpProblem(objective=np.ones(n))
+    start = 0
+    for rel, k in runs:
+        block = A[start:start + k]
+        r, c = np.nonzero(block)
+        batched.add_rows(r, c, block[r, c], rel, rhs[start:start + k])
+        perm = rng.permutation(r.size)
+        shuffled.add_rows(r[perm], c[perm], block[r, c][perm], rel, rhs[start:start + k])
+        start += k
+    assert_same_assembly(batched, per_row)
+    assert_same_assembly(shuffled, per_row)
+    assert batched.dump() == per_row.dump()
+    assert solve_lp(batched).objective == solve_lp(per_row).objective
+
+
+def test_add_rows_validates_indices():
+    p = LpProblem(objective=np.ones(3))
+    with pytest.raises(ValueError):
+        p.add_rows([0, 2], [0, 1], [1.0, 1.0], "<=", [1.0, 1.0])
+    with pytest.raises(ValueError):
+        p.add_rows([0], [0], [1.0], "<", [1.0])

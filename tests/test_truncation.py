@@ -6,12 +6,14 @@ import pytest
 
 from nodedp import (
     Graph,
+    SbmParams,
     WeightedGraph,
     degree_truncate,
     extension_score_sensitivity,
     lipschitz_extension_score,
     max_degree,
     private_sensitivity_bound,
+    sample_sbm,
     weighted_degree_truncate,
 )
 from nodedp.rng import spawn
@@ -213,6 +215,54 @@ def test_weighted_truncation_preserves_weights():
     small = WeightedGraph(4, np.zeros((4, 4)))
     out2, d2 = weighted_degree_truncate(small, 1)
     assert d2 == 0.0 and np.all(out2.weights == 0)
+
+
+# Removed edges and d_T of two fixed-seed SBM graphs above D, recorded before
+# the truncation LP was built from index arrays. The LP optimum need not be
+# unique, so a change of solver or of row order may move them.
+PINNED_TRUNCATIONS = [
+    (24, 8, 3.0631032189651144,
+     [(8, 13), (9, 13), (10, 13), (12, 13), (13, 14), (13, 15), (13, 16),
+      (13, 18), (13, 19), (13, 20), (13, 22), (13, 23)]),
+    (40, 10, 12.660517498313808,
+     [(0, 13), (0, 15), (1, 15), (2, 13), (3, 13), (3, 15), (4, 33), (5, 13),
+      (6, 13), (7, 13), (8, 15), (8, 33), (9, 13), (9, 15), (10, 15), (11, 15),
+      (12, 13), (12, 15), (13, 14), (13, 17), (13, 18), (13, 19), (13, 22),
+      (13, 34), (13, 37), (14, 15), (15, 16), (15, 18), (15, 19), (15, 27),
+      (15, 30), (15, 33), (15, 35), (19, 33), (20, 33), (21, 33), (22, 33),
+      (26, 33), (29, 33), (32, 33), (33, 34), (33, 35), (33, 36), (33, 37),
+      (33, 38), (33, 39)]),
+]
+
+
+@pytest.mark.parametrize("n, D, d_T, removed", PINNED_TRUNCATIONS)
+def test_truncation_pinned_instance(n, D, d_T, removed):
+    params = SbmParams(n=n, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]]))
+    g = sample_sbm(params, spawn(1234, 0))
+    assert max_degree(g) > D
+    out, got_d_T = degree_truncate(g, D)
+    gone = np.argwhere(np.triu(g.adj.astype(bool) & ~out.adj.astype(bool), 1))
+    assert [tuple(e) for e in gone.tolist()] == removed
+    assert np.all(out.adj <= g.adj)
+    assert got_d_T == pytest.approx(d_T, abs=1e-9)
+
+
+def test_certificate_reuses_projection_per_graph_and_D(monkeypatch):
+    import nodedp.truncation as trunc
+
+    calls = []
+    real = trunc.degree_truncate
+    monkeypatch.setattr(trunc, "degree_truncate",
+                        lambda g, D: calls.append(D) or real(g, D))
+    g = star(10)
+    first = trunc.truncate_with_certificate(g, 2, 1.0, 1e-6, seed=spawn(139, 0))
+    again = trunc.truncate_with_certificate(g, 2, 1.0, 1e-6, seed=spawn(139, 1))
+    assert calls == [2]
+    assert again.truncated is first.truncated and again.d_T == first.d_T
+    assert again.L_hat != first.L_hat  # each call draws its own noise
+    trunc.truncate_with_certificate(g, 3, 1.0, 1e-6, seed=0)
+    trunc.truncate_with_certificate(star(10), 2, 1.0, 1e-6, seed=0)
+    assert calls == [2, 3, 2]  # keyed by D, and stored on the graph object
 
 
 # ---------------------------------------------------------------------------
