@@ -25,8 +25,7 @@ class LpProblem:
     objective: np.ndarray
     sense: str = "min"  # "min" or "max"
     bounds: list = field(default_factory=list)  # (lo, hi), None = unbounded
-    # One (row, col, coeff, relation, rhs) batch per add_rows call; row
-    # indexes the batch's own rows, in the order they were added.
+    # (row, col, coeff, relation, rhs) per add_rows call; row counts from 0 per batch.
     batches: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):

@@ -214,13 +214,14 @@ def truncate_with_certificate(
     bound its local sensitivity. The certificate costs (eps1, 0) node-DP.
 
     The projection is deterministic, so it is memoised on g itself, per D and
-    on success only, and lives as long as g; each call still draws its own
-    L_hat noise from seed. Concurrent calls share the memo (dict.setdefault)."""
+    on success only (concurrent calls may both solve; the results are equal);
+    each call still draws its own L_hat noise from seed. An identity
+    projection is not memoised: g in its own memo would be a reference cycle."""
     memo = vars(g).setdefault("_projections", {})
-    if D not in memo:
-        memo[D] = (weighted_degree_truncate(g, D) if isinstance(g, WeightedGraph)
-                   else degree_truncate(g, D))
-    truncated, d_T = memo[D]
+    truncated, d_T = memo.get(D) or (
+        weighted_degree_truncate(g, D) if isinstance(g, WeightedGraph) else degree_truncate(g, D))
+    if truncated is not g:
+        memo[D] = truncated, d_T
     L_hat = private_sensitivity_bound(d_T, eps1, delta1, seed, noise_off=noise_off)
     return TruncationCertificate(truncated=truncated, d_T=d_T, L_hat=L_hat,
                                  budget_used=(eps1, delta1))

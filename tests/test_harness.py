@@ -261,21 +261,30 @@ def test_failure_traceback_has_no_absolute_paths(monkeypatch):
     assert lines[-1].startswith("LpFailure: truncation LP ended with status failed")
 
 
-def test_seed_graph_is_dropped_after_its_last_grid_point(monkeypatch):
+@pytest.mark.parametrize("d_multiple", [0.5, 3.0])  # truncated / already bounded
+def test_seed_graph_is_dropped_after_its_last_grid_point(monkeypatch, d_multiple):
     graphs = []
     real = nodedp.harness.sample_sbm
 
     def spy(params, seed):
-        gc.collect()
-        # Every earlier seed's graph (and its memoised truncation) is gone.
+        # Every earlier seed's graph (and its memoised truncation) is gone,
+        # freed by reference counting: the cyclic collector is off.
         assert all(ref() is None for ref in graphs)
         g = real(params, seed)
         graphs.append(weakref.ref(g))
         return g
 
     monkeypatch.setattr(nodedp.harness, "sample_sbm", spy)
-    records = run_sweep(truncating_config(seeds=[0, 1, 2]))
+    cfg = truncating_config(seeds=[0, 1, 2], wrapper={
+        "D_rule": {"mode": "multiple_of_d", "value": d_multiple},
+        "eps1": 1.0, "delta1": 1e-6})
+    gc.disable()
+    try:
+        records = run_sweep(cfg)
+    finally:
+        gc.enable()
     assert len(graphs) == 3 and all(r.status == "ok" for r in records)
+    assert all(ref() is None for ref in graphs)
 
 
 def test_sbm_params_built_once_per_sweep(monkeypatch):
