@@ -2,8 +2,9 @@
 
 Subcommands: generate (write SBM graph files), run (one estimator on one
 graph), sweep (config-driven grid), bounds (lower-bound tables), selftest
-(quick property suites). The seed falls back to the NODEDP_SEED environment
-variable when --seed is not given.
+(quick property suites). generate and sweep take their seeds from the
+config's seeds list; run and selftest take --seed, which falls back to the
+NODEDP_SEED environment variable when not given.
 """
 
 from __future__ import annotations
@@ -198,7 +199,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("generate", help="write SBM graph files from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    _add_seed(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("run", help="run one estimator on one graph file")
@@ -217,7 +217,6 @@ def main(argv=None) -> int:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--emit-plotdata", action="store_true")
     p.add_argument("--noise-off", action="store_true")
-    _add_seed(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="emit lower-bound tables as CSV")

@@ -171,7 +171,7 @@ class SbmParams:
             warnings.warn(
                 f"SBM density below the analysis floor: min diag(B)={np.min(np.diag(B)):.4g} "
                 f"< 25*k*log(n)/n={floor:.4g}; results may be outside the guaranteed regime",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -24,7 +24,7 @@ from .boosting import BoostConfig, graph_boost
 from .estimators import BoundedDegreeEstimator, reduce_to_node_private
 from .graphs import SbmParams, WeightModel, sample_sbm, sample_weighted_sbm
 from .metrics import loss_overall, loss_worst_case
-from .registry import ESTIMATOR_IDS, make_bounded_base, run_pipeline
+from .registry import PIPELINES, make_bounded_base, run_pipeline
 from .rng import spawn
 
 RECORD_COLUMNS = [
@@ -47,7 +47,7 @@ class ExperimentConfig:
     noise_off: bool = False
 
     def __post_init__(self):
-        if self.estimator.get("id") not in ESTIMATOR_IDS:
+        if self.estimator.get("id") not in PIPELINES:
             raise ValueError(f"unknown estimator id {self.estimator.get('id')!r}")
         if not self.eps_grid or not self.delta_grid or not self.seeds:
             raise ValueError("eps_grid, delta_grid, and seeds must be non-empty")
@@ -120,7 +120,7 @@ def _run_trial(cfg: ExperimentConfig, params: SbmParams, grid_index: int, eps: f
     try:
         graph = shared.get("graph")
         if graph is None:  # concurrent trials of a seed may both sample; all keep the first
-            weighted = params.weight_model is not None and est_id == "subspace_estimation"
+            weighted = params.weight_model is not None and PIPELINES[est_id].weighted
             sample = sample_weighted_sbm if weighted else sample_sbm
             graph = shared.setdefault("graph", sample(params, spawn(seed, 0)))
         mech_seed = spawn(seed, 1, grid_index)

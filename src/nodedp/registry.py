@@ -1,13 +1,18 @@
-"""Estimator registry: direct pipeline runners and bounded-degree adapters.
+"""Estimator registry: one table of the six pipelines, run directly or as
+bounded-degree bases.
 
-Adapters convert a node-level privacy budget on graphs of max degree <= 2D
-into each mechanism's internal parameter: a rewired node in that class
-touches at most 4D edge slots, so edge-level mechanisms run at eps/(4D)
-(5D for the chunked subspace method, matching its analysis), and the
-deflation pipeline splits its budget over 2k releases.
+A direct run takes mechanism-level parameters. A bounded base reads (eps, delta)
+as a node-DP budget on graphs of max degree <= 2D and divides eps down to the
+mechanism's own parameter: a rewired node in that class touches at most 4D edge
+slots, so edge-level mechanisms run at eps/(4D) (5D for the chunked subspace
+method, matching its analysis), private PCA at eps/2, and the deflation
+pipeline splits its budget over 2k releases.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,14 +26,16 @@ from .estimators import (
     subspace_estimation,
     two_community_convex,
 )
-ESTIMATOR_IDS = (
-    "ef_spectral",
-    "pca_lipschitz",
-    "eig_deflation",
-    "two_community",
-    "matrix_estimation",
-    "subspace_estimation",
-)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One pipeline's entry in `PIPELINES`."""
+
+    privacy_form: str  # "pure" | "approx": the form of the bounded base's guarantee
+    divisor: Callable  # (k, D) -> node-level eps / mechanism eps
+    weighted: bool  # samples a WeightedGraph when the SBM has a weight model
+    call: Callable  # (graph, p, kw) -> EstimatorOutput; p holds k, eps, delta and D
 
 
 def _n_scaled_pair(graph, params):
@@ -39,101 +46,51 @@ def _n_scaled_pair(graph, params):
     return graph.n * float(B[0, 0]), graph.n * float(B[0, 1])
 
 
+# Adapters look their pipeline up in this module's globals at call time, so a
+# function patched onto nodedp.registry is the one that runs.
+PIPELINES = {
+    "ef_spectral": Pipeline("pure", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
+        ef_spectral(g, p["k"], p["eps"], **kw))),
+    "pca_lipschitz": Pipeline("pure", lambda k, D: 2.0, False, lambda g, p, kw: (
+        private_pca_lipschitz(g, p["D"], p["eps"], **kw))),
+    "eig_deflation": Pipeline("pure", lambda k, D: 2.0 * k, False, lambda g, p, kw: (
+        eigvec_deflation_cluster(g, p["k"], p["D"], p["eps"],
+                                 use_lipschitz=bool(p.get("use_lipschitz", False)), **kw))),
+    "two_community": Pipeline("approx", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
+        two_community_convex(g, *_n_scaled_pair(g, p), p["eps"], p["delta"],
+                             tol=float(p.get("tol", 1e-8)),
+                             max_iter=int(p.get("max_iter", 5000)), **kw))),
+    "matrix_estimation": Pipeline("approx", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
+        matrix_estimation(g, p["k"], p["eps"], p["delta"], L=p.get("L"), **kw))),
+    "subspace_estimation": Pipeline("approx", lambda k, D: 5.0 * D, True, lambda g, p, kw: (
+        subspace_estimation(g, p["k"], p["eps"], p["delta"], zeta=float(p.get("zeta", 0.1)),
+                            C1=float(p.get("C1", 1.0)), Cprime=float(p.get("Cprime", 3.0)),
+                            r_mult=float(p.get("r_mult", 1.0)), **kw))),
+}
+
+
+def _call(entry, graph, p, seed, noise_off) -> EstimatorOutput:
+    kw = {"gamma": float(p.get("gamma", 1.0)), "seed": seed, "noise_off": noise_off}
+    return entry.call(graph, p, kw)
+
+
 def run_pipeline(estimator_id, graph, params, seed, noise_off=False) -> EstimatorOutput:
     """Run one pipeline directly with explicit mechanism-level parameters."""
-    p = dict(params)
-    k = int(p.get("k", 2))
-    gamma = float(p.get("gamma", 1.0))
-    eps = float(p.get("eps", 1.0))
-    if estimator_id == "ef_spectral":
-        return ef_spectral(graph, k, eps, gamma=gamma, seed=seed, noise_off=noise_off)
-    if estimator_id == "pca_lipschitz":
-        return private_pca_lipschitz(
-            graph, float(p["D"]), eps, gamma=gamma, seed=seed, noise_off=noise_off
-        )
-    if estimator_id == "eig_deflation":
-        return eigvec_deflation_cluster(
-            graph, k, float(p["D"]), eps,
-            use_lipschitz=bool(p.get("use_lipschitz", False)),
-            gamma=gamma, seed=seed, noise_off=noise_off,
-        )
-    if estimator_id == "two_community":
-        B11, B12 = _n_scaled_pair(graph, p)
-        return two_community_convex(
-            graph, B11, B12, eps, float(p.get("delta", 1e-6)),
-            seed=seed, noise_off=noise_off, gamma=gamma,
-            tol=float(p.get("tol", 1e-8)), max_iter=int(p.get("max_iter", 5000)),
-        )
-    if estimator_id == "matrix_estimation":
-        return matrix_estimation(
-            graph, k, eps, float(p.get("delta", 1e-6)), gamma=gamma,
-            seed=seed, L=p.get("L"), noise_off=noise_off,
-        )
-    if estimator_id == "subspace_estimation":
-        return subspace_estimation(
-            graph, k, eps, float(p.get("delta", 1e-6)),
-            zeta=float(p.get("zeta", 0.1)), seed=seed, noise_off=noise_off,
-            gamma=gamma, C1=float(p.get("C1", 1.0)),
-            Cprime=float(p.get("Cprime", 3.0)), r_mult=float(p.get("r_mult", 1.0)),
-        )
-    raise KeyError(f"unknown estimator id {estimator_id!r}")
+    entry, p = PIPELINES[estimator_id], dict(params)
+    p.update(k=int(p.get("k", 2)), eps=float(p.get("eps", 1.0)),
+             delta=float(p.get("delta", 1e-6)))
+    if "D" in p:
+        p["D"] = float(p["D"])
+    return _call(entry, graph, p, seed, noise_off)
 
 
 def make_bounded_base(estimator_id, k, D, params) -> BoundedDegreeEstimator:
     """Adapter: (eps, delta) interpreted as a node-DP budget on max degree
     <= 2D graphs, converted to the mechanism's own parameter."""
-    p = dict(params)
-    gamma = float(p.get("gamma", 1.0))
+    entry, params = PIPELINES[estimator_id], dict(params)
 
-    if estimator_id == "ef_spectral":
-        def run(graph, eps, delta, seed, noise_off=False):
-            return ef_spectral(
-                graph, k, eps / (4.0 * D), gamma=gamma, seed=seed, noise_off=noise_off
-            )
-        return BoundedDegreeEstimator("ef_spectral", "pure", run)
+    def run(graph, eps, delta, seed, noise_off=False):
+        p = {**params, "k": k, "D": D, "eps": eps / entry.divisor(k, D), "delta": delta}
+        return _call(entry, graph, p, seed, noise_off)
 
-    if estimator_id == "pca_lipschitz":
-        def run(graph, eps, delta, seed, noise_off=False):
-            return private_pca_lipschitz(
-                graph, D, eps / 2.0, gamma=gamma, seed=seed, noise_off=noise_off
-            )
-        return BoundedDegreeEstimator("pca_lipschitz", "pure", run)
-
-    if estimator_id == "eig_deflation":
-        def run(graph, eps, delta, seed, noise_off=False):
-            return eigvec_deflation_cluster(
-                graph, k, D, eps / (2.0 * k),
-                use_lipschitz=bool(p.get("use_lipschitz", False)),
-                gamma=gamma, seed=seed, noise_off=noise_off,
-            )
-        return BoundedDegreeEstimator("eig_deflation", "pure", run)
-
-    if estimator_id == "two_community":
-        def run(graph, eps, delta, seed, noise_off=False):
-            B11, B12 = _n_scaled_pair(graph, p)
-            return two_community_convex(
-                graph, B11, B12, eps / (4.0 * D), delta,
-                seed=seed, noise_off=noise_off, gamma=gamma,
-                tol=float(p.get("tol", 1e-8)), max_iter=int(p.get("max_iter", 5000)),
-            )
-        return BoundedDegreeEstimator("two_community", "approx", run)
-
-    if estimator_id == "matrix_estimation":
-        def run(graph, eps, delta, seed, noise_off=False):
-            return matrix_estimation(
-                graph, k, eps / (4.0 * D), delta, gamma=gamma,
-                seed=seed, L=p.get("L"), noise_off=noise_off,
-            )
-        return BoundedDegreeEstimator("matrix_estimation", "approx", run)
-
-    if estimator_id == "subspace_estimation":
-        def run(graph, eps, delta, seed, noise_off=False):
-            return subspace_estimation(
-                graph, k, eps / (5.0 * D), delta,
-                zeta=float(p.get("zeta", 0.1)), seed=seed, noise_off=noise_off,
-                gamma=gamma, C1=float(p.get("C1", 1.0)),
-                Cprime=float(p.get("Cprime", 3.0)), r_mult=float(p.get("r_mult", 1.0)),
-            )
-        return BoundedDegreeEstimator("subspace_estimation", "approx", run)
-
-    raise KeyError(f"unknown estimator id {estimator_id!r}")
+    return BoundedDegreeEstimator(estimator_id, entry.privacy_form, run)

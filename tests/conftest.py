@@ -1,18 +1,4 @@
 import sys
-import warnings
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-# Many tests deliberately use small dense SBMs outside the asymptotic density
-# regime; the params validator warns about that by design.
-warnings.filterwarnings("ignore", message="SBM density below the analysis floor")
-
-
-@pytest.fixture(autouse=True)
-def _quiet_density_warning():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="SBM density below the analysis floor")
-        yield

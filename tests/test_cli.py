@@ -84,3 +84,14 @@ def test_env_seed_fallback(tmp_path, config_file, monkeypatch, capsys):
     assert rc == 0
     record = json.loads(capsys.readouterr().out)
     assert record["seed"] == 9
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_seed_option_rejected_where_config_sets_seeds(tmp_path, config_file, command, capsys):
+    # generate and sweep take their seeds from the config; --seed is not an option.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config_file), "--out", str(tmp_path / "out"),
+              "--seed", "99"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -27,7 +27,7 @@ from nodedp import (
     two_community_convex,
 )
 from nodedp.estimators import AssumptionViolation, BoundedDegreeEstimator, _dykstra_psd_diag
-from nodedp.registry import make_bounded_base
+from nodedp.registry import make_bounded_base, run_pipeline
 from nodedp.rng import spawn
 
 PARAMS_400 = SbmParams(n=400, k=2, B=np.array([[0.3, 0.05], [0.05, 0.3]]))
@@ -510,3 +510,43 @@ def test_registry_bounded_bases_scale_mechanism_parameters():
     out2 = base2.run(g, 8.0, 0.0, spawn(277, 1))
     # (2k) * (eps/(2k)) = eps at the pure node level on bounded degree.
     assert out2.budget[0].eps == pytest.approx(8.0)
+
+
+# k=2, D=20: node-level eps divided by 4D=80, 2, 2k=4, 4D=80, 4D=80 and 5D=100.
+@pytest.mark.parametrize("estimator_id, divisor, form, eps", [
+    ("ef_spectral", 80.0, "pure", 800.0),
+    ("pca_lipschitz", 2.0, "pure", 50.0),
+    ("eig_deflation", 4.0, "pure", 50.0),
+    ("two_community", 80.0, "approx", 800.0),
+    ("matrix_estimation", 80.0, "approx", 800.0),
+    ("subspace_estimation", 100.0, "approx", 1000.0),
+])
+def test_registry_bounded_base_is_direct_run_at_divided_eps(estimator_id, divisor, form, eps):
+    g = sample_sbm(SbmParams(n=40, k=2, B=np.full((2, 2), 0.3) + 0.2 * np.eye(2)), 0)
+    k, D, delta = 2, 20, 1e-6
+    assert max_degree(g) <= D  # the sphere samplers stay off the LP-extension path
+    params = {"B": [[0.5, 0.3], [0.3, 0.5]], "zeta": 0.1}
+    base = make_bounded_base(estimator_id, k, D, params)
+    assert base.privacy_form == form
+    bounded = base.run(g, eps, delta, spawn(278, 0))
+    direct = run_pipeline(estimator_id, g,
+                          {**params, "k": k, "eps": eps / divisor, "delta": delta, "D": D},
+                          spawn(278, 0))
+    assert bounded.labels is not None and direct.labels is not None
+    np.testing.assert_array_equal(bounded.labels.labels, direct.labels.labels)
+    assert [b.to_dict() for b in bounded.budget] == [b.to_dict() for b in direct.budget]
+
+
+def test_registry_unknown_id_raises_key_error():
+    g = Graph(4, np.zeros((4, 4), dtype=np.uint8))
+    with pytest.raises(KeyError):
+        run_pipeline("nope", g, {}, 0)
+    with pytest.raises(KeyError):
+        make_bounded_base("nope", 2, 3, {})
+
+
+@pytest.mark.parametrize("estimator_id", ["pca_lipschitz", "eig_deflation"])
+def test_registry_direct_run_without_D_raises_key_error(estimator_id):
+    g = Graph(4, np.zeros((4, 4), dtype=np.uint8))
+    with pytest.raises(KeyError):
+        run_pipeline(estimator_id, g, {"eps": 1.0}, 0)

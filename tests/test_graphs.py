@@ -59,6 +59,12 @@ def test_sbm_density_warning():
     assert any("density" in str(w.message) for w in caught)
 
 
+def test_sbm_density_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="SBM density below the analysis floor") as caught:
+        SbmParams(n=100, k=2, B=np.array([[0.05, 0.01], [0.01, 0.05]]))
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_sample_sbm_all_ones_gives_complete_graph():
     params = SbmParams(n=8, k=2, B=np.ones((2, 2)))
     g = sample_sbm(params, 0)

@@ -298,3 +298,36 @@ def test_sbm_params_built_once_per_sweep(monkeypatch):
     monkeypatch.setattr(ExperimentConfig, "sbm_params", spy)
     run_sweep(base_config(eps_grid=[1.0, 2.0], seeds=[0, 1, 2]))
     assert len(calls) == 1
+
+
+def test_shipped_configs_load_and_cover_every_pipeline():
+    configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+    assert configs
+    ids = {ExperimentConfig.from_json(p.read_text()).estimator["id"] for p in configs}
+    assert ids == set(nodedp.harness.PIPELINES)
+
+
+@pytest.mark.parametrize("estimator_id, weighted", [
+    ("subspace_estimation", True),
+    ("ef_spectral", False),
+])
+def test_trial_samples_weighted_graph_only_for_weighted_pipelines(monkeypatch, estimator_id,
+                                                                 weighted):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(nodedp.harness, name, wrapped)
+
+    spy("sample_sbm", nodedp.harness.sample_sbm)
+    spy("sample_weighted_sbm", nodedp.harness.sample_weighted_sbm)
+    sbm = {"n": 60, "k": 2, "B": [[0.6, 0.1], [0.1, 0.6]],
+           "weight_model": {"means": [[1.0, 0.2], [0.2, 1.0]], "scale": 0.5}}
+    cfg = base_config(sbm=sbm, estimator={"id": estimator_id, "params": {"zeta": 0.1}},
+                      delta_grid=[1e-6])
+    shared = {}
+    _run_trial(cfg, cfg.sbm_params(), 0, 2.0, 1e-6, 0, shared)
+    assert calls == ["sample_weighted_sbm" if weighted else "sample_sbm"]
+    assert isinstance(shared["graph"], nodedp.WeightedGraph) == weighted
