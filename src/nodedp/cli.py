@@ -35,18 +35,18 @@ def _add_seed(p):
 def cmd_generate(args) -> int:
     from .graphs import sample_sbm, sample_weighted_sbm, write_graph, write_labels
     from .harness import ExperimentConfig
+    from .registry import PIPELINES
     from .rng import spawn
 
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     params = cfg.sbm_params()
+    # The graph the sweep scores: weighted only for a weighted pipeline.
+    weighted = params.weight_model is not None and PIPELINES[cfg.estimator["id"]].weighted
+    sample = sample_weighted_sbm if weighted else sample_sbm
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for seed in cfg.seeds:
-        rng = spawn(int(seed), 0)
-        if params.weight_model is not None:
-            g = sample_weighted_sbm(params, rng)
-        else:
-            g = sample_sbm(params, rng)
+        g = sample(params, spawn(int(seed), 0))
         write_graph(out / f"{cfg.scenario}_seed{seed}.graph", g)
         write_labels(out / f"{cfg.scenario}_seed{seed}.labels", params.theta)
         print(f"wrote {cfg.scenario}_seed{seed}.graph (n={g.n})")
@@ -55,13 +55,15 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     from .graphs import read_graph, read_labels
+    from .harness import _one_blas_thread
     from .metrics import loss_overall, loss_worst_case
     from .registry import run_pipeline
 
     graph = read_graph(args.graph)
     params = json.loads(args.params) if args.params else {}
     seed = _resolve_seed(args)
-    out = run_pipeline(args.estimator, graph, params, seed, noise_off=args.noise_off)
+    with _one_blas_thread:  # as in a sweep, so the output matches on any core count
+        out = run_pipeline(args.estimator, graph, params, seed, noise_off=args.noise_off)
     record = {
         "estimator": args.estimator,
         "seed": seed,

@@ -410,16 +410,16 @@ def matrix_estimation(
     p = min(2 * k, n)
     sigma = 0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / delta)) / eps
     X, _ = np.linalg.qr(rng.standard_normal((n, p)))
-    Y = None
     for _ in range(L):
         G = sigma * rng.standard_normal((n, p)) if sigma > 0 else 0.0
         Y = A @ X + G
-        X_next, _ = np.linalg.qr(Y)
+        X_next, R = np.linalg.qr(Y)
         X_prev, X = X, X_next
-    # Rank-2k reconstruction from the penultimate basis and the last product.
-    Ahat = X_prev @ Y.T
-    U, _, _ = np.linalg.svd(Ahat, full_matrices=False)
-    Uk = U[:, :k]
+    # Rank-2k reconstruction from the penultimate basis and the last product,
+    # Ahat = X_prev @ Y.T = X_prev @ R.T @ X.T. Both bases are orthonormal, so
+    # Ahat's left singular vectors are X_prev times those of the p x p factor R.T.
+    W, _, _ = np.linalg.svd(R.T)
+    Uk = X_prev @ W[:, :k]
     labels, cost = _cluster_rows(Uk, k, gamma, rng, restarts)
     rho = 0.0 if noise_off else eps * eps / (4.0 * math.log(1.0 / delta))
     return EstimatorOutput(

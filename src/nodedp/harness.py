@@ -3,15 +3,20 @@ persistence.
 
 A sweep evaluates one estimator over an (eps, delta) grid times a list of
 seeds. Every trial draws its generators from (seed, indices), so outputs are
-independent of worker scheduling; the canonical records CSV is byte-identical
-across reruns (wall-clock timings go to a separate sidecar file).
+independent of worker scheduling, and every loaded OpenBLAS runs one thread
+while a sweep is running, so they are independent of the core count too; the
+canonical records CSV is byte-identical across reruns (wall-clock timings go
+to a separate sidecar file).
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import itertools
 import json
 import math
+import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -177,10 +182,73 @@ def _failure_traceback(exc: Exception) -> str:
     return "\n".join(lines[-3:] + [f"{type(exc).__name__}: {exc}"])
 
 
+class _OneBlasThread:
+    """Context manager: every loaded OpenBLAS runs one thread inside it.
+
+    OpenBLAS's thread count changes the floating-point bits of its results, and
+    numpy and scipy each load their own copy, which by default starts one
+    thread per core under every sweep thread. The first caller to enter saves
+    each library's count and sets it to 1; the last to leave restores them, so
+    concurrent and nested sweeps are safe. Libraries are found in
+    /proc/self/maps; where there is none (no OpenBLAS, or not Linux) it does
+    nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = []  # [(set_num_threads, count before entry)]
+
+    @staticmethod
+    def _controls():
+        try:
+            with open("/proc/self/maps") as fh:
+                paths = {line.split(maxsplit=5)[-1].strip()
+                         for line in fh if "openblas" in line}
+        except OSError:
+            return []
+        controls = []
+        for path in sorted(paths):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for prefix, suffix in itertools.product(("scipy_openblas", "openblas"),
+                                                    ("64_", "")):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+        return controls
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(set_, get()) for get, set_ in self._controls()]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+                self._saved = []
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
     """One record per (grid point x seed), in grid-major order; failures become
     typed rows. Trials run seed-major: a seed's graph (and its truncation) is
-    built by its first trial and dropped after its last."""
+    built by its first trial and dropped after its last. `threads` trials run
+    at once, each on one BLAS thread."""
     params = cfg.sbm_params()
     grid = [(gi, eps, delta)
             for gi, (eps, delta) in enumerate(
@@ -192,11 +260,12 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
             for gi, eps, delta in grid:
                 yield cfg, params, gi, eps, delta, seed, shared
 
-    if threads <= 1:
-        done = [_run_trial(*t) for t in trials()]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(lambda t: _run_trial(*t), trials()))
+    with _one_blas_thread:
+        if threads <= 1:
+            done = [_run_trial(*t) for t in trials()]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                done = list(pool.map(lambda t: _run_trial(*t), trials()))
     return sorted(done, key=lambda r: r.grid_index)  # stable: seeds keep their order
 
 

@@ -209,3 +209,31 @@ def quadrature_masses(log_density, nth=900, nph=1800):
 
 def tv_distance(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS thread counts, read from the libraries that the numpy and scipy
+# wheels bundle (found by directory, not by the harness's /proc/self/maps scan).
+
+def openblas_thread_controls():
+    """[(get_num_threads, set_num_threads)] for each bundled OpenBLAS."""
+    import ctypes
+    from pathlib import Path
+
+    import scipy
+
+    controls = []
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libdir.glob("*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            for prefix, suffix in itertools.product(("scipy_openblas", "openblas"),
+                                                    ("64_", "")):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return controls

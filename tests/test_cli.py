@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import nodedp.registry
 from nodedp.cli import main
 
 
@@ -95,3 +96,43 @@ def test_seed_option_rejected_where_config_sets_seeds(tmp_path, config_file, com
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("estimator_id, weighted", [
+    ("ef_spectral", 0),
+    ("subspace_estimation", 1),
+])
+def test_generate_writes_the_graph_the_sweep_scores(tmp_path, estimator_id, weighted):
+    # Under a weight model only a weighted pipeline's sweep samples a WeightedGraph.
+    cfg = {
+        "scenario": "wm",
+        "sbm": {"n": 40, "k": 2, "B": [[0.6, 0.1], [0.1, 0.6]],
+                "weight_model": {"means": [[1.0, 0.2], [0.2, 1.0]], "scale": 0.5}},
+        "estimator": {"id": estimator_id, "params": {}},
+        "eps_grid": [2.0],
+        "seeds": [0],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "g")]) == 0
+    header = (tmp_path / "g" / "wm_seed0.graph").read_text().splitlines()[0]
+    assert header == f"n=40 weighted={weighted}"
+
+
+def test_run_uses_one_blas_thread(tmp_path, config_file, monkeypatch, openblas_at_three,
+                                  capsys):
+    main(["generate", "--config", str(config_file), "--out", str(tmp_path / "g")])
+    seen = []
+    real = nodedp.registry.run_pipeline
+
+    def spy(*args, **kwargs):
+        seen.append(openblas_at_three())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nodedp.registry, "run_pipeline", spy)
+    rc = main(["run", "--graph", str(tmp_path / "g" / "cli_seed0.graph"),
+               "--estimator", "ef_spectral", "--params", json.dumps({"k": 2, "eps": 3.0})])
+    assert rc == 0
+    n_libs = len(openblas_at_three())
+    assert seen == [[1] * n_libs]
+    assert openblas_at_three() == [3] * n_libs

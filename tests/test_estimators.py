@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nodedp.estimators
 from nodedp import (
     Graph,
     LabelAssignment,
@@ -26,6 +27,7 @@ from nodedp import (
     symmetrize,
     two_community_convex,
 )
+from nodedp.clustering import approx_kmeans
 from nodedp.estimators import AssumptionViolation, BoundedDegreeEstimator, _dykstra_psd_diag
 from nodedp.registry import make_bounded_base, run_pipeline
 from nodedp.rng import spawn
@@ -246,6 +248,58 @@ def test_matrix_estimation_noise_free_reconstruction():
     U, s, Vt = np.linalg.svd(A)
     A2k = (U[:, : 2 * k] * s[: 2 * k]) @ Vt[: 2 * k]
     assert np.linalg.norm(A - A2k, 2) <= svals[2 * k] + 1e-6 * np.linalg.norm(A, 2)
+
+
+def _matrix_estimation_reference(g, k, eps, delta, seed, noise_off=False, restarts=20):
+    """matrix_estimation's iteration, then the n x n SVD of the rank-2k
+    reconstruction X_prev @ Y.T; returns (U[:, :k], labels, k-means cost)."""
+    rng = spawn(*seed)
+    n, A = g.n, g.as_float()
+    L, p = max(1, math.ceil(12.0 * math.log(n))), min(2 * k, n)
+    sigma = 0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / delta)) / eps
+    X, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    for _ in range(L):
+        G = sigma * rng.standard_normal((n, p)) if sigma > 0 else 0.0
+        Y = A @ X + G
+        X_prev, X = X, np.linalg.qr(Y)[0]
+    U = np.linalg.svd(X_prev @ Y.T)[0][:, :k]
+    labels, _, cost = approx_kmeans(U, k, gamma=1.0, restarts=restarts, seed=rng)
+    return U, labels, cost
+
+
+def _two_cliques(sizes):
+    adj = np.zeros((sum(sizes), sum(sizes)), dtype=np.uint8)
+    start = 0
+    for m in sizes:
+        adj[start:start + m, start:start + m] = 1
+        start += m
+    np.fill_diagonal(adj, 0)
+    return Graph(len(adj), adj)
+
+
+@pytest.mark.parametrize("case", ["sbm-eps2000", "sbm-eps50", "rank2-noise-off"])
+def test_matrix_estimation_factor_svd_matches_full_svd(case, monkeypatch):
+    # The left singular vectors come from the p x p factor of the last QR; they
+    # must equal the n x n SVD's column by column up to sign, and so must the labels.
+    if case == "rank2-noise-off":
+        g, eps, noise_off = _two_cliques((30, 20)), 1.0, True  # singular values 29, 19, 0...
+    else:
+        g = sample_sbm(PARAMS_400, spawn(229, 0))
+        eps, noise_off = float(case.removeprefix("sbm-eps")), False
+    seen = []
+    real = nodedp.estimators._cluster_rows
+    monkeypatch.setattr(nodedp.estimators, "_cluster_rows",
+                        lambda U, *a, **kw: seen.append(U) or real(U, *a, **kw))
+    out = matrix_estimation(g, 2, eps, 1e-6, seed=spawn(229, 1), noise_off=noise_off)
+    U_ref, labels_ref, cost_ref = _matrix_estimation_reference(
+        g, 2, eps, 1e-6, (229, 1), noise_off=noise_off)
+    (U,) = seen
+    assert U.shape == U_ref.shape == (g.n, 2)
+    for j in range(2):
+        sign = np.sign(U[:, j] @ U_ref[:, j])
+        np.testing.assert_allclose(sign * U[:, j], U_ref[:, j], rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(out.labels.labels, labels_ref.labels)
+    assert out.diagnostics["kmeans_cost"] == pytest.approx(cost_ref, rel=1e-9)
 
 
 def test_matrix_estimation_k_zero_rejected():

@@ -1,6 +1,9 @@
 import gc
 import json
+import os
+import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -331,3 +334,78 @@ def test_trial_samples_weighted_graph_only_for_weighted_pipelines(monkeypatch, e
     _run_trial(cfg, cfg.sbm_params(), 0, 2.0, 1e-6, 0, shared)
     assert calls == ["sample_weighted_sbm" if weighted else "sample_sbm"]
     assert isinstance(shared["graph"], nodedp.WeightedGraph) == weighted
+
+
+# ---------------------------------------------------------------------------
+# One BLAS thread inside a sweep: `threads` is a sweep's only parallelism
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_trials_run_on_one_blas_thread(monkeypatch, openblas_at_three, threads):
+    seen = []
+    real = nodedp.harness._run_trial
+
+    def spy(*args):
+        seen.append(openblas_at_three())
+        return real(*args)
+
+    monkeypatch.setattr(nodedp.harness, "_run_trial", spy)
+    records = run_sweep(base_config(eps_grid=[1.0, 3.0], seeds=[0, 1]), threads=threads)
+    assert len(seen) == len(records) == 4
+    assert all(counts == [1] * len(counts) for counts in seen)
+    counts = openblas_at_three()
+    assert counts == [3] * len(counts)  # restored on return
+
+
+def test_blas_counts_restored_after_two_concurrent_sweeps(monkeypatch, openblas_at_three):
+    # Sweep "a" enters first and "b" enters while "a" runs; "b"'s trial reads
+    # the counts after "a" has returned, so "a" must not restore them on its own.
+    a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+    seen, waited = {}, []
+    real = nodedp.harness._run_trial
+
+    def spy(cfg, *args):
+        (a_in if cfg.scenario == "a" else b_in).set()
+        waited.append((b_in if cfg.scenario == "a" else a_done).wait(30))
+        seen[cfg.scenario] = openblas_at_three()
+        return real(cfg, *args)
+
+    def sweep(name):
+        run_sweep(base_config(scenario=name))
+        if name == "a":
+            a_done.set()
+
+    monkeypatch.setattr(nodedp.harness, "_run_trial", spy)
+    first = threading.Thread(target=sweep, args=("a",))
+    first.start()
+    assert a_in.wait(30)
+    second = threading.Thread(target=sweep, args=("b",))
+    second.start()
+    first.join(60)
+    second.join(60)
+    assert not first.is_alive() and not second.is_alive()
+    assert waited == [True, True]
+    n_libs = len(openblas_at_three())
+    assert seen == {"a": [1] * n_libs, "b": [1] * n_libs}
+    assert openblas_at_three() == [3] * n_libs
+
+
+def test_records_do_not_depend_on_blas_threads(tmp_path):
+    # One eig_deflation trial at n=400: its eigensolver's bits depend on how
+    # many threads OpenBLAS splits the work over, unless the sweep pins it.
+    cfg = json.loads((Path(__file__).parent.parent / "configs"
+                      / "eig_deflation_sweep.json").read_text())
+    cfg.update(seeds=[0], eps_grid=cfg["eps_grid"][:1])
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    src = str(Path(nodedp.__file__).resolve().parent.parent)
+    outputs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "nodedp.cli", "sweep", "--config",
+                        str(tmp_path / "cfg.json"), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append((out / "records.csv").read_bytes())
+    assert outputs[0].count(b"\n") == 2
+    assert outputs[0] == outputs[1]
