@@ -57,27 +57,67 @@ def _kmeans_pp_init(points, k, rng):
     return centers
 
 
-def _lloyd(points, centers, max_iter=100):
-    n, k = points.shape[0], centers.shape[0]
-    labels = None
+def _assign(pT, centers):
+    """Nearest center for each restart: labels (R, n), the lowest index on
+    ties as argmin takes it, and the squared distance to it (R, n). pT holds
+    the points as d x n, centers is (R, k, d); distances add the dimensions
+    in order."""
+    R, k, d = centers.shape
+    labels = np.zeros((R, pT.shape[1]), dtype=np.intp)
+    dmin = np.full(labels.shape, np.inf)
+    for c in range(k):
+        d2 = (pT[0] - centers[:, c, 0, None]) ** 2
+        for j in range(1, d):
+            d2 += (pT[j] - centers[:, c, j, None]) ** 2
+        labels[d2 < dmin] = c
+        np.minimum(dmin, d2, out=dmin)
+    return labels, dmin
+
+
+def _lloyd_restarts(points, centers, max_iter=100):
+    """Lloyd iterations for R restarts at once; centers (R, k, d) is updated
+    in place. Returns labels (R, n), centers and costs (R,).
+
+    Each restart takes the steps a lone Lloyd run would: it stops when its
+    labels repeat (its centers are then left alone, so it keeps reproducing
+    itself), an empty cluster is re-seeded at the restart's point farthest
+    from its center, and max_iter bounds its center updates. Distances add
+    dimensions in order and center sums add points in order, so for
+    2 <= d <= 7 every bit equals a per-restart loop of
+    ``((points[:, None] - centers[None]) ** 2).sum(axis=2)`` and
+    ``points[mask].mean(axis=0)``. At d = 1 (numpy's mean) and d >= 8 (its
+    distance sum) numpy adds pairwise instead, so centers and costs there may
+    differ from such a loop in the last bits.
+    """
+    R, k, d = centers.shape
+    pT = np.ascontiguousarray(points.T)
+    labels = np.full((R, points.shape[0]), -1)  # so every restart moves at first
+    live = np.arange(R)
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
+        new, dmin = _assign(pT, centers[live])
+        moved = (new != labels[live]).any(axis=1)
+        live, new, dmin = live[moved], new[moved], dmin[moved]
+        if live.size == 0:
             break
-        labels = new_labels
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centers[c] = points[mask].mean(axis=0)
-            else:
-                # Re-seed an empty cluster at the point farthest from its center.
-                far = d2[np.arange(n), labels].argmax()
-                centers[c] = points[far]
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    cost = float(d2[np.arange(n), labels].sum())
-    return labels, centers, cost
+        labels[live] = new
+        flat = (np.arange(live.size)[:, None] * k + new).ravel()
+        bins = live.size * k
+        counts = np.bincount(flat, minlength=bins).reshape(-1, k)
+        sums = np.stack([np.bincount(flat, weights=np.tile(pT[j], live.size), minlength=bins)
+                         for j in range(d)], axis=-1)
+        means = sums.reshape(-1, k, d) / np.maximum(counts, 1)[:, :, None]
+        # Re-seed an empty cluster at the point farthest from its center.
+        r, c = np.nonzero(counts == 0)
+        means[r, c] = points[dmin[r].argmax(axis=1)]
+        centers[live] = means
+    labels, dmin = _assign(pT, centers)
+    return labels, centers, dmin.sum(axis=1)
+
+
+def _lloyd(points, centers, max_iter=100):
+    """One Lloyd run: the R = 1 case of `_lloyd_restarts`."""
+    labels, centers, costs = _lloyd_restarts(points, centers[None], max_iter)
+    return labels[0], centers[0], float(costs[0])
 
 
 def approx_kmeans(
@@ -91,9 +131,14 @@ def approx_kmeans(
 
     Returns (membership, centers, cost) where cost is the squared Frobenius
     objective. gamma is the nominal approximation slack; it is recorded by
-    callers but the guarantee here is empirical.
+    callers but the guarantee here is empirical. Non-finite points raise
+    ValueError before anything is drawn from `seed`.
+
+    The seedings draw from the stream one restart after another; the Lloyd
+    runs then go together. The first restart of cost 0 ends the search: the
+    result is that restart, and the stream is left where its seeding left it.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = Embedding(points).U
     if points.ndim != 2:
         raise ValueError("points must be 2-D")
     n = points.shape[0]
@@ -106,16 +151,15 @@ def approx_kmeans(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rng = as_generator(seed)
-    best = None
+    inits, states = [], []
     for _ in range(restarts):
-        centers = _kmeans_pp_init(points, k, rng)
-        labels, centers, cost = _lloyd(points, centers)
-        if best is None or cost < best[2]:
-            best = (labels, centers, cost)
-        if best[2] == 0.0:
-            break
-    labels, centers, cost = best
-    return LabelAssignment(labels, k), centers, cost
+        inits.append(_kmeans_pp_init(points, k, rng))
+        states.append(rng.bit_generator.state)
+    labels, centers, costs = _lloyd_restarts(points, np.stack(inits))
+    best = costs.argmin()
+    if costs[best] == 0.0:
+        rng.bit_generator.state = states[best]
+    return LabelAssignment(labels[best], k), centers[best], float(costs[best])
 
 
 def spectral_cluster(
@@ -128,6 +172,5 @@ def spectral_cluster(
     """Cluster the rows of the top-k (by absolute eigenvalue) eigenvector
     matrix of M with approximate k-means."""
     _, vecs = sym_eigs(M, k, by_abs=True)
-    emb = Embedding(vecs)  # rejects non-finite spectra before clustering
-    labels, _, _ = approx_kmeans(emb.U, k, gamma=gamma, restarts=restarts, seed=seed)
+    labels, _, _ = approx_kmeans(vecs, k, gamma=gamma, restarts=restarts, seed=seed)
     return labels

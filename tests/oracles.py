@@ -3,8 +3,8 @@
 Everything here is deliberately written from scratch against the definitions,
 not by calling the package: brute-force loss enumeration, a dense-tableau
 simplex solver and a vertex-enumeration LP oracle, a shifted power-iteration
-eigensolver, exact minimum vertex cover (for node distance), and sphere
-quadrature helpers.
+eigensolver, sequential k-means restarts, exact minimum vertex cover (for node
+distance), and sphere quadrature helpers.
 """
 
 from __future__ import annotations
@@ -165,6 +165,62 @@ def power_iteration_eigs(M, k, iters=20000, tol=1e-13, seed=0):
         vals.append(lam)
         vecs.append(v)
     return np.array(vals), np.column_stack(vecs)
+
+
+# ---------------------------------------------------------------------------
+# k-means reference: one restart at a time, each a Python loop of Lloyd steps
+# (the library's code before its restarts ran as one batch).
+
+def kmeans_pp_init_ref(points, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[c:] = points[rng.integers(n, size=k - c)]
+            break
+        centers[c] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+    return centers
+
+
+def lloyd_ref(points, centers, max_iter=100):
+    n, k = points.shape[0], centers.shape[0]
+    labels = None
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                centers[c] = points[mask].mean(axis=0)
+            else:
+                far = d2[np.arange(n), labels].argmax()
+                centers[c] = points[far]
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    cost = float(d2[np.arange(n), labels].sum())
+    return labels, centers, cost
+
+
+def approx_kmeans_ref(points, k, rng, restarts=20, max_iter=100):
+    """Best of `restarts` seeded Lloyd runs, stopping at the first of cost 0.
+    Returns (labels, centers, cost); advances `rng` (a numpy Generator)."""
+    points = np.asarray(points, dtype=np.float64)
+    best = None
+    for _ in range(restarts):
+        centers = kmeans_pp_init_ref(points, k, rng)
+        labels, centers, cost = lloyd_ref(points, centers, max_iter)
+        if best is None or cost < best[2]:
+            best = (labels, centers, cost)
+        if best[2] == 0.0:
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------

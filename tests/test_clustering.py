@@ -10,10 +10,15 @@ from nodedp import (
     spectral_cluster,
     sym_eigs,
 )
-from nodedp.clustering import _lloyd
+from nodedp.clustering import _lloyd, _lloyd_restarts
 from nodedp.rng import spawn
 
-from oracles import power_iteration_eigs
+from oracles import (
+    approx_kmeans_ref,
+    kmeans_pp_init_ref,
+    lloyd_ref,
+    power_iteration_eigs,
+)
 
 
 def test_sym_eigs_diag_by_abs():
@@ -96,6 +101,98 @@ def test_lloyd_cost_monotone():
         _, cur, cost = _lloyd(pts, cur.copy(), max_iter=1)
         costs.append(cost)
     assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_matches_reference(points, k, restarts, path, exact=True):
+    """approx_kmeans against the sequential reference, both drawing from
+    spawn(*path): labels, centers, cost and the generator's next draw. With
+    exact=False (d = 1 or d >= 8, where numpy adds pairwise) labels and the
+    next draw must still match, and cost to 1e-12 relative. Returns the cost."""
+    rng, ref_rng = spawn(*path), spawn(*path)
+    labels, centers, cost = approx_kmeans(points, k, restarts=restarts, seed=rng)
+    ref_labels, ref_centers, ref_cost = approx_kmeans_ref(points, k, ref_rng, restarts)
+    assert np.array_equal(labels.labels, ref_labels)
+    if exact:
+        assert _same_bits(centers, ref_centers)
+        assert _same_bits(cost, ref_cost)
+    else:
+        assert cost == pytest.approx(ref_cost, rel=1e-12, abs=1e-300)
+    assert _same_bits(rng.random(), ref_rng.random())
+    return cost
+
+
+def test_kmeans_matches_sequential_reference_random():
+    for case in range(60):
+        rng = spawn(167, case)
+        d, k = int(rng.integers(2, 8)), int(rng.integers(1, 6))
+        n = int(rng.integers(k, 120))
+        points = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0)
+        _assert_matches_reference(points, k, int(rng.integers(1, 21)), (167, case, 1))
+
+
+def test_kmeans_matches_sequential_reference_duplicate_rows():
+    # At most k distinct rows: k-means++ runs out of mass, Lloyd meets empty
+    # clusters, and the first restart already has cost 0 (integer rows, so
+    # the means are exact), so the search stops early and the stream must be
+    # rewound to where that restart's seeding left it.
+    for case in range(20):
+        rng = spawn(173, case)
+        d, k = int(rng.integers(2, 8)), int(rng.integers(2, 6))
+        distinct = rng.integers(-5, 6, (int(rng.integers(1, k + 1)), d)).astype(float)
+        points = distinct[rng.integers(len(distinct), size=int(rng.integers(k, 60)))]
+        assert _assert_matches_reference(points, k, 20, (173, case, 1)) == 0.0
+
+
+def test_lloyd_restarts_match_reference_at_max_iter_and_empty_clusters():
+    rng = spawn(179, 0)
+    points = rng.standard_normal((300, 3))
+    inits = np.stack([kmeans_pp_init_ref(points, 5, rng) for _ in range(6)])
+    # Two restarts start with a repeated center, so their first step leaves a
+    # cluster empty and re-seeds it.
+    inits[4, 1] = inits[4, 0]
+    inits[5, 2:] = inits[5, 0]
+    stopped_early = False
+    for max_iter in (0, 1, 2, 3, 100):
+        labels, centers, costs = _lloyd_restarts(points, inits.copy(), max_iter)
+        for r in range(len(inits)):
+            ref_labels, ref_centers, ref_cost = lloyd_ref(points, inits[r].copy(), max_iter)
+            assert _same_bits(labels[r], ref_labels)
+            assert _same_bits(centers[r], ref_centers)
+            assert _same_bits(costs[r], ref_cost)
+            full_labels = lloyd_ref(points, inits[r].copy(), 100)[0]
+            stopped_early |= not np.array_equal(ref_labels, full_labels)
+    assert stopped_early  # some runs were cut by max_iter
+
+
+def test_kmeans_matches_sequential_reference_on_sbm_embedding():
+    params = SbmParams(n=400, k=2, B=np.array([[0.3, 0.05], [0.05, 0.3]]))
+    _, vecs = sym_eigs(sample_sbm(params, spawn(181, 0)).as_float(), 2)
+    _assert_matches_reference(vecs, 2, 20, (181, 1))
+
+
+def test_kmeans_matches_reference_to_rounding_at_d1_and_d8_plus():
+    for case, d in enumerate((1, 1, 1, 8, 9, 12)):
+        rng = spawn(191, case)
+        k = int(rng.integers(1, 6))
+        points = rng.standard_normal((int(rng.integers(40, 150)), d))
+        _assert_matches_reference(points, k, 10, (191, case, 1), exact=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("k", [1, 2])
+def test_kmeans_rejects_non_finite_before_drawing(bad, k):
+    points = spawn(193, 0).standard_normal((10, 2))
+    points[3, 1] = bad
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="finite"):
+        approx_kmeans(points, k, seed=rng)
+    assert rng.bit_generator.state == state
 
 
 def test_spectral_cluster_block_diagonal():
