@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import LabelAssignment
+from .graphs import LabelAssignment, is_symmetric
 from .rng import SeedLike, as_generator
 
 
@@ -34,7 +34,7 @@ def sym_eigs(M: np.ndarray, k: int, by_abs: bool = True):
     n = M.shape[0]
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
-    if not np.allclose(M, M.T, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
+    if not is_symmetric(M, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
         raise ValueError("M must be symmetric")
     vals, vecs = np.linalg.eigh(M)
     order = np.argsort(-np.abs(vals)) if by_abs else np.argsort(-vals)
@@ -42,33 +42,47 @@ def sym_eigs(M: np.ndarray, k: int, by_abs: bool = True):
     return vals[sel], vecs[:, sel]
 
 
+def _sq_dist(pT, centers):
+    """Squared distances (..., n) of the points, held as d x n in pT, to
+    centers (..., d), adding the dimensions in order."""
+    d2 = (pT[0] - centers[..., 0, None]) ** 2
+    for j in range(1, pT.shape[0]):
+        d2 += (pT[j] - centers[..., j, None]) ** 2
+    return d2
+
+
 def _kmeans_pp_init(points, k, rng):
+    """k-means++ seeding: k centers drawn from the rows of points.
+
+    Distances add the dimensions in order, as _assign does, so for d <= 7
+    every bit equals ``np.sum((points - c) ** 2, axis=1)``. At d >= 8 numpy
+    adds pairwise instead, so distances, and with them the seeding
+    probabilities, may differ from that form's in the last bits.
+    """
     n = points.shape[0]
+    pT = np.ascontiguousarray(points.T)
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = _sq_dist(pT, centers[0])
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[c:] = points[rng.integers(n, size=k - c)]
             break
         centers[c] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dist(pT, centers[c]))
     return centers
 
 
 def _assign(pT, centers):
     """Nearest center for each restart: labels (R, n), the lowest index on
     ties as argmin takes it, and the squared distance to it (R, n). pT holds
-    the points as d x n, centers is (R, k, d); distances add the dimensions
-    in order."""
-    R, k, d = centers.shape
+    the points as d x n, centers is (R, k, d)."""
+    R, k = centers.shape[:2]
     labels = np.zeros((R, pT.shape[1]), dtype=np.intp)
     dmin = np.full(labels.shape, np.inf)
     for c in range(k):
-        d2 = (pT[0] - centers[:, c, 0, None]) ** 2
-        for j in range(1, d):
-            d2 += (pT[j] - centers[:, c, j, None]) ** 2
+        d2 = _sq_dist(pT, centers[:, c])
         labels[d2 < dmin] = c
         np.minimum(dmin, d2, out=dmin)
     return labels, dmin

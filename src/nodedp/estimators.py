@@ -18,7 +18,8 @@ import numpy as np
 from . import accounting as acc
 from .accounting import PrivacyBudget
 from .clustering import approx_kmeans, sym_eigs
-from .graphs import Graph, LabelAssignment, WeightedGraph, max_degree
+from .graphs import (Graph, LabelAssignment, WeightedGraph, adjacency_squared, max_degree,
+                     memo)
 from .mechanisms import laplace, sample_lipschitz_exp, sample_sphere_exp
 from .mechanisms import edge_flip as _edge_flip
 from .mechanisms import debias_flip as _debias_flip
@@ -127,7 +128,7 @@ def private_pca_lipschitz(
     noise = 0.0 if noise_off else laplace(2.0 / eps, rng)
     sigma_hat = min(max(mean_deg + noise, 0.0), float(n))
 
-    A2 = A @ A
+    A2 = adjacency_squared(g)
     M = A2 - (sigma_hat**2 / n) * np.ones((n, n))
     diagnostics = {"noise_off": noise_off, "sigma_hat": sigma_hat}
     if noise_off:
@@ -211,8 +212,7 @@ def eigvec_deflation(
         raise ValueError("need D >= 1 and eps >= 0")
     rng = as_generator(seed)
     n = g.n
-    A = g.as_float()
-    A2 = A @ A
+    A2 = adjacency_squared(g)
     D2 = float(D) * float(D)
     conc = 0.0 if eps == 0 else extension_score_concentration(eps, D)
     use_extension_lp = use_lipschitz and float(np.max(A2.sum(axis=1), initial=0.0)) > D2
@@ -352,9 +352,14 @@ def two_community_convex(
         raise ValueError("eps must be positive")
     rng = as_generator(seed)
     n = g.n
-    A = g.as_float()
-    Y = (2.0 / (n * (B11 - B12))) * (A - ((B11 + B12) / n) * np.ones((n, n)))
-    Xhat, iters, resid = _dykstra_psd_diag(Y, 1.0 / n, tol, max_iter)
+
+    def project():
+        A = g.as_float()
+        Y = (2.0 / (n * (B11 - B12))) * (A - ((B11 + B12) / n) * np.ones((n, n)))
+        return _dykstra_psd_diag(Y, 1.0 / n, tol, max_iter)
+
+    # The projection does not depend on eps: one solve per graph.
+    Xhat, iters, resid = memo(g, ("dykstra", B11, B12, tol, max_iter), project)
     if noise_off:
         noisy = Xhat
     else:

@@ -247,6 +247,37 @@ def max_degree(g: Graph | WeightedGraph) -> int:
     return int(deg.max()) if deg.size else 0
 
 
+def is_symmetric(M: np.ndarray, atol: float) -> bool:
+    """M equals M.T exactly, or within np.allclose(M, M.T, atol=atol). The
+    exact test is the cheap one and decides the common case; NaN fails both."""
+    return np.array_equal(M, M.T) or np.allclose(M, M.T, atol=atol)
+
+
+def memo(g: Graph | WeightedGraph, key, compute):
+    """compute(), memoised on the graph g under key, on success only.
+
+    For deterministic work that depends on g alone and that several calls on
+    one graph repeat. Arrays in the value (or in a tuple value) are made
+    read-only. The value must not refer back to g: a reference cycle would
+    keep g alive past its last use. Concurrent calls may both compute; the
+    results are equal.
+    """
+    cache = vars(g).setdefault("_memo", {})
+    if key not in cache:
+        value = compute()
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+        cache[key] = value
+    return cache[key]
+
+
+def adjacency_squared(g: Graph) -> np.ndarray:
+    """A @ A in float64, memoised on g (read-only). Its entries count walks of
+    length two, so the product is exact in any summation order."""
+    return memo(g, "A2", lambda: np.linalg.matrix_power(g.as_float(), 2))
+
+
 # ---------------------------------------------------------------------------
 # Textual edge-list format: header "n=<int> weighted=<0|1>", then one line
 # "u v" or "u v weight" per edge, node ids 0-based.

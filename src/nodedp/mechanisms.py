@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .graphs import Graph
+from .graphs import Graph, is_symmetric
 from .rng import SeedLike, as_generator
 
 
@@ -37,6 +37,7 @@ class RejectionCapExceeded(RuntimeError):
 
 DEFAULT_TRIAL_CAP = 10_000_000
 _LIPSCHITZ_BATCH = 64  # candidates per batch in sample_lipschitz_exp
+_CHUNK = 32  # candidates solved and scored at a time within a batch
 
 
 def laplace(scale: float, seed: SeedLike) -> float:
@@ -128,25 +129,47 @@ def _envelope(Q: np.ndarray, concentration: float):
     return Abar, lmax, L, log_bound
 
 
-def _rejection_sample(score, vectorized, Q, constant, concentration, rng, trial_cap,
-                      batch, size):
+def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, size):
     """Core rejection loop for density exp(concentration * score(v)).
 
     score is the unshifted score; the caller guarantees score(v) <= v'Qv +
     constant for every unit v. The log-target is shifted by lmax + constant,
     with lmax from the envelope, so that it is bounded by -v'Abar v.
-    Candidates come in batches of `batch`. A vectorized score maps the (m, n)
-    batch to its m scores in one call; otherwise score takes one vector and
-    is called lazily, in stream order, only until the last draw is accepted.
-    size=None returns one draw; size=k returns k i.i.d. draws from the one
-    envelope, carrying the unused candidates of a batch over to the next
-    draw. trial_cap bounds the candidates of each draw.
+    Candidates come in batches of `batch`: a batch's normals and then its
+    uniforms are drawn whole, and its candidates are then solved and scored
+    _CHUNK at a time, in stream order, only until the last draw is accepted.
+    score maps a chunk, an (m, n) array, to an iterable of its m scores and
+    is read lazily, so a score that maps one vector at a time is called on no
+    candidate past the last accepted one. size=None returns one draw; size=k
+    returns k i.i.d. draws from the one envelope, carrying the unused
+    candidates of a batch over to the next draw. trial_cap bounds the
+    candidates of each draw.
     """
     if size is not None and size < 1:
         raise ValueError("size must be None or positive")
     n = Q.shape[0]
     Abar, lmax, L, log_bound = _envelope(Q, concentration)
     shift = lmax + constant
+
+    def candidates(m):
+        """(v, accepted) for the m candidates of one batch, in stream order."""
+        z = rng.standard_normal((m, n))
+        logu = np.log(rng.random(m))
+        start = 0
+        # A triangular solve gives each column the same bits in any chunk of
+        # two or more columns, but one column runs another kernel: a batch's
+        # last single row joins the chunk before it.
+        for stop in [*range(_CHUNK, m - 1, _CHUNK), m]:
+            # x ~ N(0, Omega^{-1}): solve L^T x = z^T in place of z (both are
+            # finite by construction), then project onto the sphere in place.
+            v = solve_triangular(L.T, z[start:stop].T, lower=False, overwrite_b=True,
+                                 check_finite=False).T
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            log_env = 0.5 * n * np.log1p(np.einsum("ij,ij->i", v @ Abar, v))
+            for vi, s, lu, le in zip(v, score(v), logu[start:stop], log_env):
+                yield vi, lu < concentration * (s - shift) + le - log_bound
+            start = stop
+
     count = 1 if size is None else size
     draws = np.empty((count, n))
     counts = np.zeros(count, dtype=np.int64)
@@ -154,30 +177,13 @@ def _rejection_sample(score, vectorized, Q, constant, concentration, rng, trial_
     while k < count:
         if trials >= trial_cap:
             raise RejectionCapExceeded(trials, trial_cap)
-        m = min(batch, trial_cap - trials)
-        z = rng.standard_normal((m, n))
-        # x ~ N(0, Omega^{-1}): solve L^T x = z^T in place of z, then project
-        # onto the sphere in place.
-        v = solve_triangular(L.T, z.T, lower=False, overwrite_b=True).T
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        quad = np.einsum("ij,ij->i", v @ Abar, v)
-        logu = np.log(rng.random(m))
-        if vectorized:
-            log_accept = (concentration * (score(v) - shift)
-                          + 0.5 * n * np.log1p(quad) - log_bound)
-            hits = np.flatnonzero(logu < log_accept)
-        else:
-            hits = (i for i in range(m)
-                    if logu[i] < concentration * (score(v[i]) - shift)
-                    + 0.5 * n * math.log1p(quad[i]) - log_bound)
-        start = 0  # first candidate of this batch not yet counted
-        for i in hits:
-            draws[k], counts[k] = v[i], trials + i + 1 - start
-            k, trials, start = k + 1, 0, i + 1
-            if k == count:
-                break
-        else:
-            trials += m - start
+        for v, accepted in candidates(min(batch, trial_cap - trials)):
+            trials += 1
+            if accepted:
+                draws[k], counts[k] = v, trials
+                k, trials = k + 1, 0
+                if k == count:
+                    break
     if size is None:
         return SphereSample(v=draws[0], accepted_after=int(counts[0]))
     return SphereSample(v=draws, accepted_after=counts)
@@ -201,10 +207,10 @@ def sample_sphere_exp(
     M = np.asarray(M, dtype=np.float64)
     if concentration < 0:
         raise ValueError("concentration must be nonnegative")
-    if not np.allclose(M, M.T, atol=1e-10):
+    if not is_symmetric(M, atol=1e-10):
         raise ValueError("M must be symmetric")
     rng = as_generator(seed)
-    return _rejection_sample(lambda V: np.einsum("ij,ij->i", V @ M, V), True, M, 0.0,
+    return _rejection_sample(lambda V: np.einsum("ij,ij->i", V @ M, V), M, 0.0,
                              concentration, rng, trial_cap, batch=256, size=size)
 
 
@@ -231,8 +237,9 @@ def sample_lipschitz_exp(
     Q = np.asarray(upper_bound_quadratic, dtype=np.float64)
     if concentration < 0:
         raise ValueError("concentration must be nonnegative")
-    if not np.allclose(Q, Q.T, atol=1e-10):
+    if not is_symmetric(Q, atol=1e-10):
         raise ValueError("upper_bound_quadratic must be symmetric")
     rng = as_generator(seed)
-    return _rejection_sample(score, False, Q, upper_bound_constant, concentration,
-                             rng, trial_cap, batch=_LIPSCHITZ_BATCH, size=size)
+    return _rejection_sample(lambda V: map(score, V), Q, upper_bound_constant,
+                             concentration, rng, trial_cap, batch=_LIPSCHITZ_BATCH,
+                             size=size)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, WeightedGraph, max_degree
+from .graphs import Graph, WeightedGraph, adjacency_squared, max_degree, memo
 from .lp import LpProblem, solve_lp
 from .mechanisms import laplace
 from .rng import SeedLike
@@ -107,8 +107,7 @@ def lipschitz_extension_score(
         raise ValueError("V must have orthonormal columns")
     if D <= 0:
         raise ValueError("D must be positive")
-    A = g.as_float()
-    A2 = A @ A
+    A2 = adjacency_squared(g)
     D2 = float(D) * float(D)
     if not force_lp and float(np.max(A2.sum(axis=1), initial=0.0)) <= D2:
         return float(np.trace(V.T @ A2 @ V) + A2.sum())
@@ -213,15 +212,16 @@ def truncate_with_certificate(
     """Run the smooth-projection step end to end: truncate, then privately
     bound its local sensitivity. The certificate costs (eps1, 0) node-DP.
 
-    The projection is deterministic, so it is memoised on g itself, per D and
-    on success only (concurrent calls may both solve; the results are equal);
-    each call still draws its own L_hat noise from seed. An identity
-    projection is not memoised: g in its own memo would be a reference cycle."""
-    memo = vars(g).setdefault("_projections", {})
-    truncated, d_T = memo.get(D) or (
-        weighted_degree_truncate(g, D) if isinstance(g, WeightedGraph) else degree_truncate(g, D))
-    if truncated is not g:
-        memo[D] = truncated, d_T
+    The projection is deterministic, so it is memoised on g per D (see
+    graphs.memo); each call still draws its own L_hat noise from seed. An
+    identity projection is not memoised: g in its own memo would be a
+    reference cycle."""
+    def project():
+        if isinstance(g, WeightedGraph):
+            return weighted_degree_truncate(g, D)
+        return degree_truncate(g, D)
+
+    truncated, d_T = project() if max_degree(g) <= D else memo(g, ("projection", D), project)
     L_hat = private_sensitivity_bound(d_T, eps1, delta1, seed, noise_off=noise_off)
     return TruncationCertificate(truncated=truncated, d_T=d_T, L_hat=L_hat,
                                  budget_used=(eps1, delta1))

@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch against the definitions,
 not by calling the package: brute-force loss enumeration, a dense-tableau
 simplex solver and a vertex-enumeration LP oracle, a shifted power-iteration
 eigensolver, sequential k-means restarts, exact minimum vertex cover (for node
-distance), and sphere quadrature helpers.
+distance), sphere quadrature helpers, and the sphere rejection sampler as it
+was before it worked chunk by chunk.
 """
 
 from __future__ import annotations
@@ -293,3 +294,73 @@ def openblas_thread_controls():
                     controls.append((get, set_))
                     break
     return controls
+
+
+# ---------------------------------------------------------------------------
+# Sphere rejection sampler reference: every batch of candidates solved,
+# projected and scored whole (the library's code before it worked chunk by
+# chunk). It consumes the random stream as the library does.
+
+class RejectionCapRef(RuntimeError):
+    def __init__(self, trials, cap):
+        super().__init__(f"reference sampler exceeded {cap} trials")
+        self.trials = trials
+        self.cap = cap
+
+
+def sphere_envelope_ref(Q, concentration):
+    from scipy.linalg import cholesky
+
+    n = Q.shape[0]
+    evals = np.linalg.eigvalsh(Q)
+    lmax, lmin = float(evals[-1]), float(evals[0])
+    Abar = concentration * (lmax * np.eye(n) - Q)
+    L = cholesky(np.eye(n) + Abar, lower=True)
+    wmax = concentration * (lmax - lmin)
+    wstar = min(max(n / 2.0 - 1.0, 0.0), wmax)
+    log_bound = -wstar + 0.5 * n * math.log1p(wstar)
+    return Abar, lmax, L, log_bound
+
+
+def rejection_sample_ref(score, vectorized, Q, constant, concentration, rng, trial_cap,
+                         batch, size):
+    """Returns (v, accepted_after) as sample_sphere_exp (vectorized score of an
+    (m, n) batch) or sample_lipschitz_exp (score of one vector) would; raises
+    RejectionCapRef where they raise RejectionCapExceeded."""
+    from scipy.linalg import solve_triangular
+
+    n = Q.shape[0]
+    Abar, lmax, L, log_bound = sphere_envelope_ref(Q, concentration)
+    shift = lmax + constant
+    count = 1 if size is None else size
+    draws = np.empty((count, n))
+    counts = np.zeros(count, dtype=np.int64)
+    k = trials = 0
+    while k < count:
+        if trials >= trial_cap:
+            raise RejectionCapRef(trials, trial_cap)
+        m = min(batch, trial_cap - trials)
+        z = rng.standard_normal((m, n))
+        v = solve_triangular(L.T, z.T, lower=False, overwrite_b=True).T
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        quad = np.einsum("ij,ij->i", v @ Abar, v)
+        logu = np.log(rng.random(m))
+        if vectorized:
+            log_accept = (concentration * (score(v) - shift)
+                          + 0.5 * n * np.log1p(quad) - log_bound)
+            hits = np.flatnonzero(logu < log_accept)
+        else:
+            hits = (i for i in range(m)
+                    if logu[i] < concentration * (score(v[i]) - shift)
+                    + 0.5 * n * math.log1p(quad[i]) - log_bound)
+        start = 0
+        for i in hits:
+            draws[k], counts[k] = v[i], trials + i + 1 - start
+            k, trials, start = k + 1, 0, i + 1
+            if k == count:
+                break
+        else:
+            trials += m - start
+    if size is None:
+        return draws[0], int(counts[0])
+    return draws, counts

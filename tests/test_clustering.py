@@ -10,7 +10,7 @@ from nodedp import (
     spectral_cluster,
     sym_eigs,
 )
-from nodedp.clustering import _lloyd, _lloyd_restarts
+from nodedp.clustering import _kmeans_pp_init, _lloyd, _lloyd_restarts
 from nodedp.rng import spawn
 
 from oracles import (
@@ -146,6 +146,24 @@ def test_kmeans_matches_sequential_reference_duplicate_rows():
         distinct = rng.integers(-5, 6, (int(rng.integers(1, k + 1)), d)).astype(float)
         points = distinct[rng.integers(len(distinct), size=int(rng.integers(k, 60)))]
         assert _assert_matches_reference(points, k, 20, (173, case, 1)) == 0.0
+
+
+def test_kmeans_pp_seeding_matches_reference_bit_for_bit():
+    # Per-dimension distances give np.sum's bits for d <= 7; rows drawn from a
+    # few integer points also run the seeding out of mass (total <= 0).
+    for case in range(70):
+        rng = spawn(171, case)
+        d, k = 1 + case % 7, int(rng.integers(1, 6))
+        n = int(rng.integers(k, 200))
+        if case % 5 == 4:
+            distinct = rng.integers(0, 3, size=(int(rng.integers(1, k + 1)), d)).astype(float)
+            points = distinct[rng.integers(0, len(distinct), size=n)]
+        else:
+            points = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0)
+        got_rng, ref_rng = spawn(171, case, 1), spawn(171, case, 1)
+        assert _same_bits(_kmeans_pp_init(points, k, got_rng),
+                          kmeans_pp_init_ref(points, k, ref_rng))
+        assert _same_bits(got_rng.random(), ref_rng.random())
 
 
 def test_lloyd_restarts_match_reference_at_max_iter_and_empty_clusters():

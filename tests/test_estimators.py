@@ -228,6 +228,69 @@ def test_two_community_budget_and_guards():
         two_community_convex(g, 1.0, 2.0, eps=1.0, delta=1e-4, seed=0)
 
 
+@pytest.fixture()
+def dykstra_calls(monkeypatch):
+    """One entry per Dykstra projection that two_community_convex runs."""
+    calls = []
+    real = nodedp.estimators._dykstra_psd_diag
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(nodedp.estimators, "_dykstra_psd_diag", spy)
+    return calls
+
+
+def test_two_community_projects_once_per_graph_with_unchanged_output(dykstra_calls):
+    # The projection does not depend on eps: one Dykstra solve serves every
+    # grid point of a graph, and each output equals that on a fresh copy of
+    # the graph (no memo) bit for bit.
+    params = SbmParams(n=120, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]]))
+    g = sample_sbm(params, spawn(227, 0))
+    fresh = [two_community_convex(Graph(g.n, g.adj), 60.0, 12.0, eps=eps, delta=1e-6,
+                                  seed=spawn(227, 1, i)) for i, eps in enumerate([50.0, 500.0])]
+    assert len(dykstra_calls) == 2
+    dykstra_calls.clear()
+    for i, eps in enumerate([50.0, 500.0]):
+        out = two_community_convex(g, 60.0, 12.0, eps=eps, delta=1e-6, seed=spawn(227, 1, i))
+        assert np.array_equal(out.labels.labels, fresh[i].labels.labels)
+        assert out.diagnostics == fresh[i].diagnostics
+    assert len(dykstra_calls) == 1
+    # Other parameters of the projection are a new solve.
+    two_community_convex(g, 60.0, 12.0, eps=50.0, delta=1e-6, seed=0, tol=1e-6)
+    assert len(dykstra_calls) == 2
+
+
+def test_two_community_dykstra_failure_raises_at_every_call(dykstra_calls):
+    g = sample_sbm(SbmParams(n=40, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]])), spawn(229, 0))
+    for eps in (1.0, 2.0):
+        with pytest.raises(nodedp.estimators.DykstraFailure):
+            two_community_convex(g, 20.0, 4.0, eps=eps, delta=1e-4, seed=0, tol=0.0,
+                                 max_iter=2)
+    assert len(dykstra_calls) == 2
+
+
+def test_adjacency_square_is_computed_once_per_graph(monkeypatch):
+    # Above D every candidate of the PCA draw scores by the extension LP;
+    # A @ A is formed once for all of them and for later calls on the graph.
+    calls = []
+    real = Graph.as_float
+
+    def spy(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(Graph, "as_float", spy)
+    g = star(8)
+    out = private_pca_lipschitz(g, D=2, eps=1.0, seed=spawn(231, 0))
+    assert out.diagnostics["fast_path"] is False
+    assert out.diagnostics["accepted_after"] > 1
+    assert len(calls) == 2  # the mean degree, then A @ A
+    eigvec_deflation(g, 2, 2, 1.0, use_lipschitz=True, seed=spawn(231, 1))
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # Matrix estimation
 

@@ -15,7 +15,7 @@ from nodedp import (
     thin_graph,
     write_graph,
 )
-from nodedp.graphs import read_labels, write_labels
+from nodedp.graphs import adjacency_squared, memo, read_labels, write_labels
 from nodedp.rng import spawn
 
 
@@ -230,3 +230,37 @@ def test_balanced_labels():
     assert list(theta.counts()) == [4, 4, 4]
     with pytest.raises(ValueError):
         balanced_labels(10, 3)
+
+
+def test_memo_computes_once_per_key_on_success_only():
+    g, other = complete_graph(4), complete_graph(4)
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return np.arange(3.0), 2.0
+
+    first = memo(g, "key", compute)
+    assert memo(g, "key", compute) is first and len(calls) == 1
+    assert not first[0].flags.writeable
+    memo(g, "other key", compute)
+    memo(other, "key", compute)
+    assert len(calls) == 3
+
+    def fail():
+        calls.append(1)
+        raise RuntimeError("no result")
+
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            memo(g, "failing", fail)
+    assert len(calls) == 5
+
+
+def test_adjacency_squared_exact_read_only_and_memoised():
+    g = sample_sbm(SbmParams(n=60, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]])), spawn(7, 0))
+    A2 = adjacency_squared(g)
+    A = g.adj.astype(np.int64)
+    assert np.array_equal(A2, (A @ A).astype(np.float64))
+    assert not A2.flags.writeable
+    assert adjacency_squared(g) is A2

@@ -13,10 +13,13 @@ from nodedp import (
     sample_lipschitz_exp,
     sample_sphere_exp,
 )
-from nodedp.mechanisms import DEFAULT_TRIAL_CAP, _LIPSCHITZ_BATCH, _rejection_sample
+import nodedp.mechanisms
+from nodedp.clustering import sym_eigs
+from nodedp.mechanisms import _CHUNK, DEFAULT_TRIAL_CAP, _LIPSCHITZ_BATCH, _rejection_sample
 from nodedp.rng import spawn
 
-from oracles import quadrature_masses, tv_distance
+from oracles import (RejectionCapRef, quadrature_masses, rejection_sample_ref,
+                     tv_distance)
 
 
 def random_graph(n, p, seed):
@@ -292,7 +295,7 @@ def test_vectorized_score_matches_per_vector_score():
     M = np.diag([2.0, 0.5, -0.5, 0.0])
     lazy = sample_lipschitz_exp(lambda v: float(v @ M @ v), M, 3.0, spawn(91, 0),
                                 upper_bound_constant=0.5, size=200)
-    batched = _rejection_sample(lambda V: np.einsum("ij,ij->i", V @ M, V), True, M, 0.5,
+    batched = _rejection_sample(lambda V: np.einsum("ij,ij->i", V @ M, V), M, 0.5,
                                 3.0, spawn(91, 0), DEFAULT_TRIAL_CAP,
                                 batch=_LIPSCHITZ_BATCH, size=200)
     assert np.array_equal(lazy.accepted_after, batched.accepted_after)
@@ -379,11 +382,11 @@ def test_lipschitz_sampler_extension_law_quadrature():
     # Drive the sampler with the (LP-equal, verified above) oracle score so
     # the 6000-sample law comparison does not pay ~200 LP solves per draw;
     # the LP-in-the-loop path is exercised once below and in the pipeline
-    # tests. The oracle scores a whole batch of candidates per call, so it
-    # drives the rejection core directly, with sample_lipschitz_exp's batch.
+    # tests. The oracle scores a chunk of candidates per call, so it drives
+    # the rejection core directly, with sample_lipschitz_exp's batch.
     const = float(A2.sum())
     rng2 = spawn(79, 1)
-    ext = _rejection_sample(shat_oracle, True, A2, const, kappa, rng2, DEFAULT_TRIAL_CAP,
+    ext = _rejection_sample(shat_oracle, A2, const, kappa, rng2, DEFAULT_TRIAL_CAP,
                             batch=_LIPSCHITZ_BATCH, size=6000)
     draws = ext.v
     trials_ext = int(ext.accepted_after.sum())
@@ -404,3 +407,167 @@ def test_lipschitz_sampler_extension_law_quadrature():
     emp_phi = np.histogram(phi, bins=30, range=(0, 2 * np.pi))[0] / draws.shape[0]
     assert tv_distance(emp_theta, mass_theta) < 0.05
     assert tv_distance(emp_phi, mass_phi) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# Chunked candidates against the whole-batch reference sampler.
+
+def squared_graph(n, p):
+    """A^2 of a random graph and its top eigenvalue."""
+    A = random_graph(n, p, 7).as_float()
+    M = A @ A
+    return M, float(np.linalg.eigvalsh(M)[-1])
+
+
+def assert_same_as_reference(M, conc, seed, size, trial_cap=DEFAULT_TRIAL_CAP,
+                             per_vector=False):
+    """The library and the whole-batch reference give the same bits: vectors,
+    candidate counts (or the cap error, at the same candidate) and the next
+    variate of the stream. Returns the reference's candidate count."""
+    rng, rng_ref = spawn(seed, 0), spawn(seed, 0)
+    if per_vector:
+        def call():
+            return sample_lipschitz_exp(lambda v: float(v @ M @ v), M, conc, rng,
+                                        trial_cap=trial_cap, size=size)
+        ref_score, batch = (lambda v: float(v @ M @ v)), _LIPSCHITZ_BATCH
+    else:
+        def call():
+            return sample_sphere_exp(M, conc, rng, trial_cap=trial_cap, size=size)
+        ref_score, batch = (lambda V: np.einsum("ij,ij->i", V @ M, V)), 256
+    try:
+        v_ref, counts_ref = rejection_sample_ref(ref_score, not per_vector, M, 0.0, conc,
+                                                 rng_ref, trial_cap, batch, size)
+    except RejectionCapRef as err:
+        with pytest.raises(RejectionCapExceeded) as got:
+            call()
+        assert (got.value.trials, got.value.cap) == (err.trials, err.cap)
+        counts_ref = None
+    else:
+        got = call()
+        assert np.array_equal(got.v, v_ref)
+        assert np.array_equal(got.accepted_after, counts_ref)
+        assert type(got.accepted_after) is type(counts_ref)
+    assert rng.random() == rng_ref.random()
+    return counts_ref
+
+
+def test_chunked_sampler_matches_whole_batch_reference():
+    # Concentrations are multiples of 1 / lmax, picked so that acceptance runs
+    # from about 1% to about 90% (asserted below).
+    ratios = []
+    for n, p, xs in [(3, 0.7, (0.3, 30.0)), (50, 0.1, (0.05, 1.0, 3.0)),
+                     (300, 0.05, (0.05, 0.3, 1.0)), (400, 0.05, (0.05, 0.3, 1.0))]:
+        M, lmax = squared_graph(n, p)
+        for x in xs:
+            draws = candidates = 0
+            for seed, size in enumerate([None, 1, 5]):
+                counts = assert_same_as_reference(M, x / lmax, 100 * n + seed, size)
+                draws += 1 if size is None else size
+                candidates += int(np.sum(counts))
+            ratios.append(draws / candidates)
+    assert min(ratios) < 0.02 and max(ratios) > 0.85
+
+
+def test_per_vector_score_matches_whole_batch_reference():
+    for n, p, xs in [(3, 0.7, (0.3, 30.0)), (50, 0.1, (0.05, 1.0, 3.0))]:
+        M, lmax = squared_graph(n, p)
+        for x in xs:
+            for seed, size in enumerate([None, 1, 5]):
+                assert_same_as_reference(M, x / lmax, 200 * n + seed, size, per_vector=True)
+
+
+@pytest.mark.parametrize("per_vector", [False, True])
+def test_partial_batches_and_caps_match_whole_batch_reference(per_vector):
+    # trial_cap < batch makes partial batches: a lone row (1), remainders of
+    # one (33, 65, 97) and others (2, 50) of the chunk. Acceptance is about
+    # 9%, so some draws carry over, some batches start mid-draw and some
+    # draws exhaust their cap.
+    assert _CHUNK == 32
+    M, lmax = squared_graph(50, 0.1)
+    outcomes = []
+    for trial_cap in (1, 2, 33, 50, 65, 97):
+        for seed in range(4):
+            counts = assert_same_as_reference(M, 1.0 / lmax, 300 + 10 * trial_cap + seed, 4,
+                                              trial_cap=trial_cap, per_vector=per_vector)
+            outcomes.append(counts is None)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_last_row_of_a_batch_of_32q_plus_1_matches_whole_batch_reference():
+    # A score of +inf accepts every candidate, so the batch's last row, which
+    # joins the chunk before it, is a draw too.
+    M, lmax = squared_graph(50, 0.1)
+    for m in (33, 65, 97):
+        rng, rng_ref = spawn(400, m), spawn(400, m)
+        got = _rejection_sample(lambda V: np.full(len(V), math.inf), M, 0.0, 1.0 / lmax,
+                                rng, DEFAULT_TRIAL_CAP, batch=m, size=m)
+        v_ref, _ = rejection_sample_ref(lambda V: np.full(len(V), math.inf), True, M, 0.0,
+                                        1.0 / lmax, rng_ref, DEFAULT_TRIAL_CAP, m, m)
+        assert np.array_equal(got.v, v_ref)
+        assert rng.random() == rng_ref.random()
+
+
+@pytest.fixture()
+def solved_columns(monkeypatch):
+    """The column count of every triangular solve the sampler runs."""
+    cols = []
+    real = nodedp.mechanisms.solve_triangular
+
+    def spy(a, b, **kwargs):
+        cols.append(b.shape[1])
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(nodedp.mechanisms, "solve_triangular", spy)
+    return cols
+
+
+@pytest.mark.parametrize("m, chunks", [
+    (1, [1]), (2, [2]), (31, [31]), (32, [32]), (33, [33]), (34, [32, 2]),
+    (64, [32, 32]), (65, [32, 33]), (97, [32, 32, 33]), (256, [32] * 8),
+])
+def test_no_chunk_has_one_row_unless_the_batch_has(solved_columns, m, chunks):
+    # A score that never accepts makes the sampler solve all m candidates of
+    # one batch capped at m; the spy records each solve's column count.
+    assert _CHUNK == 32
+    with pytest.raises(RejectionCapExceeded):
+        _rejection_sample(lambda V: np.full(len(V), -math.inf), np.diag([1.0, 0.5, 0.0]),
+                          0.0, 1.0, spawn(93, 0), m, batch=256, size=None)
+    assert solved_columns == chunks
+
+
+def test_draw_accepted_in_first_chunk_solves_only_that_chunk(solved_columns):
+    # Concentration 0 accepts every candidate: a draw takes the first one,
+    # and 40 draws take the first two chunks of their 256-candidate batch.
+    M = squared_graph(300, 0.05)[0]
+    assert sample_sphere_exp(M, 0.0, 0).accepted_after == 1
+    assert solved_columns == [_CHUNK]
+    solved_columns.clear()
+    assert np.array_equal(sample_sphere_exp(M, 0.0, 0, size=40).accepted_after, np.ones(40))
+    assert solved_columns == [_CHUNK, _CHUNK]
+
+
+# ---------------------------------------------------------------------------
+# Symmetry checks: an exact test first, then today's tolerance.
+
+@pytest.mark.parametrize("caller", ["sample_sphere_exp", "sample_lipschitz_exp", "sym_eigs"])
+@pytest.mark.parametrize("case", ["exact", "within", "beyond", "nan"])
+def test_symmetry_check_verdicts(caller, case):
+    M = np.array([[1.0, 0.4, 0.0, 0.2], [0.4, -0.5, 0.3, 0.0],
+                  [0.0, 0.3, 0.8, -0.6], [0.2, 0.0, -0.6, 0.1]])
+    if case == "within":
+        M[0, 1] += 1e-12  # inside atol = 1e-10 (sym_eigs: 1e-10 max(1, max|M|))
+    elif case == "beyond":
+        M[0, 1] += 1e-3
+    elif case == "nan":
+        M[0, 2] = M[2, 0] = math.nan
+    run = {
+        "sample_sphere_exp": lambda: sample_sphere_exp(M, 2.0, 0),
+        "sample_lipschitz_exp": lambda: sample_lipschitz_exp(lambda v: float(v @ M @ v),
+                                                             M, 2.0, 0),
+        "sym_eigs": lambda: sym_eigs(M, 2),
+    }[caller]
+    if case in ("exact", "within"):
+        run()
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            run()
