@@ -3,7 +3,11 @@
 Laplace and Gaussian noise, the symmetric edge-flip randomized response for
 adjacency matrices, and exact rejection sampling from exponential-mechanism
 densities on the unit sphere (Bingham-type laws) using an angular central
-Gaussian envelope.
+Gaussian envelope (Kent, Ganeiber & Mardia 2018, "A new unified approach for
+the simulation of a wide class of directional distributions", JCGS 27(2)).
+The envelope is shifted by one Ritz value of the quadratic form rather than
+its exact top eigenvalue; any shift that keeps the envelope's inverse
+covariance positive definite gives the same law (see _envelope).
 
 The Laplace sampler uses a plain inverse-CDF transform of a 64-bit uniform;
 it is a research artifact and carries no floating-point side-channel
@@ -16,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graphs import Graph, is_symmetric
 from .rng import SeedLike, as_generator
@@ -38,6 +43,12 @@ class RejectionCapExceeded(RuntimeError):
 DEFAULT_TRIAL_CAP = 10_000_000
 _LIPSCHITZ_BATCH = 64  # candidates per batch in sample_lipschitz_exp
 _CHUNK = 32  # candidates solved and scored at a time within a batch
+# eigsh starts from the all-ones vector, which overlaps the Perron vector of an
+# entrywise nonnegative A^2, and draws any restart vector from a fixed seed,
+# never from the caller's stream. It converges in one iteration on the shipped
+# configs; five failed ones cost less than an eigvalsh at n = 300 and 400.
+_RITZ_SEED = 0
+_RITZ_MAXITER = 5
 
 
 def laplace(scale: float, seed: SeedLike) -> float:
@@ -108,33 +119,71 @@ class SphereSample:
 
 
 def _envelope(Q: np.ndarray, concentration: float):
-    """Angular-central-Gaussian envelope for density exp(c * v'Qv) on the sphere.
+    """Angular-central-Gaussian envelope for density exp(c * v'Qv) on the sphere
+    (Kent, Ganeiber & Mardia 2018).
 
-    Returns (Abar, lmax, L, log_bound) where lmax is the top eigenvalue of Q,
-    Abar = c (lmax I - Q) >= 0, the envelope is ACG with inverse covariance
-    Omega = I + Abar (Cholesky factor L), and log_bound bounds log of
-    exp(-v'Abar v) * (v'Omega v)^{n/2}. This is the one eigendecomposition of
-    Q per sampler call.
+    Returns (theta, L, log_bound): the envelope has inverse covariance
+    Omega = (1 + c theta) I - c Q, with Cholesky factor L. For a unit v,
+    w = v'Omega v - 1 = c (theta - v'Qv), and the target over the envelope is
+    proportional to exp(f(w)), f(w) = -w + (n/2) log1p(w), which is at most
+    f(n/2 - 1) for every w > -1. So the law is exact for any theta at which
+    Omega is positive definite (the Cholesky succeeds), and theta sets only
+    the acceptance rate: it is one Ritz value of Q from eigsh. When
+    c (theta - min_i Q_ii) >= n/2 - 1, w reaches n/2 - 1 between the top
+    eigenvector (w <= 0, as theta <= lmax) and the e_i of the least Q_ii, so
+    log_bound = f(n/2 - 1) is attained, as at theta = lmax.
+
+    Otherwise (eigsh raises or does not converge in _RITZ_MAXITER
+    iterations, the Cholesky fails, c (theta - min_i Q_ii) < n/2 - 1, or
+    n = 1) the exact envelope runs: theta = lmax from eigvalsh, and log_bound
+    the sup of f over w in [0, c (lmax - lmin)]. At c = 0 the envelope is
+    uniform: Omega = I.
     """
     n = Q.shape[0]
+    c = concentration
+    if c == 0:
+        return 0.0, np.eye(n), 0.0
+    peak = n / 2.0 - 1.0
+    try:
+        theta = float(eigsh(Q, k=1, which="LA", v0=np.ones(n), maxiter=_RITZ_MAXITER,
+                            rng=_RITZ_SEED, return_eigenvectors=False)[0]) if n >= 2 else None
+    except ArpackError:
+        theta = None
+    if theta is not None and c * (theta - float(Q.diagonal().min())) >= peak:
+        try:
+            L = cholesky(_inverse_covariance(Q, c, theta), lower=True, overwrite_a=True,
+                         check_finite=False)
+            return theta, L, _log_ratio(n, peak)
+        except LinAlgError:
+            pass
     evals = np.linalg.eigvalsh(Q)
     lmax, lmin = float(evals[-1]), float(evals[0])
-    Abar = concentration * (lmax * np.eye(n) - Q)
-    Omega = np.eye(n) + Abar
-    L = cholesky(Omega, lower=True)
-    # sup_w [-w + (n/2) log(1+w)] over the achievable range of w = v'Abar v.
-    wmax = concentration * (lmax - lmin)
-    wstar = min(max(n / 2.0 - 1.0, 0.0), wmax)
-    log_bound = -wstar + 0.5 * n * math.log1p(wstar)
-    return Abar, lmax, L, log_bound
+    L = cholesky(_inverse_covariance(Q, c, lmax), lower=True, overwrite_a=True)
+    return lmax, L, _log_ratio(n, min(max(peak, 0.0), c * (lmax - lmin)))
+
+
+def _inverse_covariance(Q, c, theta):
+    """Omega = (1 + c theta) I - c Q as one new array, its diagonal taken as
+    1 + c (theta - Q_ii)."""
+    omega = -c * Q
+    np.fill_diagonal(omega, 1.0 + c * (theta - Q.diagonal()))
+    return omega
+
+
+def _log_ratio(n, w):
+    """f(w) = -w + (n/2) log1p(w), the log target-to-envelope ratio at w."""
+    return -w + 0.5 * n * math.log1p(w)
 
 
 def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, size):
     """Core rejection loop for density exp(concentration * score(v)).
 
     score is the unshifted score; the caller guarantees score(v) <= v'Qv +
-    constant for every unit v. The log-target is shifted by lmax + constant,
-    with lmax from the envelope, so that it is bounded by -v'Abar v.
+    constant for every unit v. The log-target is shifted by theta + constant,
+    with theta from the envelope, so that it is bounded by -w, where w =
+    v'Omega v - 1 = |z|^2 / |x|^2 - 1 for the normal z and its solve x. score
+    None stands for v'Qv itself (sample_sphere_exp), whose shifted log-target
+    is exactly -w: it needs no product with Q.
     Candidates come in batches of `batch`: a batch's normals and then its
     uniforms are drawn whole, and its candidates are then solved and scored
     _CHUNK at a time, in stream order, only until the last draw is accepted.
@@ -148,8 +197,8 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, 
     if size is not None and size < 1:
         raise ValueError("size must be None or positive")
     n = Q.shape[0]
-    Abar, lmax, L, log_bound = _envelope(Q, concentration)
-    shift = lmax + constant
+    theta, L, log_bound = _envelope(Q, concentration)
+    shift = theta + constant
 
     def candidates(m):
         """(v, accepted) for the m candidates of one batch, in stream order."""
@@ -160,14 +209,19 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, 
         # two or more columns, but one column runs another kernel: a batch's
         # last single row joins the chunk before it.
         for stop in [*range(_CHUNK, m - 1, _CHUNK), m]:
+            zz = np.einsum("ij,ij->i", z[start:stop], z[start:stop])
             # x ~ N(0, Omega^{-1}): solve L^T x = z^T in place of z (both are
             # finite by construction), then project onto the sphere in place.
             v = solve_triangular(L.T, z[start:stop].T, lower=False, overwrite_b=True,
                                  check_finite=False).T
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            log_env = 0.5 * n * np.log1p(np.einsum("ij,ij->i", v @ Abar, v))
-            for vi, s, lu, le in zip(v, score(v), logu[start:stop], log_env):
-                yield vi, lu < concentration * (s - shift) + le - log_bound
+            norms = np.linalg.norm(v, axis=1)
+            v /= norms[:, None]
+            w = zz / norms**2 - 1.0
+            log_env = 0.5 * n * np.log1p(w)
+            gains = -w if score is None else (concentration * (s - shift)
+                                              for s in score(v))
+            for vi, g, lu, le in zip(v, gains, logu[start:stop], log_env):
+                yield vi, lu < g + le - log_bound
             start = stop
 
     count = 1 if size is None else size
@@ -198,7 +252,8 @@ def sample_sphere_exp(
 ) -> SphereSample:
     """Exact sample from density proportional to exp(concentration * v'Mv) on
     the unit sphere, by rejection from the angular central Gaussian envelope
-    with inverse covariance I + concentration (lmax(M) I - M).
+    with inverse covariance (1 + concentration theta) I - concentration M,
+    theta a Ritz value of M at or near its top eigenvalue (see _envelope).
 
     size=None draws one vector; size=k draws k i.i.d. vectors from one
     envelope (see SphereSample), with trial_cap applied to each draw. A
@@ -210,8 +265,8 @@ def sample_sphere_exp(
     if not is_symmetric(M, atol=1e-10):
         raise ValueError("M must be symmetric")
     rng = as_generator(seed)
-    return _rejection_sample(lambda V: np.einsum("ij,ij->i", V @ M, V), M, 0.0,
-                             concentration, rng, trial_cap, batch=256, size=size)
+    return _rejection_sample(None, M, 0.0, concentration, rng, trial_cap, batch=256,
+                             size=size)
 
 
 def sample_lipschitz_exp(

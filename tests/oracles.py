@@ -268,6 +268,22 @@ def tv_distance(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
+def sphere_marginal_tvs(draws, M, conc):
+    """TV distances between n = 3 draws and the quadrature-normalized density
+    exp(conc * v'Mv) on the 2-degree graticule marginals: (polar rings,
+    azimuth sectors)."""
+    masses = quadrature_masses(
+        lambda V: conc * np.einsum("ij,jk,ik->i", V, M, V), nth=900, nph=1800
+    )
+    mass_theta = masses.reshape(90, 10, 1800).sum(axis=(1, 2))
+    mass_phi = masses.reshape(900, 180, 10).sum(axis=(0, 2))
+    theta = np.arccos(np.clip(draws[:, 2], -1, 1))
+    phi = np.mod(np.arctan2(draws[:, 1], draws[:, 0]), 2 * np.pi)
+    emp_theta = np.histogram(theta, bins=90, range=(0, np.pi))[0] / draws.shape[0]
+    emp_phi = np.histogram(phi, bins=180, range=(0, 2 * np.pi))[0] / draws.shape[0]
+    return tv_distance(emp_theta, mass_theta), tv_distance(emp_phi, mass_phi)
+
+
 # ---------------------------------------------------------------------------
 # OpenBLAS thread counts, read from the libraries that the numpy and scipy
 # wheels bundle (found by directory, not by the harness's /proc/self/maps scan).
@@ -299,7 +315,8 @@ def openblas_thread_controls():
 # ---------------------------------------------------------------------------
 # Sphere rejection sampler reference: every batch of candidates solved,
 # projected and scored whole (the library's code before it worked chunk by
-# chunk). It consumes the random stream as the library does.
+# chunk), from the library's envelope and with its accept rule. It consumes
+# the random stream as the library does.
 
 class RejectionCapRef(RuntimeError):
     def __init__(self, trials, cap):
@@ -309,6 +326,8 @@ class RejectionCapRef(RuntimeError):
 
 
 def sphere_envelope_ref(Q, concentration):
+    """The exact envelope, (lmax, L, log_bound), from a full eigvalsh: the
+    reference for the library's exact path."""
     from scipy.linalg import cholesky
 
     n = Q.shape[0]
@@ -319,19 +338,22 @@ def sphere_envelope_ref(Q, concentration):
     wmax = concentration * (lmax - lmin)
     wstar = min(max(n / 2.0 - 1.0, 0.0), wmax)
     log_bound = -wstar + 0.5 * n * math.log1p(wstar)
-    return Abar, lmax, L, log_bound
+    return lmax, L, log_bound
 
 
 def rejection_sample_ref(score, vectorized, Q, constant, concentration, rng, trial_cap,
                          batch, size):
-    """Returns (v, accepted_after) as sample_sphere_exp (vectorized score of an
-    (m, n) batch) or sample_lipschitz_exp (score of one vector) would; raises
-    RejectionCapRef where they raise RejectionCapExceeded."""
+    """Returns (v, accepted_after) as sample_sphere_exp (score None), a
+    vectorized score of an (m, n) batch, or sample_lipschitz_exp (score of one
+    vector) would; raises RejectionCapRef where they raise
+    RejectionCapExceeded."""
     from scipy.linalg import solve_triangular
 
+    from nodedp.mechanisms import _envelope
+
     n = Q.shape[0]
-    Abar, lmax, L, log_bound = sphere_envelope_ref(Q, concentration)
-    shift = lmax + constant
+    theta, L, log_bound = _envelope(Q, concentration)
+    shift = theta + constant
     count = 1 if size is None else size
     draws = np.empty((count, n))
     counts = np.zeros(count, dtype=np.int64)
@@ -341,18 +363,22 @@ def rejection_sample_ref(score, vectorized, Q, constant, concentration, rng, tri
             raise RejectionCapRef(trials, trial_cap)
         m = min(batch, trial_cap - trials)
         z = rng.standard_normal((m, n))
+        zz = np.einsum("ij,ij->i", z, z)
         v = solve_triangular(L.T, z.T, lower=False, overwrite_b=True).T
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        quad = np.einsum("ij,ij->i", v @ Abar, v)
+        norms = np.linalg.norm(v, axis=1)
+        v /= norms[:, None]
+        w = zz / norms**2 - 1.0  # v'Omega v - 1
+        log_env = 0.5 * n * np.log1p(w)
         logu = np.log(rng.random(m))
-        if vectorized:
-            log_accept = (concentration * (score(v) - shift)
-                          + 0.5 * n * np.log1p(quad) - log_bound)
+        if score is None:
+            hits = np.flatnonzero(logu < -w + log_env - log_bound)
+        elif vectorized:
+            log_accept = concentration * (score(v) - shift) + log_env - log_bound
             hits = np.flatnonzero(logu < log_accept)
         else:
             hits = (i for i in range(m)
                     if logu[i] < concentration * (score(v[i]) - shift)
-                    + 0.5 * n * math.log1p(quad[i]) - log_bound)
+                    + log_env[i] - log_bound)
         start = 0
         for i in hits:
             draws[k], counts[k] = v[i], trials + i + 1 - start

@@ -53,8 +53,7 @@ from oracles import (
     brute_loss_overall,
     brute_loss_worst,
     node_distance,
-    quadrature_masses,
-    tv_distance,
+    sphere_marginal_tvs,
 )
 
 
@@ -320,17 +319,7 @@ def test_criterion_7_sphere_sampler_exactness():
     for ci, (M, conc) in enumerate(cases):
         rng = spawn(1007, ci)
         draws = sample_sphere_exp(M, conc, rng, size=100_000).v
-        masses = quadrature_masses(
-            lambda V: conc * np.einsum("ij,jk,ik->i", V, M, V), nth=900, nph=1800
-        )
-        mass_theta = masses.reshape(90, 10, 1800).sum(axis=(1, 2))
-        mass_phi = masses.reshape(900, 180, 10).sum(axis=(0, 2))
-        theta = np.arccos(np.clip(draws[:, 2], -1, 1))
-        phi = np.mod(np.arctan2(draws[:, 1], draws[:, 0]), 2 * np.pi)
-        emp_theta = np.histogram(theta, bins=90, range=(0, np.pi))[0] / 1e5
-        emp_phi = np.histogram(phi, bins=180, range=(0, 2 * np.pi))[0] / 1e5
-        tv_t = tv_distance(emp_theta, mass_theta)
-        tv_p = tv_distance(emp_phi, mass_phi)
+        tv_t, tv_p = sphere_marginal_tvs(draws, M, conc)
         details.append(f"M{ci}: tv_theta={tv_t:.3f}, tv_phi={tv_p:.3f}")
         if tv_t > 0.05 or tv_p > 0.05:
             ok = False

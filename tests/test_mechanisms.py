@@ -13,13 +13,16 @@ from nodedp import (
     sample_lipschitz_exp,
     sample_sphere_exp,
 )
+from scipy.sparse.linalg import ArpackNoConvergence
+
 import nodedp.mechanisms
 from nodedp.clustering import sym_eigs
-from nodedp.mechanisms import _CHUNK, DEFAULT_TRIAL_CAP, _LIPSCHITZ_BATCH, _rejection_sample
+from nodedp.mechanisms import (_CHUNK, DEFAULT_TRIAL_CAP, _LIPSCHITZ_BATCH, _envelope,
+                               _rejection_sample)
 from nodedp.rng import spawn
 
 from oracles import (RejectionCapRef, quadrature_masses, rejection_sample_ref,
-                     tv_distance)
+                     sphere_envelope_ref, sphere_marginal_tvs, tv_distance)
 
 
 def random_graph(n, p, seed):
@@ -238,7 +241,9 @@ def test_single_draw_matches_reference_loop_and_stream():
         assert rng_lib.random() == rng_ref.random()
 
 
-def test_samplers_run_one_eigendecomposition_per_call(monkeypatch):
+@pytest.fixture()
+def eigvalsh_calls(monkeypatch):
+    """The shape of every eigvalsh the code runs from here on."""
     calls = []
     real = np.linalg.eigvalsh
 
@@ -247,14 +252,20 @@ def test_samplers_run_one_eigendecomposition_per_call(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+def test_samplers_run_eigvalsh_only_on_the_exact_path(eigvalsh_calls):
     M = np.diag([2.0, 0.5, -0.5, 0.0])
-    sample_sphere_exp(M, 3.0, 0)
-    assert len(calls) == 1
-    sample_lipschitz_exp(lambda v: float(v @ M @ v), M, 3.0, 0)
-    assert len(calls) == 2
-    sample_sphere_exp(M, 3.0, 0, size=50)
-    sample_lipschitz_exp(lambda v: float(v @ M @ v), M, 3.0, 0, size=50)
-    assert len(calls) == 4
+    for conc, per_call in [(3.0, 0), (0.1, 1)]:  # Ritz shift; low concentration
+        eigvalsh_calls.clear()
+        sample_sphere_exp(M, conc, 0)
+        assert len(eigvalsh_calls) == per_call
+        sample_lipschitz_exp(lambda v: float(v @ M @ v), M, conc, 0)
+        assert len(eigvalsh_calls) == 2 * per_call
+        sample_sphere_exp(M, conc, 0, size=50)
+        sample_lipschitz_exp(lambda v: float(v @ M @ v), M, conc, 0, size=50)
+        assert len(eigvalsh_calls) == 4 * per_call
 
 
 def test_batched_draws_shape_norms_and_counts():
@@ -433,7 +444,7 @@ def assert_same_as_reference(M, conc, seed, size, trial_cap=DEFAULT_TRIAL_CAP,
     else:
         def call():
             return sample_sphere_exp(M, conc, rng, trial_cap=trial_cap, size=size)
-        ref_score, batch = (lambda V: np.einsum("ij,ij->i", V @ M, V)), 256
+        ref_score, batch = None, 256
     try:
         v_ref, counts_ref = rejection_sample_ref(ref_score, not per_vector, M, 0.0, conc,
                                                  rng_ref, trial_cap, batch, size)
@@ -544,6 +555,155 @@ def test_draw_accepted_in_first_chunk_solves_only_that_chunk(solved_columns):
     solved_columns.clear()
     assert np.array_equal(sample_sphere_exp(M, 0.0, 0, size=40).accepted_after, np.ones(40))
     assert solved_columns == [_CHUNK, _CHUNK]
+
+
+# ---------------------------------------------------------------------------
+# The envelope's contract: a Ritz shift on ordinary inputs, the exact
+# eigvalsh envelope on the rest, the same law either way.
+
+def sbm_squared(n, p, q, seed):
+    """A^2 of a two-block SBM graph (blocks of n/2 nodes) and the graph's
+    average degree."""
+    rng = spawn(seed, 0)
+    half = np.arange(n) < n // 2
+    probs = np.where(half[:, None] == half[None, :], p, q)
+    adj = np.triu((rng.random((n, n)) < probs).astype(np.uint8), 1)
+    A = (adj | adj.T).astype(np.float64)
+    return A @ A, float(A.sum()) / n
+
+
+@pytest.mark.parametrize("n, p, q", [(300, 0.2, 0.02), (400, 0.3, 0.05)])
+def test_ritz_shift_is_the_top_eigenvalue_without_eigvalsh(eigvalsh_calls, n, p, q):
+    # The sampler's three kinds of input: A^2 (first deflation draw), A^2
+    # deflated by its top pair (second draw), and A^2 recentred by the
+    # average degree (private_pca_lipschitz).
+    A2, avg_deg = sbm_squared(n, p, q, n)
+    evals, evecs = np.linalg.eigh(A2)
+    cases = [A2, A2 - evals[-1] * np.outer(evecs[:, -1], evecs[:, -1]),
+             A2 - (avg_deg**2 / n) * np.ones((n, n))]
+    lmaxes = [float(np.linalg.eigvalsh(Q)[-1]) for Q in cases]
+    eigvalsh_calls.clear()
+    for Q, lmax in zip(cases, lmaxes):
+        theta, _, log_bound = _envelope(Q, 0.2)
+        assert abs(theta - lmax) <= 1e-9 * lmax
+        assert log_bound == -(n / 2 - 1) + n / 2 * math.log1p(n / 2 - 1)
+    assert eigvalsh_calls == []
+
+
+@pytest.mark.parametrize("offset", [-0.5, 2.0])
+def test_law_is_exact_at_an_off_shift(monkeypatch, eigvalsh_calls, offset):
+    # Criterion 7's marginal check, same matrices and sample count, with the
+    # Ritz value forced to lmax + offset / c: below lmax (but with Omega still
+    # positive definite) and above it.
+    cases = [
+        (np.diag([2.0, 0.5, -1.0]), 2.0),
+        (np.array([[1.0, 0.8, 0.0], [0.8, -0.5, 0.3], [0.0, 0.3, 0.2]]), 3.0),
+    ]
+    for ci, (M, conc) in enumerate(cases):
+        theta = float(np.linalg.eigvalsh(M)[-1]) + offset / conc
+        monkeypatch.setattr(nodedp.mechanisms, "eigsh",
+                            lambda *args, theta=theta, **kwargs: np.array([theta]))
+        eigvalsh_calls.clear()
+        assert _envelope(M, conc)[0] == theta
+        draws = sample_sphere_exp(M, conc, spawn(1007, ci), size=100_000).v
+        assert eigvalsh_calls == []
+        tv_theta, tv_phi = sphere_marginal_tvs(draws, M, conc)
+        assert tv_theta < 0.05 and tv_phi < 0.05
+
+
+def assert_exact_path_draws(M, conc, eigvalsh_calls, size):
+    """One sampler call takes the exact envelope, which is the eigvalsh
+    envelope bit for bit, and draws what the whole-batch reference draws.
+    Returns the draws."""
+    got = _envelope(M, conc)
+    for a, b in zip(got, sphere_envelope_ref(M, conc)):
+        assert np.array_equal(a, b)
+    eigvalsh_calls.clear()
+    s = sample_sphere_exp(M, conc, spawn(95, M.shape[0]), size=size)
+    assert len(eigvalsh_calls) == 1
+    v_ref, counts_ref = rejection_sample_ref(None, True, M, 0.0, conc,
+                                             spawn(95, M.shape[0]), DEFAULT_TRIAL_CAP,
+                                             256, size)
+    assert np.array_equal(s.v, v_ref) and np.array_equal(s.accepted_after, counts_ref)
+    return s.v
+
+
+def test_exact_path_when_the_top_eigenvector_is_orthogonal_to_the_start(monkeypatch,
+                                                                          eigvalsh_calls):
+    # The top eigenvector (e0 - e1)/sqrt(2), eigenvalue 4, is orthogonal to
+    # ARPACK's all-ones start vector, and every Krylov vector keeps equal
+    # entries 0 and 1 exactly, so the Ritz value is the next eigenvalue, 3.
+    # At c = 20, Omega = (1 + 3c) I - c Q is indefinite and its Cholesky fails.
+    n = 40
+    M = np.diag(np.linspace(0.0, 3.0, n))
+    M[0, 0] = M[1, 1] = 2.0
+    M[0, 1] = M[1, 0] = -2.0
+    ritz = []
+    real = nodedp.mechanisms.eigsh
+    monkeypatch.setattr(nodedp.mechanisms, "eigsh",
+                        lambda *args, **kwargs: ritz.append(real(*args, **kwargs)) or ritz[-1])
+    draws = assert_exact_path_draws(M, 20.0, eigvalsh_calls, size=4000)
+    assert ritz and all(r == pytest.approx([3.0], abs=1e-12) for r in ritz)
+    # The same law rotated so that the top eigenvector is e0, which the Ritz
+    # shift finds: the squared top coordinate has the same mean.
+    rotated = np.diag(np.concatenate([[4.0, 0.0], np.linspace(0.0, 3.0, n)[2:]]))
+    eigvalsh_calls.clear()
+    fast = sample_sphere_exp(rotated, 20.0, spawn(95, 1), size=4000).v
+    assert eigvalsh_calls == []
+    top, top_fast = (draws[:, 0] - draws[:, 1]) ** 2 / 2, fast[:, 0] ** 2
+    se = math.sqrt(top.var() / top.size + top_fast.var() / top_fast.size)
+    assert abs(top.mean() - top_fast.mean()) < 4 * se
+
+
+def test_exact_path_at_low_concentration(eigvalsh_calls):
+    # c (theta - min_i M_ii) = 0.1 * 3 < n/2 - 1 = 0.5: f(n/2 - 1) would not be
+    # attained, so the exact envelope runs, with its bound f(c (lmax - lmin)).
+    M = np.diag([2.0, 0.5, -1.0])
+    draws = assert_exact_path_draws(M, 0.1, eigvalsh_calls, size=100_000)
+    tv_theta, tv_phi = sphere_marginal_tvs(draws, M, 0.1)
+    assert tv_theta < 0.05 and tv_phi < 0.05
+
+
+def test_exact_path_in_one_dimension(eigvalsh_calls):
+    # The sphere is {-1, 1} and every law on it is uniform.
+    draws = assert_exact_path_draws(np.array([[2.0]]), 5.0, eigvalsh_calls, size=4000)
+    assert np.array_equal(np.abs(draws), np.ones((4000, 1)))
+    assert abs(draws.mean()) < 4.0 / math.sqrt(4000)
+
+
+def test_exact_path_when_arpack_does_not_converge(monkeypatch, eigvalsh_calls):
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
+
+    monkeypatch.setattr(nodedp.mechanisms, "eigsh", fail)
+    assert_exact_path_draws(np.diag([2.0, 0.5, -1.0]), 2.0, eigvalsh_calls, size=50)
+
+
+def test_ritz_shift_in_two_dimensions(eigvalsh_calls):
+    # n/2 - 1 = 0: the bound f(0) = 0 holds at any shift. On the circle
+    # v = (cos phi, sin phi) the law's phi marginal is exp(c v'Mv) on [0, 2 pi).
+    M = np.array([[1.0, 0.7], [0.7, -0.4]])
+    conc = 3.0
+    draws = sample_sphere_exp(M, conc, spawn(97, 0), size=40_000).v
+    assert eigvalsh_calls == []
+    edges = np.linspace(0, 2 * np.pi, 73)
+    fine = np.linspace(0, 2 * np.pi, 72 * 100, endpoint=False) + np.pi / 7200
+    U = np.stack([np.cos(fine), np.sin(fine)], axis=1)
+    dens = np.exp(conc * np.einsum("ij,jk,ik->i", U, M, U))
+    mass = dens.reshape(72, 100).sum(axis=1) / dens.sum()
+    phi = np.mod(np.arctan2(draws[:, 1], draws[:, 0]), 2 * np.pi)
+    emp = np.histogram(phi, bins=edges)[0] / draws.shape[0]
+    assert tv_distance(emp, mass) < 0.05
+
+
+def test_zero_concentration_needs_no_spectrum(monkeypatch, eigvalsh_calls):
+    monkeypatch.setattr(nodedp.mechanisms, "eigsh", None)  # any call would raise
+    M = np.diag([1.0, 2.0, 3.0, 4.0])
+    theta, L, log_bound = _envelope(M, 0.0)
+    assert (theta, log_bound) == (0.0, 0.0) and np.array_equal(L, np.eye(4))
+    s = sample_sphere_exp(M, 0.0, 0, size=20)
+    assert np.array_equal(s.accepted_after, np.ones(20))
+    assert eigvalsh_calls == []
 
 
 # ---------------------------------------------------------------------------
