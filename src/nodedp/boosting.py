@@ -50,7 +50,7 @@ def graph_boost(
     toward the witness's label. The total budget is T times the base budget.
     """
     rng = as_generator(spawn(seed, 0) if isinstance(seed, int) else seed)
-    subgraphs = thin_graph(g, cfg.T, cfg.T, rng)
+    subgraphs = thin_graph(g, cfg.T, rng)
     outputs = []
     for j, gj in enumerate(subgraphs):
         sub_seed = spawn(seed, 1, j) if isinstance(seed, int) else rng

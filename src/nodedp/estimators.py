@@ -18,13 +18,13 @@ import numpy as np
 from . import accounting as acc
 from .accounting import PrivacyBudget
 from .clustering import approx_kmeans, sym_eigs
-from .graphs import (Graph, LabelAssignment, WeightedGraph, adjacency_squared, max_degree,
-                     memo)
+from .graphs import Graph, LabelAssignment, WeightedGraph, adjacency_squared, memo
 from .mechanisms import laplace, sample_lipschitz_exp, sample_sphere_exp
 from .mechanisms import edge_flip as _edge_flip
 from .mechanisms import debias_flip as _debias_flip
 from .rng import SeedLike, as_generator
 from .truncation import (
+    extension_is_quadratic,
     extension_score_concentration,
     lipschitz_extension_score,
     truncate_with_certificate,
@@ -56,9 +56,34 @@ class AssumptionViolation(ValueError):
     pass
 
 
-def _cluster_rows(U, k, gamma, rng, restarts=20):
-    labels, _, cost = approx_kmeans(U, k, gamma=gamma, restarts=restarts, seed=rng)
-    return labels, cost
+def _top_vector(g, Q, D, eps, rng, noise_off, extension=True):
+    """One draw of the extension-score exponential mechanism over Q: returns
+    (v, accepted_after, fast).
+
+    Q is A^2 minus a term R = A^2 - Q that the caller subtracts from the score
+    (the PCA recentering, or deflation). noise_off gives Q's top eigenvector.
+    Otherwise v has density proportional to exp(c * (shat(v) - v'Rv)), with
+    c = extension_score_concentration(eps, D) and shat the extension score:
+    when extension_is_quadratic(g, D) (or extension is False, which scores
+    the raw quadratic), shat(v) - v'Rv is v'Qv plus a constant, so the draw is
+    the Bingham law of Q (fast); else every candidate solves the extension LP.
+    """
+    if noise_off:
+        _, top = sym_eigs(Q, 1, by_abs=False)
+        return top[:, 0], 0, True
+    conc = extension_score_concentration(eps, D)
+    if not extension or extension_is_quadratic(g, D):
+        sample = sample_sphere_exp(Q, conc, rng)
+        return sample.v, sample.accepted_after, True
+    A2 = adjacency_squared(g)
+    R = A2 - Q
+
+    def score(v):
+        return lipschitz_extension_score(g, v, D) - float(v @ R @ v)
+
+    # shat(v) <= v'A^2 v + sum(A^2), so score(v) <= v'Qv + sum(A^2).
+    sample = sample_lipschitz_exp(score, Q, conc, rng, upper_bound_constant=float(A2.sum()))
+    return sample.v, sample.accepted_after, False
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +97,6 @@ def ef_spectral(
     gamma: float = 1.0,
     seed: SeedLike = 0,
     noise_off: bool = False,
-    restarts: int = 20,
 ) -> EstimatorOutput:
     """Randomized-response edge flip, debias, then spectral clustering.
 
@@ -86,7 +110,7 @@ def ef_spectral(
     flipped = _edge_flip(g, eps_eff, rng)
     debiased = _debias_flip(flipped.as_float(), eps_eff)
     _, vecs = sym_eigs(debiased, k, by_abs=True)
-    labels, cost = _cluster_rows(vecs, k, gamma, rng, restarts)
+    labels, _, cost = approx_kmeans(vecs, k, gamma=gamma, seed=rng)
     return EstimatorOutput(
         labels=labels,
         budget=[acc.pure_dp(eps, "edge-flip randomized response (edge level)")],
@@ -105,8 +129,6 @@ def private_pca_lipschitz(
     gamma: float = 1.0,
     seed: SeedLike = 0,
     noise_off: bool = False,
-    restarts: int = 20,
-    trial_cap: int = 10_000_000,
 ) -> EstimatorOutput:
     """Two-community pipeline: private average degree, one exponential-mechanism
     eigenvector of the recentered squared adjacency matrix, then k-means.
@@ -119,8 +141,8 @@ def private_pca_lipschitz(
     """
     if D < 1:
         raise ValueError("D must be >= 1")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if eps <= 0 and not noise_off:
+        raise ValueError("eps must be positive")
     rng = as_generator(seed)
     n = g.n
     A = g.as_float()
@@ -128,34 +150,11 @@ def private_pca_lipschitz(
     noise = 0.0 if noise_off else laplace(2.0 / eps, rng)
     sigma_hat = min(max(mean_deg + noise, 0.0), float(n))
 
-    A2 = adjacency_squared(g)
-    M = A2 - (sigma_hat**2 / n) * np.ones((n, n))
-    diagnostics = {"noise_off": noise_off, "sigma_hat": sigma_hat}
-    if noise_off:
-        _, top = sym_eigs(M, 1, by_abs=False)
-        u20 = top[:, 0]
-        diagnostics["fast_path"] = True
-    else:
-        conc = extension_score_concentration(eps, D)
-        if max_degree(g) <= D:
-            # Bounded degree: the extension equals the raw score, so the
-            # density is the Bingham law of M itself.
-            sample = sample_sphere_exp(M, conc, rng, trial_cap=trial_cap)
-            diagnostics["fast_path"] = True
-        else:
-            const = float(A2.sum())
-
-            def score(v):
-                return lipschitz_extension_score(g, v, D) - (sigma_hat**2 / n) * float(
-                    np.sum(v)
-                ) ** 2
-
-            sample = sample_lipschitz_exp(
-                score, M, conc, rng, upper_bound_constant=const, trial_cap=trial_cap
-            )
-            diagnostics["fast_path"] = False
-        u20 = sample.v
-        diagnostics["accepted_after"] = sample.accepted_after
+    M = adjacency_squared(g) - (sigma_hat**2 / n) * np.ones((n, n))
+    u20, accepted, fast = _top_vector(g, M, D, eps, rng, noise_off)
+    diagnostics = {"noise_off": noise_off, "sigma_hat": sigma_hat, "fast_path": fast}
+    if not noise_off:
+        diagnostics["accepted_after"] = accepted
 
     centered = u20 - u20.mean()
     norm = float(np.linalg.norm(centered))
@@ -167,7 +166,7 @@ def private_pca_lipschitz(
         norm = math.sqrt(2.0)
     u2 = centered / norm
     U = np.column_stack([np.full(n, 1.0 / math.sqrt(n)), u2])
-    labels, cost = _cluster_rows(U, 2, gamma, rng, restarts)
+    labels, _, cost = approx_kmeans(U, 2, gamma=gamma, seed=rng)
     diagnostics["kmeans_cost"] = cost
     return EstimatorOutput(
         labels=labels,
@@ -190,7 +189,6 @@ def eigvec_deflation(
     use_lipschitz: bool,
     seed: SeedLike = 0,
     noise_off: bool = False,
-    trial_cap: int = 10_000_000,
     diagnostics: dict | None = None,
 ) -> list[np.ndarray]:
     """Iteratively sample near-top eigenvectors of A^2, deflating by noisy
@@ -208,41 +206,23 @@ def eigvec_deflation(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if D < 1 or eps < 0:
-        raise ValueError("need D >= 1 and eps >= 0")
+    if D < 1:
+        raise ValueError("D must be >= 1")
+    if eps <= 0 and not noise_off:
+        raise ValueError("eps must be positive")
     rng = as_generator(seed)
     n = g.n
     A2 = adjacency_squared(g)
     D2 = float(D) * float(D)
-    conc = 0.0 if eps == 0 else extension_score_concentration(eps, D)
-    use_extension_lp = use_lipschitz and float(np.max(A2.sum(axis=1), initial=0.0)) > D2
-    ext_const = float(A2.sum())
 
     deflation = np.zeros((n, n))
     vectors, sigmas, accepts = [], [], []
     for i in range(k):
         Ai = A2 - deflation
-        if noise_off:
-            _, top = sym_eigs(Ai, 1, by_abs=False)
-            v = top[:, 0]
-            accepts.append(0)
-        elif use_extension_lp:
-            S = deflation.copy()
-
-            def score(v, S=S):
-                return lipschitz_extension_score(g, v, D) - float(v @ S @ v)
-
-            sample = sample_lipschitz_exp(
-                score, Ai, conc, rng, upper_bound_constant=ext_const, trial_cap=trial_cap
-            )
-            v = sample.v
-            accepts.append(sample.accepted_after)
-        else:
-            sample = sample_sphere_exp(Ai, conc, rng, trial_cap=trial_cap)
-            v = sample.v
-            accepts.append(sample.accepted_after)
+        v, accepted, _ = _top_vector(g, Ai, D, eps, rng, noise_off, extension=use_lipschitz)
+        accepts.append(accepted)
         rayleigh = float(v @ Ai @ v)
-        noise = 0.0 if noise_off else laplace(2.0 * D2 / eps, rng) if eps > 0 else 0.0
+        noise = 0.0 if noise_off else laplace(2.0 * D2 / eps, rng)
         sigma = min(max(rayleigh, -D2), D2) + noise
         if use_lipschitz:
             sigma = min(sigma, float(n) ** 2)
@@ -271,18 +251,15 @@ def eigvec_deflation_cluster(
     gamma: float = 1.0,
     seed: SeedLike = 0,
     noise_off: bool = False,
-    restarts: int = 20,
-    trial_cap: int = 10_000_000,
 ) -> EstimatorOutput:
     """Deflation pipeline: cluster the rows of the sampled eigenvector matrix."""
     rng = as_generator(seed)
     diag: dict = {}
     vectors = eigvec_deflation(
-        g, k, D, eps, use_lipschitz, rng, noise_off=noise_off,
-        trial_cap=trial_cap, diagnostics=diag,
+        g, k, D, eps, use_lipschitz, rng, noise_off=noise_off, diagnostics=diag
     )
     U = np.column_stack(vectors)
-    labels, cost = _cluster_rows(U, k, gamma, rng, restarts)
+    labels, _, cost = approx_kmeans(U, k, gamma=gamma, seed=rng)
     diag["kmeans_cost"] = cost
     scope = "node level" if use_lipschitz else "bounded-degree node level"
     return EstimatorOutput(
@@ -394,7 +371,6 @@ def matrix_estimation(
     seed: SeedLike = 0,
     L: int | None = None,
     noise_off: bool = False,
-    restarts: int = 20,
 ) -> EstimatorOutput:
     """Noisy subspace iteration on n x 2k blocks with per-iteration Gaussian
     noise N(0, 4 k L log(1/delta)/eps^2), followed by a rank-2k reconstruction,
@@ -425,7 +401,7 @@ def matrix_estimation(
     # Ahat's left singular vectors are X_prev times those of the p x p factor R.T.
     W, _, _ = np.linalg.svd(R.T)
     Uk = X_prev @ W[:, :k]
-    labels, cost = _cluster_rows(Uk, k, gamma, rng, restarts)
+    labels, _, cost = approx_kmeans(Uk, k, gamma=gamma, seed=rng)
     rho = 0.0 if noise_off else eps * eps / (4.0 * math.log(1.0 / delta))
     return EstimatorOutput(
         labels=labels,
@@ -509,7 +485,6 @@ def subspace_estimation(
     Cprime: float = 3.0,
     r_mult: float = 1.0,
     beta0: float = 0.9,
-    restarts: int = 20,
 ) -> EstimatorOutput:
     """Private approximate subspace estimation with per-chunk projections,
     GoodCenter aggregation of projected Gaussian reference points, and a final
@@ -600,7 +575,7 @@ def subspace_estimation(
     Zhat = np.column_stack(zhat_cols)
     U, _, _ = np.linalg.svd(Zhat, full_matrices=False)
     Uk = U[:, :k]
-    labels, cost = _cluster_rows(Uk, k, gamma, rng, restarts)
+    labels, _, cost = approx_kmeans(Uk, k, gamma=gamma, seed=rng)
     rho_total = 0.0 if noise_off else 2.0 * q * rho
     return EstimatorOutput(
         labels=labels,

@@ -222,13 +222,11 @@ def sample_weighted_sbm(params: SbmParams, seed: SeedLike) -> WeightedGraph:
     return WeightedGraph(params.n, w * a.adj)
 
 
-def thin_graph(g: Graph, T: int, count: int, seed: SeedLike) -> list[Graph]:
-    """Return `count` subgraphs; each retains every edge of g independently
-    with probability 1/T. Retention draws are independent across subgraphs."""
-    if T < 1 or count < 1:
-        raise ValueError("T and count must be positive")
-    if count != T:
-        raise ValueError("count must equal T")
+def thin_graph(g: Graph, T: int, seed: SeedLike) -> list[Graph]:
+    """Return T subgraphs; each retains every edge of g independently with
+    probability 1/T. Retention draws are independent across subgraphs."""
+    if T < 1:
+        raise ValueError("T must be positive")
     rng = as_generator(seed)
     iu, ju = np.triu_indices(g.n, k=1)
     present = g.adj[iu, ju].astype(bool)

@@ -86,6 +86,14 @@ def extension_score_concentration(eps: float, D: float) -> float:
     return eps / (6.0 * D * D)
 
 
+def extension_is_quadratic(g: Graph, D: float) -> bool:
+    """Whether every row sum of A^2 is at most D^2 (in particular whenever
+    max degree <= D). Then C = A^2 is feasible for the extension LP, so the
+    extension score is v'A^2 v + sum(A^2) at every unit v and needs no LP."""
+    D2 = float(D) * float(D)
+    return float(np.max(adjacency_squared(g).sum(axis=1), initial=0.0)) <= D2
+
+
 def lipschitz_extension_score(
     g: Graph, V: np.ndarray, D: float, force_lp: bool = False
 ) -> float:
@@ -94,9 +102,8 @@ def lipschitz_extension_score(
         max_C Tr(C (VV' + J))  s.t.  C = C', 0 <= C_ij <= (A^2)_ij,
                                       every row sum of |C| <= D^2.
 
-    Equals Tr(V' A^2 V) + Tr(A^2 J) whenever all row sums of A^2 are at most
-    D^2 (in particular whenever max degree <= D); that case is answered
-    directly unless force_lp is set.
+    Equals Tr(V' A^2 V) + Tr(A^2 J) whenever extension_is_quadratic(g, D);
+    that case is answered directly unless force_lp is set.
     """
     V = np.asarray(V, dtype=np.float64)
     if V.ndim == 1:
@@ -108,8 +115,7 @@ def lipschitz_extension_score(
     if D <= 0:
         raise ValueError("D must be positive")
     A2 = adjacency_squared(g)
-    D2 = float(D) * float(D)
-    if not force_lp and float(np.max(A2.sum(axis=1), initial=0.0)) <= D2:
+    if not force_lp and extension_is_quadratic(g, D):
         return float(np.trace(V.T @ A2 @ V) + A2.sum())
 
     # Weight matrix of the objective; entries are >= 0 since VV' >= -1.
@@ -127,7 +133,7 @@ def lipschitz_extension_score(
     node = np.column_stack([iu, ju]).ravel()[once]
     has_row, row = np.unique(node, return_inverse=True)
     prob.add_rows(row, np.repeat(np.arange(iu.size), 2)[once], np.ones(node.size),
-                  "<=", np.full(has_row.size, D2))
+                  "<=", np.full(has_row.size, float(D) * float(D)))
     sol = solve_lp(prob)
     if sol.status != "optimal":
         raise LpFailure(f"extension LP ended with status {sol.status}: {sol.message}")

@@ -110,6 +110,63 @@ def test_pca_lipschitz_slow_path_uses_extension():
     assert out.labels.n == 6
 
 
+@pytest.mark.parametrize("m, quadratic", [(5, True), (6, False)])
+def test_top_vector_path_follows_extension_is_quadratic(m, quadratic, monkeypatch):
+    # star(m) at D = 2 has max degree m - 1 > D and largest A^2 row sum m - 1.
+    # At m = 5 that is D^2: the extension score is quadratic and both
+    # pipelines draw from the sphere sampler with no LP. At m = 6 every draw
+    # goes through the LP-extension sampler.
+    import nodedp.truncation
+
+    calls = {"sample_sphere_exp": 0, "sample_lipschitz_exp": 0, "solve_lp": 0}
+    for mod, name in [(nodedp.estimators, "sample_sphere_exp"),
+                      (nodedp.estimators, "sample_lipschitz_exp"),
+                      (nodedp.truncation, "solve_lp")]:
+        def spy(*args, _real=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, spy)
+    out = private_pca_lipschitz(star(m), D=2, eps=3.0, seed=spawn(233, m, 0))
+    eigvec_deflation(star(m), 2, 2, 3.0, use_lipschitz=True, seed=spawn(233, m, 1))
+    assert out.diagnostics["fast_path"] is quadratic
+    if quadratic:
+        assert calls == {"sample_sphere_exp": 3, "sample_lipschitz_exp": 0, "solve_lp": 0}
+    else:
+        assert calls["sample_sphere_exp"] == 0 and calls["sample_lipschitz_exp"] == 3
+        assert calls["solve_lp"] >= 3
+
+
+def test_zero_eps_rejected_unless_noise_off():
+    g = sample_sbm(SbmParams(n=40, k=2, B=np.array([[0.6, 0.2], [0.2, 0.6]])), 0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        private_pca_lipschitz(g, D=40, eps=0.0, seed=0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        eigvec_deflation(g, 2, D=40, eps=0.0, use_lipschitz=False, seed=0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        eigvec_deflation_cluster(g, 2, D=40, eps=0.0, use_lipschitz=True, seed=0)
+    assert private_pca_lipschitz(g, D=40, eps=0.0, seed=0, noise_off=True).labels.n == 40
+    out = eigvec_deflation_cluster(g, 2, D=40, eps=0.0, seed=0, noise_off=True)
+    assert out.labels.n == 40 and out.diagnostics["accepted_after"] == [0, 0]
+
+
+def test_perfbench_trace_patches_resolve(monkeypatch):
+    # perfbench/spans.py patches estimators' module names (the samplers,
+    # sym_eigs, approx_kmeans, ...); a name removed from the program would
+    # break every traced benchmark run.
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    patches = spans.Tracer().patches()
+    assert (nodedp.estimators, "sample_sphere_exp") in [(m, a) for m, a, _ in patches]
+
+
 # ---------------------------------------------------------------------------
 # Eigenvector deflation
 
@@ -350,8 +407,8 @@ def test_matrix_estimation_factor_svd_matches_full_svd(case, monkeypatch):
         g = sample_sbm(PARAMS_400, spawn(229, 0))
         eps, noise_off = float(case.removeprefix("sbm-eps")), False
     seen = []
-    real = nodedp.estimators._cluster_rows
-    monkeypatch.setattr(nodedp.estimators, "_cluster_rows",
+    real = nodedp.estimators.approx_kmeans
+    monkeypatch.setattr(nodedp.estimators, "approx_kmeans",
                         lambda U, *a, **kw: seen.append(U) or real(U, *a, **kw))
     out = matrix_estimation(g, 2, eps, 1e-6, seed=spawn(229, 1), noise_off=noise_off)
     U_ref, labels_ref, cost_ref = _matrix_estimation_reference(

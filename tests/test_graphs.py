@@ -151,13 +151,13 @@ def test_weighted_requires_semidefinite_means():
 
 def test_thin_graph_identity_and_empty():
     g = complete_graph(10)
-    (only,) = thin_graph(g, 1, 1, 0)
+    (only,) = thin_graph(g, 1, 0)
     assert np.array_equal(only.adj, g.adj)
     empty = Graph(10, np.zeros((10, 10), dtype=np.uint8))
-    for sub in thin_graph(empty, 4, 4, 0):
+    for sub in thin_graph(empty, 4, 0):
         assert sub.edge_count() == 0
     with pytest.raises(ValueError):
-        thin_graph(g, 3, 2, 0)
+        thin_graph(g, 0, 0)
 
 
 def test_thin_graph_expected_edge_count():
@@ -166,7 +166,7 @@ def test_thin_graph_expected_edge_count():
     g = complete_graph(100)
     counts = []
     for s in range(40):  # 40 seeds x 5 subgraphs = 200 subgraph draws
-        counts.extend(sub.edge_count() for sub in thin_graph(g, 5, 5, spawn(13, s)))
+        counts.extend(sub.edge_count() for sub in thin_graph(g, 5, spawn(13, s)))
     assert abs(np.mean(counts) - 990.0) < 30.0
 
 
@@ -182,7 +182,7 @@ def test_thin_graph_marginal_law():
     same_u = same[iu]
     for s in range(50):
         g = sample_sbm(params, spawn(17, s, 0))
-        for sub in thin_graph(g, T, T, spawn(17, s, 1)):
+        for sub in thin_graph(g, T, spawn(17, s, 1)):
             vals = sub.adj[iu]
             within_hits += int(vals[same_u].sum())
             within_trials += int(same_u.sum())

@@ -17,6 +17,7 @@ from nodedp import (
     weighted_degree_truncate,
 )
 from nodedp.rng import spawn
+from nodedp.truncation import extension_is_quadratic
 
 from oracles import dense_simplex_max, node_distance
 
@@ -133,6 +134,14 @@ def test_extension_sensitivity_small_exhaustive():
             a = lipschitz_extension_score(base, v, D, force_lp=True)
             b = lipschitz_extension_score(g2, v, D, force_lp=True)
             assert abs(a - b) <= extension_score_sensitivity(D) + 1e-6
+
+
+def test_extension_is_quadratic_at_row_sum_D_squared():
+    # Star(m) at D = 2: A^2 has every row sum m - 1 (the hub's diagonal, or a
+    # leaf's m - 2 two-walks plus its own), against D^2 = 4.
+    assert extension_is_quadratic(star(5), 2.0)  # largest row sum 4 = D^2
+    assert not extension_is_quadratic(star(6), 2.0)  # 5, one unit above
+    assert extension_is_quadratic(Graph(3, np.zeros((3, 3), dtype=np.uint8)), 1.0)
 
 
 def test_extension_requires_orthonormal_V():
