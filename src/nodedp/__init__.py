@@ -5,7 +5,7 @@ Library layout:
 - graphs: Graph/WeightedGraph/SbmParams types, SBM sampling, thinning
 - metrics: misclassification losses and label alignment
 - accounting: privacy budget algebra (DP and zCDP)
-- mechanisms: Laplace/Gaussian noise, edge flipping, sphere samplers
+- mechanisms: Laplace noise, edge flipping, sphere samplers
 - lp: generic LP surface (HiGHS-backed)
 - truncation: degree truncation T_D, extension score, sensitivity bound L_hat
 - clustering: eigendecomposition and approximate k-means
@@ -70,7 +70,6 @@ from .mechanisms import (
     SphereSample,
     debias_flip,
     edge_flip,
-    gaussian_vec,
     laplace,
     sample_lipschitz_exp,
     sample_sphere_exp,

@@ -126,7 +126,3 @@ def reduction_budgets(eps2: float, delta2: float, Lhat: float) -> tuple[float, f
     if Lhat < 0.5:
         raise ValueError("Lhat must be at least 1/2")
     return eps2 / Lhat, delta2 / Lhat
-
-
-def budget_chain_to_json(chain: Iterable[PrivacyBudget]) -> str:
-    return json.dumps([b.to_dict() for b in chain])

@@ -8,23 +8,10 @@ solver, and acceptance tests absorb the variability over seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import LabelAssignment, is_symmetric
 from .rng import SeedLike, as_generator
-
-
-@dataclass(frozen=True)
-class Embedding:
-    U: np.ndarray
-
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=np.float64)
-        if not np.all(np.isfinite(U)):
-            raise ValueError("embedding must be finite")
-        object.__setattr__(self, "U", U)
 
 
 def sym_eigs(M: np.ndarray, k: int, by_abs: bool = True):
@@ -128,12 +115,6 @@ def _lloyd_restarts(points, centers, max_iter=100):
     return labels, centers, dmin.sum(axis=1)
 
 
-def _lloyd(points, centers, max_iter=100):
-    """One Lloyd run: the R = 1 case of `_lloyd_restarts`."""
-    labels, centers, costs = _lloyd_restarts(points, centers[None], max_iter)
-    return labels[0], centers[0], float(costs[0])
-
-
 def approx_kmeans(
     points: np.ndarray,
     k: int,
@@ -152,7 +133,9 @@ def approx_kmeans(
     runs then go together. The first restart of cost 0 ends the search: the
     result is that restart, and the stream is left where its seeding left it.
     """
-    points = Embedding(points).U
+    points = np.asarray(points, dtype=np.float64)
+    if not np.all(np.isfinite(points)):
+        raise ValueError("embedding must be finite")
     if points.ndim != 2:
         raise ValueError("points must be 2-D")
     n = points.shape[0]

@@ -2,9 +2,8 @@
 
 Problems are stored in a solver-agnostic form (objective, typed constraint
 rows, per-variable bounds) and solved with HiGHS via scipy. Constraint rows
-are kept as COO triplets, added one at a time (a dense coefficient vector or
-an {index: coeff} dict) or in batches of index arrays, so the truncation LPs
-(n + |E| variables) stay sparse and assemble in one CSR build.
+are kept as COO triplets, added in batches of index arrays, so the truncation
+LPs (n + |E| variables) stay sparse and assemble in one CSR build.
 """
 
 from __future__ import annotations
@@ -39,17 +38,6 @@ class LpProblem:
     def n_vars(self) -> int:
         return self.objective.size
 
-    def add_row(self, coeffs, relation: str, rhs: float) -> None:
-        """One row from a dense coefficient vector (its nonzeros) or an
-        {index: coeff} dict (every entry, zeros included)."""
-        if isinstance(coeffs, dict):
-            col, coeff = list(coeffs.keys()), list(coeffs.values())
-        else:
-            coeff = np.asarray(coeffs, dtype=np.float64)
-            col = np.nonzero(coeff)[0]
-            coeff = coeff[col]
-        self.add_rows(np.zeros(len(col)), col, coeff, relation, [rhs])
-
     def add_rows(self, row, col, coeff, relation: str, rhs) -> None:
         """len(rhs) rows sharing one relation, as COO triplets: entry t puts
         coeff[t] on variable col[t] of the batch's row row[t]."""
@@ -60,19 +48,6 @@ class LpProblem:
         if row.size and (row.min() < 0 or row.max() >= rhs.size):
             raise ValueError("row indices must lie in [0, len(rhs))")
         self.batches.append((row, col, np.asarray(coeff, dtype=np.float64), relation, rhs))
-
-    def dump(self) -> str:
-        """Textual debug format."""
-        lines = [f"{self.sense} {' + '.join(f'{c:g} x{i}' for i, c in enumerate(self.objective) if c)}"]
-        for row, col, coeff, rel, rhs in self.batches:
-            order = np.argsort(row, kind="stable")
-            per_row = np.split(order, np.searchsorted(row[order], np.arange(1, rhs.size)))
-            for b, e in zip(rhs, per_row):
-                terms = " + ".join(f"{c:g} x{i}" for i, c in zip(col[e], coeff[e]))
-                lines.append(f"  {terms or '0'} {rel} {b:g}")
-        for i, (lo, hi) in enumerate(self.bounds):
-            lines.append(f"  x{i} in [{'-inf' if lo is None else lo:g}, {'inf' if hi is None else hi}]")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

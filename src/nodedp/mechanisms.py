@@ -1,13 +1,14 @@
 """Noise and sampling primitives.
 
-Laplace and Gaussian noise, the symmetric edge-flip randomized response for
-adjacency matrices, and exact rejection sampling from exponential-mechanism
-densities on the unit sphere (Bingham-type laws) using an angular central
-Gaussian envelope (Kent, Ganeiber & Mardia 2018, "A new unified approach for
-the simulation of a wide class of directional distributions", JCGS 27(2)).
-The envelope is shifted by one Ritz value of the quadratic form rather than
-its exact top eigenvalue; any shift that keeps the envelope's inverse
-covariance positive definite gives the same law (see _envelope).
+Laplace noise, the symmetric edge-flip randomized response for adjacency
+matrices, and exact rejection sampling from exponential-mechanism densities
+on the unit sphere (Bingham-type laws) using an angular central Gaussian
+envelope (Kent, Ganeiber & Mardia 2018, "A new unified approach for the
+simulation of a wide class of directional distributions", JCGS 27(2)). One
+envelope serves every concentration: it is shifted by one Ritz value of the
+quadratic form rather than its exact top eigenvalue, and its scale b is set
+from the trace; any shift that keeps the envelope's inverse covariance
+positive definite gives the same law at any b in (0, n] (see _envelope).
 
 The Laplace sampler uses a plain inverse-CDF transform of a 64-bit uniform;
 it is a research artifact and carries no floating-point side-channel
@@ -61,18 +62,6 @@ def laplace(scale: float, seed: SeedLike) -> float:
     return -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
 
 
-def gaussian_vec(dim: int, sigma: float, seed: SeedLike) -> np.ndarray:
-    """i.i.d. N(0, sigma^2) vector; sigma = 0 yields the exact zero vector."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return np.zeros(dim)
-    rng = as_generator(seed)
-    return sigma * rng.standard_normal(dim)
-
-
 def edge_flip(g: Graph, eps: float, seed: SeedLike) -> Graph:
     """Symmetric edge-flip randomized response.
 
@@ -122,57 +111,41 @@ def _envelope(Q: np.ndarray, concentration: float):
     """Angular-central-Gaussian envelope for density exp(c * v'Qv) on the sphere
     (Kent, Ganeiber & Mardia 2018).
 
-    Returns (theta, L, log_bound): the envelope has inverse covariance
-    Omega = (1 + c theta) I - c Q, with Cholesky factor L. For a unit v,
-    w = v'Omega v - 1 = c (theta - v'Qv), and the target over the envelope is
-    proportional to exp(f(w)), f(w) = -w + (n/2) log1p(w), which is at most
-    f(n/2 - 1) for every w > -1. So the law is exact for any theta at which
-    Omega is positive definite (the Cholesky succeeds), and theta sets only
-    the acceptance rate: it is one Ritz value of Q from eigsh. When
-    c (theta - min_i Q_ii) >= n/2 - 1, w reaches n/2 - 1 between the top
-    eigenvector (w <= 0, as theta <= lmax) and the e_i of the least Q_ii, so
-    log_bound = f(n/2 - 1) is attained, as at theta = lmax.
-
-    Otherwise (eigsh raises or does not converge in _RITZ_MAXITER
-    iterations, the Cholesky fails, c (theta - min_i Q_ii) < n/2 - 1, or
-    n = 1) the exact envelope runs: theta = lmax from eigvalsh, and log_bound
-    the sup of f over w in [0, c (lmax - lmin)]. At c = 0 the envelope is
-    uniform: Omega = I.
+    Returns (theta, b, L, log_bound): the envelope has inverse covariance
+    Omega = I + (2c/b)(theta I - Q), with Cholesky factor L. For a unit v,
+    w = v'Omega v - 1 = 2a/b with a = c (theta - v'Qv), and the target over
+    the envelope is proportional to exp(-a + (n/2) log1p(2a/b)), whose sup
+    over a > -b/2 is log_bound = -(n - b)/2 + (n/2) log(n/b). So the law is
+    exact for any b in (0, n] and any theta at which Omega is positive
+    definite (the Cholesky succeeds); theta and b set only the acceptance
+    rate. theta is one Ritz value of Q from eigsh, and b solves Kent et al.'s
+    equation sum_i 1/(b + 2 a_i) = 1 with every eigenvalue a_i of
+    c (theta I - Q) replaced by their mean: b = n - 2c (theta - tr Q/n),
+    clipped to [1, n]. If eigsh raises or does not converge in _RITZ_MAXITER
+    iterations, the Cholesky fails, or n = 1, theta is the top eigenvalue
+    from eigvalsh instead, through the same formula. At c = 0 the envelope
+    is uniform: Omega = I.
     """
     n = Q.shape[0]
     c = concentration
     if c == 0:
-        return 0.0, np.eye(n), 0.0
-    peak = n / 2.0 - 1.0
-    try:
-        theta = float(eigsh(Q, k=1, which="LA", v0=np.ones(n), maxiter=_RITZ_MAXITER,
-                            rng=_RITZ_SEED, return_eigenvectors=False)[0]) if n >= 2 else None
-    except ArpackError:
-        theta = None
-    if theta is not None and c * (theta - float(Q.diagonal().min())) >= peak:
+        return 0.0, float(n), np.eye(n), 0.0
+
+    def at(theta):
+        b = min(max(n - 2.0 * c * (theta - float(np.trace(Q)) / n), 1.0), float(n))
+        s = 2.0 * c / b
+        omega = -s * Q  # Omega as one new array, its diagonal 1 + s (theta - Q_ii)
+        np.fill_diagonal(omega, 1.0 + s * (theta - Q.diagonal()))
+        L = cholesky(omega, lower=True, overwrite_a=True, check_finite=False)
+        return theta, b, L, -(n - b) / 2.0 + 0.5 * n * math.log(n / b)
+
+    if n >= 2:
         try:
-            L = cholesky(_inverse_covariance(Q, c, theta), lower=True, overwrite_a=True,
-                         check_finite=False)
-            return theta, L, _log_ratio(n, peak)
-        except LinAlgError:
+            return at(float(eigsh(Q, k=1, which="LA", v0=np.ones(n), maxiter=_RITZ_MAXITER,
+                                  rng=_RITZ_SEED, return_eigenvectors=False)[0]))
+        except (ArpackError, LinAlgError):
             pass
-    evals = np.linalg.eigvalsh(Q)
-    lmax, lmin = float(evals[-1]), float(evals[0])
-    L = cholesky(_inverse_covariance(Q, c, lmax), lower=True, overwrite_a=True)
-    return lmax, L, _log_ratio(n, min(max(peak, 0.0), c * (lmax - lmin)))
-
-
-def _inverse_covariance(Q, c, theta):
-    """Omega = (1 + c theta) I - c Q as one new array, its diagonal taken as
-    1 + c (theta - Q_ii)."""
-    omega = -c * Q
-    np.fill_diagonal(omega, 1.0 + c * (theta - Q.diagonal()))
-    return omega
-
-
-def _log_ratio(n, w):
-    """f(w) = -w + (n/2) log1p(w), the log target-to-envelope ratio at w."""
-    return -w + 0.5 * n * math.log1p(w)
+    return at(float(np.linalg.eigvalsh(Q)[-1]))
 
 
 def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, size):
@@ -180,10 +153,10 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, 
 
     score is the unshifted score; the caller guarantees score(v) <= v'Qv +
     constant for every unit v. The log-target is shifted by theta + constant,
-    with theta from the envelope, so that it is bounded by -w, where w =
-    v'Omega v - 1 = |z|^2 / |x|^2 - 1 for the normal z and its solve x. score
-    None stands for v'Qv itself (sample_sphere_exp), whose shifted log-target
-    is exactly -w: it needs no product with Q.
+    with theta and b from the envelope, so that it is bounded by -(b/2) w,
+    where w = v'Omega v - 1 = |z|^2 / |x|^2 - 1 for the normal z and its
+    solve x. score None stands for v'Qv itself (sample_sphere_exp), whose
+    shifted log-target is exactly -(b/2) w: it needs no product with Q.
     Candidates come in batches of `batch`: a batch's normals and then its
     uniforms are drawn whole, and its candidates are then solved and scored
     _CHUNK at a time, in stream order, only until the last draw is accepted.
@@ -197,7 +170,7 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, 
     if size is not None and size < 1:
         raise ValueError("size must be None or positive")
     n = Q.shape[0]
-    theta, L, log_bound = _envelope(Q, concentration)
+    theta, b, L, log_bound = _envelope(Q, concentration)
     shift = theta + constant
 
     def candidates(m):
@@ -218,8 +191,8 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, 
             v /= norms[:, None]
             w = zz / norms**2 - 1.0
             log_env = 0.5 * n * np.log1p(w)
-            gains = -w if score is None else (concentration * (s - shift)
-                                              for s in score(v))
+            gains = -0.5 * b * w if score is None else (concentration * (s - shift)
+                                                        for s in score(v))
             for vi, g, lu, le in zip(v, gains, logu[start:stop], log_env):
                 yield vi, lu < g + le - log_bound
             start = stop
@@ -252,8 +225,9 @@ def sample_sphere_exp(
 ) -> SphereSample:
     """Exact sample from density proportional to exp(concentration * v'Mv) on
     the unit sphere, by rejection from the angular central Gaussian envelope
-    with inverse covariance (1 + concentration theta) I - concentration M,
-    theta a Ritz value of M at or near its top eigenvalue (see _envelope).
+    with inverse covariance I + (2 concentration / b)(theta I - M), theta a
+    Ritz value of M at or near its top eigenvalue and b set from the trace
+    (see _envelope).
 
     size=None draws one vector; size=k draws k i.i.d. vectors from one
     envelope (see SphereSample), with trial_cap applied to each draw. A

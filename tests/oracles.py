@@ -2,16 +2,16 @@
 
 Everything here is deliberately written from scratch against the definitions,
 not by calling the package: brute-force loss enumeration, a dense-tableau
-simplex solver and a vertex-enumeration LP oracle, a shifted power-iteration
-eigensolver, sequential k-means restarts, exact minimum vertex cover (for node
-distance), sphere quadrature helpers, and the sphere rejection sampler as it
-was before it worked chunk by chunk.
+simplex solver and a vertex-enumeration LP oracle, LP rows one at a time and
+a text dump of an LP, a shifted power-iteration eigensolver, sequential
+k-means restarts, exact minimum vertex cover (for node distance), sphere
+quadrature helpers, and the sphere rejection sampler as it was before it
+worked chunk by chunk.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -133,6 +133,35 @@ def dense_simplex_max(c, A_ub, b_ub):
                 T[i] -= T[i, enter] * T[leave]
         basis[leave] = enter
     raise ValueError("iteration limit")
+
+
+def row_triplets(coeffs):
+    """One LP row as add_rows triplets (row, col, coeff): from a dense
+    coefficient vector (its nonzeros) or an {index: coeff} dict (every entry,
+    zeros included)."""
+    if isinstance(coeffs, dict):
+        col, coeff = list(coeffs.keys()), list(coeffs.values())
+    else:
+        coeff = np.asarray(coeffs, dtype=np.float64)
+        col = np.nonzero(coeff)[0]
+        coeff = coeff[col]
+    return np.zeros(len(col), dtype=np.int64), col, coeff
+
+
+def lp_dump(problem):
+    """An LpProblem as text: objective, rows in the order added, bounds."""
+    lines = [f"{problem.sense} "
+             f"{' + '.join(f'{c:g} x{i}' for i, c in enumerate(problem.objective) if c)}"]
+    for row, col, coeff, rel, rhs in problem.batches:
+        order = np.argsort(row, kind="stable")
+        per_row = np.split(order, np.searchsorted(row[order], np.arange(1, rhs.size)))
+        for b, e in zip(rhs, per_row):
+            terms = " + ".join(f"{c:g} x{i}" for i, c in zip(col[e], coeff[e]))
+            lines.append(f"  {terms or '0'} {rel} {b:g}")
+    for i, (lo, hi) in enumerate(problem.bounds):
+        lines.append(f"  x{i} in [{'-inf' if lo is None else lo:g}, "
+                     f"{'inf' if hi is None else hi}]")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +354,6 @@ class RejectionCapRef(RuntimeError):
         self.cap = cap
 
 
-def sphere_envelope_ref(Q, concentration):
-    """The exact envelope, (lmax, L, log_bound), from a full eigvalsh: the
-    reference for the library's exact path."""
-    from scipy.linalg import cholesky
-
-    n = Q.shape[0]
-    evals = np.linalg.eigvalsh(Q)
-    lmax, lmin = float(evals[-1]), float(evals[0])
-    Abar = concentration * (lmax * np.eye(n) - Q)
-    L = cholesky(np.eye(n) + Abar, lower=True)
-    wmax = concentration * (lmax - lmin)
-    wstar = min(max(n / 2.0 - 1.0, 0.0), wmax)
-    log_bound = -wstar + 0.5 * n * math.log1p(wstar)
-    return lmax, L, log_bound
-
-
 def rejection_sample_ref(score, vectorized, Q, constant, concentration, rng, trial_cap,
                          batch, size):
     """Returns (v, accepted_after) as sample_sphere_exp (score None), a
@@ -352,7 +365,7 @@ def rejection_sample_ref(score, vectorized, Q, constant, concentration, rng, tri
     from nodedp.mechanisms import _envelope
 
     n = Q.shape[0]
-    theta, L, log_bound = _envelope(Q, concentration)
+    theta, b, L, log_bound = _envelope(Q, concentration)
     shift = theta + constant
     count = 1 if size is None else size
     draws = np.empty((count, n))
@@ -371,7 +384,7 @@ def rejection_sample_ref(score, vectorized, Q, constant, concentration, rng, tri
         log_env = 0.5 * n * np.log1p(w)
         logu = np.log(rng.random(m))
         if score is None:
-            hits = np.flatnonzero(logu < -w + log_env - log_bound)
+            hits = np.flatnonzero(logu < -0.5 * b * w + log_env - log_bound)
         elif vectorized:
             log_accept = concentration * (score(v) - shift) + log_env - log_bound
             hits = np.flatnonzero(logu < log_accept)

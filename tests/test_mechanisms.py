@@ -8,7 +8,6 @@ from nodedp import (
     RejectionCapExceeded,
     debias_flip,
     edge_flip,
-    gaussian_vec,
     laplace,
     sample_lipschitz_exp,
     sample_sphere_exp,
@@ -22,7 +21,7 @@ from nodedp.mechanisms import (_CHUNK, DEFAULT_TRIAL_CAP, _LIPSCHITZ_BATCH, _env
 from nodedp.rng import spawn
 
 from oracles import (RejectionCapRef, quadrature_masses, rejection_sample_ref,
-                     sphere_envelope_ref, sphere_marginal_tvs, tv_distance)
+                     sphere_marginal_tvs, tv_distance)
 
 
 def random_graph(n, p, seed):
@@ -45,18 +44,6 @@ def test_laplace_mean_and_tail():
     assert abs(np.median(draws)) < 0.05
     with pytest.raises(ValueError):
         laplace(0.0, 0)
-
-
-def test_gaussian_vec():
-    v = gaussian_vec(100_000, 1.0, 0)
-    assert abs(v.var() - 1.0) < 0.02
-    assert np.array_equal(gaussian_vec(10, 0.0, 0), np.zeros(10))
-    # Pairwise decorrelation of coordinates of repeated draws.
-    rng = spawn(53, 0)
-    X = np.stack([gaussian_vec(4, 1.0, rng) for _ in range(100_000)])
-    corr = np.corrcoef(X.T)
-    off = corr[np.triu_indices(4, 1)]
-    assert np.all(np.abs(off) < 0.01)
 
 
 def test_edge_flip_identity_at_infinity():
@@ -206,14 +193,14 @@ def test_rejection_cap():
 
 def _reference_single_draw(M, conc, rng, batch=256):
     # Plain single-draw ACG rejection loop, written out independently of the
-    # library: the reference for how one draw consumes the random stream.
+    # library: the reference for how one draw consumes the random stream. The
+    # envelope is shifted by the top eigenvalue, at the scale b from the trace.
     n = M.shape[0]
-    evals = np.linalg.eigvalsh(M)
-    lmax, lmin = evals[-1], evals[0]
-    Abar = conc * (lmax * np.eye(n) - M)
+    lmax = np.linalg.eigvalsh(M)[-1]
+    b = min(max(n - 2 * conc * (lmax - np.trace(M) / n), 1.0), n)
+    Abar = (2 * conc / b) * (lmax * np.eye(n) - M)
     L = np.linalg.cholesky(np.eye(n) + Abar)
-    wstar = min(max(n / 2.0 - 1.0, 0.0), conc * (lmax - lmin))
-    log_bound = -wstar + 0.5 * n * math.log1p(wstar)
+    log_bound = -(n - b) / 2 + n / 2 * math.log(n / b)
     trials = 0
     while True:
         z = rng.standard_normal((batch, n))
@@ -255,17 +242,27 @@ def eigvalsh_calls(monkeypatch):
     return calls
 
 
-def test_samplers_run_eigvalsh_only_on_the_exact_path(eigvalsh_calls):
+def fail_arpack(*args, **kwargs):
+    raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
+
+
+def test_samplers_run_eigvalsh_only_on_the_exact_path(monkeypatch, eigvalsh_calls):
+    # No concentration has a path of its own: at high and low concentration,
+    # single and batched, neither sampler runs an eigvalsh. When eigsh fails,
+    # each sampler call runs exactly one, and only for theta.
     M = np.diag([2.0, 0.5, -0.5, 0.0])
-    for conc, per_call in [(3.0, 0), (0.1, 1)]:  # Ritz shift; low concentration
+
+    def calls(conc):
         eigvalsh_calls.clear()
         sample_sphere_exp(M, conc, 0)
-        assert len(eigvalsh_calls) == per_call
         sample_lipschitz_exp(lambda v: float(v @ M @ v), M, conc, 0)
-        assert len(eigvalsh_calls) == 2 * per_call
         sample_sphere_exp(M, conc, 0, size=50)
         sample_lipschitz_exp(lambda v: float(v @ M @ v), M, conc, 0, size=50)
-        assert len(eigvalsh_calls) == 4 * per_call
+        return len(eigvalsh_calls)
+
+    assert calls(3.0) == calls(0.1) == 0
+    monkeypatch.setattr(nodedp.mechanisms, "eigsh", fail_arpack)
+    assert calls(3.0) == calls(0.1) == 4
 
 
 def test_batched_draws_shape_norms_and_counts():
@@ -463,12 +460,18 @@ def assert_same_as_reference(M, conc, seed, size, trial_cap=DEFAULT_TRIAL_CAP,
 
 
 def test_chunked_sampler_matches_whole_batch_reference():
-    # Concentrations are multiples of 1 / lmax, picked so that acceptance runs
-    # from about 1% to about 90% (asserted below).
+    # Concentrations are multiples of 1 / lmax. On A^2 of a random graph most
+    # accept nearly every candidate. A five-fold top eigenvalue at x = 30 gets
+    # the trace's scale b = 1, far below Kent et al.'s optimum (about 5), and
+    # accepts about 1%: acceptance runs from there to about 100% (asserted
+    # below).
     ratios = []
-    for n, p, xs in [(3, 0.7, (0.3, 30.0)), (50, 0.1, (0.05, 1.0, 3.0)),
-                     (300, 0.05, (0.05, 0.3, 1.0)), (400, 0.05, (0.05, 0.3, 1.0))]:
-        M, lmax = squared_graph(n, p)
+    cases = [(*squared_graph(n, p), xs) for n, p, xs in [
+        (3, 0.7, (0.3, 30.0)), (50, 0.1, (0.05, 1.0, 3.0)),
+        (300, 0.05, (0.05, 0.3, 1.0)), (400, 0.05, (0.05, 0.3, 1.0))]]
+    cases.append((np.diag(np.r_[np.ones(5), np.zeros(45)]), 1.0, (30.0,)))
+    for M, lmax, xs in cases:
+        n = M.shape[0]
         for x in xs:
             draws = candidates = 0
             for seed, size in enumerate([None, 1, 5]):
@@ -491,14 +494,14 @@ def test_per_vector_score_matches_whole_batch_reference():
 def test_partial_batches_and_caps_match_whole_batch_reference(per_vector):
     # trial_cap < batch makes partial batches: a lone row (1), remainders of
     # one (33, 65, 97) and others (2, 50) of the chunk. Acceptance is about
-    # 9%, so some draws carry over, some batches start mid-draw and some
+    # 14%, so some draws carry over, some batches start mid-draw and some
     # draws exhaust their cap.
     assert _CHUNK == 32
     M, lmax = squared_graph(50, 0.1)
     outcomes = []
     for trial_cap in (1, 2, 33, 50, 65, 97):
         for seed in range(4):
-            counts = assert_same_as_reference(M, 1.0 / lmax, 300 + 10 * trial_cap + seed, 4,
+            counts = assert_same_as_reference(M, 300.0 / lmax, 300 + 10 * trial_cap + seed, 4,
                                               trial_cap=trial_cap, per_vector=per_vector)
             outcomes.append(counts is None)
     assert any(outcomes) and not all(outcomes)
@@ -558,8 +561,9 @@ def test_draw_accepted_in_first_chunk_solves_only_that_chunk(solved_columns):
 
 
 # ---------------------------------------------------------------------------
-# The envelope's contract: a Ritz shift on ordinary inputs, the exact
-# eigvalsh envelope on the rest, the same law either way.
+# The envelope's contract: one formula at every concentration, a Ritz shift
+# and the scale b from the trace, eigvalsh only to supply theta on fallback,
+# and the same law at any shift where Omega is positive definite.
 
 def sbm_squared(n, p, q, seed):
     """A^2 of a two-block SBM graph (blocks of n/2 nodes) and the graph's
@@ -570,6 +574,19 @@ def sbm_squared(n, p, q, seed):
     adj = np.triu((rng.random((n, n)) < probs).astype(np.uint8), 1)
     A = (adj | adj.T).astype(np.float64)
     return A @ A, float(A.sum()) / n
+
+
+def trace_scale(Q, conc, theta):
+    """b = n - 2c (theta - tr Q/n), clipped to [1, n]."""
+    n = Q.shape[0]
+    return min(max(n - 2 * conc * (theta - np.trace(Q) / n), 1.0), n)
+
+
+def assert_law(M, conc, seed):
+    """Criterion 7's marginal check on 100k draws of one sampler call."""
+    draws = sample_sphere_exp(M, conc, spawn(95, seed), size=100_000).v
+    tv_theta, tv_phi = sphere_marginal_tvs(draws, M, conc)
+    assert tv_theta < 0.05 and tv_phi < 0.05
 
 
 @pytest.mark.parametrize("n, p, q", [(300, 0.2, 0.02), (400, 0.3, 0.05)])
@@ -584,17 +601,18 @@ def test_ritz_shift_is_the_top_eigenvalue_without_eigvalsh(eigvalsh_calls, n, p,
     lmaxes = [float(np.linalg.eigvalsh(Q)[-1]) for Q in cases]
     eigvalsh_calls.clear()
     for Q, lmax in zip(cases, lmaxes):
-        theta, _, log_bound = _envelope(Q, 0.2)
+        theta, b, _, log_bound = _envelope(Q, 0.2)
         assert abs(theta - lmax) <= 1e-9 * lmax
-        assert log_bound == -(n / 2 - 1) + n / 2 * math.log1p(n / 2 - 1)
+        assert b == pytest.approx(trace_scale(Q, 0.2, theta), rel=1e-12)
+        assert log_bound == pytest.approx(-(n - b) / 2 + n / 2 * math.log(n / b), rel=1e-12)
     assert eigvalsh_calls == []
 
 
-@pytest.mark.parametrize("offset", [-0.5, 2.0])
+@pytest.mark.parametrize("offset", [-0.25, 2.0])
 def test_law_is_exact_at_an_off_shift(monkeypatch, eigvalsh_calls, offset):
     # Criterion 7's marginal check, same matrices and sample count, with the
-    # Ritz value forced to lmax + offset / c: below lmax (but with Omega still
-    # positive definite) and above it.
+    # Ritz value forced to lmax + offset / c: below lmax (inside the edge
+    # lmax - theta = b/(2c) of positive definiteness, at b = 1) and above it.
     cases = [
         (np.diag([2.0, 0.5, -1.0]), 2.0),
         (np.array([[1.0, 0.8, 0.0], [0.8, -0.5, 0.3], [0.0, 0.3, 0.2]]), 3.0),
@@ -604,28 +622,21 @@ def test_law_is_exact_at_an_off_shift(monkeypatch, eigvalsh_calls, offset):
         monkeypatch.setattr(nodedp.mechanisms, "eigsh",
                             lambda *args, theta=theta, **kwargs: np.array([theta]))
         eigvalsh_calls.clear()
-        assert _envelope(M, conc)[0] == theta
+        assert _envelope(M, conc)[:2] == (theta, 1.0)
         draws = sample_sphere_exp(M, conc, spawn(1007, ci), size=100_000).v
         assert eigvalsh_calls == []
         tv_theta, tv_phi = sphere_marginal_tvs(draws, M, conc)
         assert tv_theta < 0.05 and tv_phi < 0.05
 
 
-def assert_exact_path_draws(M, conc, eigvalsh_calls, size):
-    """One sampler call takes the exact envelope, which is the eigvalsh
-    envelope bit for bit, and draws what the whole-batch reference draws.
-    Returns the draws."""
-    got = _envelope(M, conc)
-    for a, b in zip(got, sphere_envelope_ref(M, conc)):
-        assert np.array_equal(a, b)
-    eigvalsh_calls.clear()
-    s = sample_sphere_exp(M, conc, spawn(95, M.shape[0]), size=size)
-    assert len(eigvalsh_calls) == 1
-    v_ref, counts_ref = rejection_sample_ref(None, True, M, 0.0, conc,
-                                             spawn(95, M.shape[0]), DEFAULT_TRIAL_CAP,
-                                             256, size)
-    assert np.array_equal(s.v, v_ref) and np.array_equal(s.accepted_after, counts_ref)
-    return s.v
+def test_law_at_the_smallest_scale(eigvalsh_calls):
+    # High concentration: b = n - 2c (theta - tr M/n) is clipped to 1.
+    M = np.array([[0.5, -0.4, 0.2], [-0.4, 1.2, 0.3], [0.2, 0.3, -0.7]])
+    theta, b, _, log_bound = _envelope(M, 5.0)
+    assert trace_scale(M, 5.0, theta) == b == 1.0
+    assert log_bound == pytest.approx(-1.0 + 1.5 * math.log(3.0), rel=1e-12)
+    assert_law(M, 5.0, 1)
+    assert eigvalsh_calls == []
 
 
 def test_exact_path_when_the_top_eigenvector_is_orthogonal_to_the_start(monkeypatch,
@@ -633,16 +644,23 @@ def test_exact_path_when_the_top_eigenvector_is_orthogonal_to_the_start(monkeypa
     # The top eigenvector (e0 - e1)/sqrt(2), eigenvalue 4, is orthogonal to
     # ARPACK's all-ones start vector, and every Krylov vector keeps equal
     # entries 0 and 1 exactly, so the Ritz value is the next eigenvalue, 3.
-    # At c = 20, Omega = (1 + 3c) I - c Q is indefinite and its Cholesky fails.
+    # At c = 20, b = 1 and Omega = I + 2c (3 I - Q) is indefinite, so its
+    # Cholesky fails and the one eigvalsh supplies theta = lmax.
     n = 40
     M = np.diag(np.linspace(0.0, 3.0, n))
     M[0, 0] = M[1, 1] = 2.0
     M[0, 1] = M[1, 0] = -2.0
+    lmax = float(np.linalg.eigvalsh(M)[-1])
     ritz = []
     real = nodedp.mechanisms.eigsh
     monkeypatch.setattr(nodedp.mechanisms, "eigsh",
                         lambda *args, **kwargs: ritz.append(real(*args, **kwargs)) or ritz[-1])
-    draws = assert_exact_path_draws(M, 20.0, eigvalsh_calls, size=4000)
+    eigvalsh_calls.clear()
+    assert _envelope(M, 20.0)[:2] == (lmax, trace_scale(M, 20.0, lmax))
+    assert eigvalsh_calls == [(n, n)]
+    eigvalsh_calls.clear()
+    draws = sample_sphere_exp(M, 20.0, spawn(95, n), size=4000).v
+    assert eigvalsh_calls == [(n, n)]
     assert ritz and all(r == pytest.approx([3.0], abs=1e-12) for r in ritz)
     # The same law rotated so that the top eigenvector is e0, which the Ritz
     # shift finds: the squared top coordinate has the same mean.
@@ -656,32 +674,54 @@ def test_exact_path_when_the_top_eigenvector_is_orthogonal_to_the_start(monkeypa
 
 
 def test_exact_path_at_low_concentration(eigvalsh_calls):
-    # c (theta - min_i M_ii) = 0.1 * 3 < n/2 - 1 = 0.5: f(n/2 - 1) would not be
-    # attained, so the exact envelope runs, with its bound f(c (lmax - lmin)).
+    # Low concentration: b = 3 - 0.2 (2 - 0.5) = 2.7 sits near n = 3, with
+    # the Ritz shift and no eigvalsh.
     M = np.diag([2.0, 0.5, -1.0])
-    draws = assert_exact_path_draws(M, 0.1, eigvalsh_calls, size=100_000)
-    tv_theta, tv_phi = sphere_marginal_tvs(draws, M, 0.1)
-    assert tv_theta < 0.05 and tv_phi < 0.05
+    theta, b, _, _ = _envelope(M, 0.1)
+    assert b == pytest.approx(2.7, rel=1e-12) and b == trace_scale(M, 0.1, theta)
+    assert_law(M, 0.1, 3)
+    assert eigvalsh_calls == []
 
 
 def test_exact_path_in_one_dimension(eigvalsh_calls):
-    # The sphere is {-1, 1} and every law on it is uniform.
-    draws = assert_exact_path_draws(np.array([[2.0]]), 5.0, eigvalsh_calls, size=4000)
+    # The sphere is {-1, 1} and every law on it is uniform. eigsh does not
+    # run at n = 1; the one eigvalsh supplies theta, and b = 1, Omega = 1.
+    M = np.array([[2.0]])
+    theta, b, L, log_bound = _envelope(M, 5.0)
+    assert (theta, b, log_bound) == (2.0, 1.0, 0.0) and np.array_equal(L, np.ones((1, 1)))
+    eigvalsh_calls.clear()
+    draws = sample_sphere_exp(M, 5.0, spawn(95, 1), size=4000).v
+    assert eigvalsh_calls == [(1, 1)]
     assert np.array_equal(np.abs(draws), np.ones((4000, 1)))
     assert abs(draws.mean()) < 4.0 / math.sqrt(4000)
 
 
 def test_exact_path_when_arpack_does_not_converge(monkeypatch, eigvalsh_calls):
-    def fail(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
+    # The one eigvalsh supplies theta = lmax, which goes through the same
+    # formula.
+    monkeypatch.setattr(nodedp.mechanisms, "eigsh", fail_arpack)
+    M = np.diag([2.0, 0.5, -1.0])
+    assert _envelope(M, 2.0)[:2] == (2.0, 1.0)
+    eigvalsh_calls.clear()
+    assert_law(M, 2.0, 2)
+    assert eigvalsh_calls == [(3, 3)]
 
-    monkeypatch.setattr(nodedp.mechanisms, "eigsh", fail)
-    assert_exact_path_draws(np.diag([2.0, 0.5, -1.0]), 2.0, eigvalsh_calls, size=50)
+
+def test_low_concentration_recentred_sbm_draws_in_bounded_time():
+    # A recentred n=200 SBM A^2 at the concentration that a wrapped private
+    # PCA hands its base (D = 3 d). An envelope fixed at scale b = 2 accepts
+    # about 1e-8 of its candidates here; the trace's b accepts nearly all.
+    n = 200
+    A2, avg_deg = sbm_squared(n, 0.5, 0.1, 11)
+    Q = A2 - (avg_deg**2 / n) * np.ones((n, n))
+    s = sample_sphere_exp(Q, 0.0077, spawn(99, 0), trial_cap=10_000, size=200)
+    assert s.v.shape == (200, n)
+    assert s.accepted_after.sum() < 2 * 200
 
 
 def test_ritz_shift_in_two_dimensions(eigvalsh_calls):
-    # n/2 - 1 = 0: the bound f(0) = 0 holds at any shift. On the circle
-    # v = (cos phi, sin phi) the law's phi marginal is exp(c v'Mv) on [0, 2 pi).
+    # On the circle v = (cos phi, sin phi) the law's phi marginal is
+    # exp(c v'Mv) on [0, 2 pi).
     M = np.array([[1.0, 0.7], [0.7, -0.4]])
     conc = 3.0
     draws = sample_sphere_exp(M, conc, spawn(97, 0), size=40_000).v
@@ -699,8 +739,8 @@ def test_ritz_shift_in_two_dimensions(eigvalsh_calls):
 def test_zero_concentration_needs_no_spectrum(monkeypatch, eigvalsh_calls):
     monkeypatch.setattr(nodedp.mechanisms, "eigsh", None)  # any call would raise
     M = np.diag([1.0, 2.0, 3.0, 4.0])
-    theta, L, log_bound = _envelope(M, 0.0)
-    assert (theta, log_bound) == (0.0, 0.0) and np.array_equal(L, np.eye(4))
+    theta, b, L, log_bound = _envelope(M, 0.0)
+    assert (theta, b, log_bound) == (0.0, 4.0, 0.0) and np.array_equal(L, np.eye(4))
     s = sample_sphere_exp(M, 0.0, 0, size=20)
     assert np.array_equal(s.accepted_after, np.ones(20))
     assert eigvalsh_calls == []
