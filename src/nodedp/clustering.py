@@ -1,5 +1,6 @@
-"""Dense symmetric eigendecomposition, spectral embeddings, and approximate
-k-means (k-means++ seeding plus Lloyd iterations, best of several restarts).
+"""Partial symmetric eigendecomposition (ARPACK, with a dense branch),
+spectral embeddings, and approximate k-means (k-means++ seeding plus Lloyd
+iterations, best of several restarts).
 
 The (1 + gamma) approximation factor of the abstract clustering step is
 treated as a heuristic: multi-restart k-means++ stands in for a certified
@@ -9,24 +10,49 @@ solver, and acceptance tests absorb the variability over seeds.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graphs import LabelAssignment, is_symmetric
 from .rng import SeedLike, as_generator
 
 
+# Every eigsh call, here and in mechanisms, draws its random vectors from this
+# fixed seed, never from the caller's stream or np.random's. sym_eigs starts
+# from such a vector. mechanisms._envelope starts from the all-ones vector
+# instead, which overlaps the Perron vector of an entrywise nonnegative A^2; a
+# Krylov space grown from it never leaves the vectors that the symmetries of
+# the matrix fix, so a top eigenvector outside them (e0 - e1 when rows 0 and 1
+# mirror each other) goes unseen, which only slows the sampler down.
+ARPACK_SEED = 0
+
+
 def sym_eigs(M: np.ndarray, k: int, by_abs: bool = True):
     """Top-k eigenpairs of a symmetric matrix, sorted by |lambda| (or by
-    lambda when by_abs is False), largest first."""
+    lambda when by_abs is False), largest first.
+
+    The pairs come from ARPACK's implicitly restarted Lanczos (eigsh, to
+    machine precision) started from a vector drawn from ARPACK_SEED, so two
+    calls agree bit for bit. A full dense eigh runs instead at k = n, which
+    ARPACK cannot solve, and when eigsh raises (a zero matrix, say, or no
+    convergence).
+    """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
     if not is_symmetric(M, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
         raise ValueError("M must be symmetric")
-    vals, vecs = np.linalg.eigh(M)
-    order = np.argsort(-np.abs(vals)) if by_abs else np.argsort(-vals)
-    sel = order[:k]
-    return vals[sel], vecs[:, sel]
+
+    def top(vals, vecs):
+        sel = (np.argsort(-np.abs(vals)) if by_abs else np.argsort(-vals))[:k]
+        return vals[sel], vecs[:, sel]
+
+    if k < n:
+        try:
+            return top(*eigsh(M, k, which="LM" if by_abs else "LA", rng=ARPACK_SEED))
+        except ArpackError:
+            pass
+    return top(*np.linalg.eigh(M))
 
 
 def _sq_dist(pT, centers):

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.sparse.linalg import ArpackError, eigsh
 
+from .clustering import ARPACK_SEED
 from .graphs import Graph, is_symmetric
 from .rng import SeedLike, as_generator
 
@@ -44,11 +45,9 @@ class RejectionCapExceeded(RuntimeError):
 DEFAULT_TRIAL_CAP = 10_000_000
 _LIPSCHITZ_BATCH = 64  # candidates per batch in sample_lipschitz_exp
 _CHUNK = 32  # candidates solved and scored at a time within a batch
-# eigsh starts from the all-ones vector, which overlaps the Perron vector of an
-# entrywise nonnegative A^2, and draws any restart vector from a fixed seed,
-# never from the caller's stream. It converges in one iteration on the shipped
-# configs; five failed ones cost less than an eigvalsh at n = 300 and 400.
-_RITZ_SEED = 0
+# _envelope's eigsh (started as clustering.ARPACK_SEED says) converges in one
+# iteration on the shipped configs; five failed ones cost less than an eigvalsh
+# at n = 300 and 400.
 _RITZ_MAXITER = 5
 
 
@@ -142,7 +141,7 @@ def _envelope(Q: np.ndarray, concentration: float):
     if n >= 2:
         try:
             return at(float(eigsh(Q, k=1, which="LA", v0=np.ones(n), maxiter=_RITZ_MAXITER,
-                                  rng=_RITZ_SEED, return_eigenvectors=False)[0]))
+                                  rng=ARPACK_SEED, return_eigenvectors=False)[0]))
         except (ArpackError, LinAlgError):
             pass
     return at(float(np.linalg.eigvalsh(Q)[-1]))

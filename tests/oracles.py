@@ -3,10 +3,10 @@
 Everything here is deliberately written from scratch against the definitions,
 not by calling the package: brute-force loss enumeration, a dense-tableau
 simplex solver and a vertex-enumeration LP oracle, LP rows one at a time and
-a text dump of an LP, a shifted power-iteration eigensolver, sequential
-k-means restarts, exact minimum vertex cover (for node distance), sphere
-quadrature helpers, and the sphere rejection sampler as it was before it
-worked chunk by chunk.
+a text dump of an LP, a shifted power-iteration eigensolver, top-k
+eigenpairs from a full dense eigh, sequential k-means restarts, exact minimum
+vertex cover (for node distance), sphere quadrature helpers, and the sphere
+rejection sampler as it was before it worked chunk by chunk.
 """
 
 from __future__ import annotations
@@ -195,6 +195,14 @@ def power_iteration_eigs(M, k, iters=20000, tol=1e-13, seed=0):
         vals.append(lam)
         vecs.append(v)
     return np.array(vals), np.column_stack(vecs)
+
+
+def sym_eigs_ref(M, k, by_abs=True):
+    """Top-k eigenpairs of a symmetric M from a full dense eigh, sorted by
+    |lambda| (or by lambda when by_abs is False), largest first."""
+    vals, vecs = np.linalg.eigh(np.asarray(M, float))
+    sel = np.argsort(-np.abs(vals) if by_abs else -vals)[:k]
+    return vals[sel], vecs[:, sel]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
+import nodedp.clustering
 from nodedp import (
     LabelAssignment,
     SbmParams,
     approx_kmeans,
+    debias_flip,
+    edge_flip,
     loss_overall,
     sample_sbm,
     spectral_cluster,
     sym_eigs,
 )
-from nodedp.clustering import _kmeans_pp_init, _lloyd_restarts
+from nodedp.clustering import ARPACK_SEED, _kmeans_pp_init, _lloyd_restarts
 from nodedp.rng import spawn
 
 from oracles import (
@@ -18,14 +24,17 @@ from oracles import (
     kmeans_pp_init_ref,
     lloyd_ref,
     power_iteration_eigs,
+    sym_eigs_ref,
 )
 
 
 def test_sym_eigs_diag_by_abs():
+    # ARPACK's Ritz values sit within a few ulps of the diagonal, in order.
     vals, vecs = sym_eigs(np.diag([3.0, -5.0, 1.0]), 2, by_abs=True)
-    assert sorted(vals.tolist()) == [-5.0, 3.0]
+    assert vals.tolist() == pytest.approx([-5.0, 3.0], rel=1e-14)
+    assert np.abs(vecs) == pytest.approx(np.eye(3)[:, [1, 0]], abs=1e-14)
     vals2, _ = sym_eigs(np.diag([3.0, -5.0, 1.0]), 2, by_abs=False)
-    assert vals2.tolist() == [3.0, 1.0]
+    assert vals2.tolist() == pytest.approx([3.0, 1.0], rel=1e-14)
 
 
 def test_sym_eigs_identity():
@@ -54,6 +63,103 @@ def test_sym_eigs_guards():
         sym_eigs(np.eye(3), 4)
     with pytest.raises(ValueError):
         sym_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+
+
+def _assert_matches_eigh(M, k, by_abs=True):
+    """sym_eigs against the full-eigh oracle, issuing no RuntimeWarning:
+    eigenvalues to 1e-10 relative and |<v, v_ref>| >= 1 - 1e-10."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, vecs = sym_eigs(M, k, by_abs=by_abs)
+    ref_vals, ref_vecs = sym_eigs_ref(M, k, by_abs)
+    assert np.all(np.abs(vals - ref_vals) <= 1e-10 * np.abs(ref_vals))
+    assert np.all(np.abs(np.sum(vecs * ref_vecs, axis=0)) >= 1.0 - 1e-10)
+    return vals, vecs
+
+
+def test_sym_eigs_near_degenerate_edge_flip_matrix():
+    # At flip eps = 0.3 the debiased noise swamps the two-block signal: the top
+    # |lambda| are bulk-edge eigenvalues a few percent apart.
+    params = SbmParams(n=400, k=2, B=np.array([[0.3, 0.05], [0.05, 0.3]]))
+    flipped = edge_flip(sample_sbm(params, spawn(211, 0)), 0.3, spawn(211, 1))
+    M = debias_flip(flipped.as_float(), 0.3)
+    top = np.sort(np.abs(np.linalg.eigvalsh(M)))[::-1][:4]
+    assert top[3] > 0.95 * top[0]
+    _assert_matches_eigh(M, 2)
+
+
+def test_sym_eigs_recentred_two_community_matrix():
+    n = 300
+    params = SbmParams(n=n, k=2, B=np.array([[0.62, 0.1], [0.1, 0.62]]))
+    A = sample_sbm(params, spawn(212, 0)).as_float()
+    Y = (2.0 / (n * 0.52)) * (A - (0.72 / n) * np.ones((n, n)))
+    for by_abs in (False, True):
+        _assert_matches_eigh(Y, 1, by_abs)
+
+
+def test_sym_eigs_top_vector_orthogonal_to_ones():
+    # Rows 0 and 1 mirror each other, so the top eigenvector (e0 - e1)/sqrt(2),
+    # eigenvalue 4, is orthogonal to every vector with equal entries 0 and 1,
+    # and a Krylov space grown from the all-ones vector holds only such
+    # vectors: started there, eigsh returns the next eigenvalue, 3.
+    n = 40
+    M = np.diag(np.linspace(0.0, 3.0, n))
+    M[0, 0] = M[1, 1] = 2.0
+    M[0, 1] = M[1, 0] = -2.0
+    assert eigsh(M, 1, which="LA", v0=np.ones(n), rng=ARPACK_SEED)[0] == pytest.approx([3.0])
+    for k in (1, 2):
+        for by_abs in (False, True):
+            vals, vecs = _assert_matches_eigh(M, k, by_abs)
+            assert vals[0] == pytest.approx(4.0)
+            assert abs(vecs[0, 0] + vecs[1, 0]) < 1e-12
+
+
+def test_sym_eigs_zero_matrix_takes_the_dense_branch():
+    # eigsh raises ARPACK error -9 (its start vector maps to zero).
+    with pytest.raises(ArpackError):
+        eigsh(np.zeros((6, 6)), 2, rng=ARPACK_SEED)
+    for by_abs in (False, True):
+        got, ref = sym_eigs(np.zeros((6, 6)), 2, by_abs), sym_eigs_ref(np.zeros((6, 6)), 2, by_abs)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_sym_eigs_dense_branch_only_at_k_equal_n(monkeypatch):
+    rng = spawn(213, 0)
+    Q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    M = (Q * np.arange(1.0, 13.0)) @ Q.T
+    M = (M + M.T) / 2.0
+    calls = []
+    monkeypatch.setattr(nodedp.clustering, "eigsh",
+                        lambda *args, **kwargs: calls.append(args[1]) or eigsh(*args, **kwargs))
+    got = _assert_matches_eigh(M, 12)
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(got, sym_eigs_ref(M, 12)))
+    _assert_matches_eigh(M, 11)
+    assert calls == [11]
+
+
+def test_sym_eigs_falls_back_to_eigh_without_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(nodedp.clustering, "eigsh", fail)
+    M = sample_sbm(SbmParams(n=60, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]])),
+                   spawn(214, 0)).as_float()
+    for by_abs in (False, True):
+        got, ref = sym_eigs(M, 2, by_abs), sym_eigs_ref(M, 2, by_abs)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_sym_eigs_is_deterministic_and_leaves_global_state_alone():
+    M = sample_sbm(SbmParams(n=200, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]])),
+                   spawn(215, 0)).as_float()
+    before = np.random.get_state()
+    first = sym_eigs(M, 2)
+    second = sym_eigs(M, 2)
+    after = np.random.get_state()
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
 
 
 def test_kmeans_exact_on_k_distinct_rows():
