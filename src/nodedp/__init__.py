@@ -74,7 +74,7 @@ from .mechanisms import (
     sample_lipschitz_exp,
     sample_sphere_exp,
 )
-from .metrics import LossReport, align, loss_overall, loss_report, loss_worst_case, relabel
+from .metrics import align, loss_overall, loss_worst_case, relabel
 from .truncation import (
     TruncationCertificate,
     degree_truncate,

@@ -7,7 +7,6 @@ them) so that a pipeline's budget chain can be audited and serialized.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -39,9 +38,6 @@ class PrivacyBudget:
             d["eps"] = self.eps
             d["delta"] = self.delta
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def pure_dp(eps: float, note: str = "") -> PrivacyBudget:

@@ -2,9 +2,8 @@
 spectral embeddings, and approximate k-means (k-means++ seeding plus Lloyd
 iterations, best of several restarts).
 
-The (1 + gamma) approximation factor of the abstract clustering step is
-treated as a heuristic: multi-restart k-means++ stands in for a certified
-solver, and acceptance tests absorb the variability over seeds.
+Multi-restart k-means++ stands in for the paper's (1 + gamma)-approximate
+k-means solver; its guarantee here is empirical.
 """
 
 from __future__ import annotations
@@ -144,16 +143,14 @@ def _lloyd_restarts(points, centers, max_iter=100):
 def approx_kmeans(
     points: np.ndarray,
     k: int,
-    gamma: float = 1.0,
     restarts: int = 20,
     seed: SeedLike = 0,
 ):
     """Best of `restarts` k-means++-seeded Lloyd runs.
 
     Returns (membership, centers, cost) where cost is the squared Frobenius
-    objective. gamma is the nominal approximation slack; it is recorded by
-    callers but the guarantee here is empirical. Non-finite points raise
-    ValueError before anything is drawn from `seed`.
+    objective. Non-finite points raise ValueError before anything is drawn
+    from `seed`.
 
     The seedings draw from the stream one restart after another; the Lloyd
     runs then go together. The first restart of cost 0 ends the search: the
@@ -169,8 +166,6 @@ def approx_kmeans(
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError("k must not exceed the number of points")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rng = as_generator(seed)
@@ -185,15 +180,9 @@ def approx_kmeans(
     return LabelAssignment(labels[best], k), centers[best], float(costs[best])
 
 
-def spectral_cluster(
-    M: np.ndarray,
-    k: int,
-    gamma: float = 1.0,
-    seed: SeedLike = 0,
-    restarts: int = 20,
-) -> LabelAssignment:
+def spectral_cluster(M: np.ndarray, k: int, seed: SeedLike = 0) -> LabelAssignment:
     """Cluster the rows of the top-k (by absolute eigenvalue) eigenvector
     matrix of M with approximate k-means."""
     _, vecs = sym_eigs(M, k, by_abs=True)
-    labels, _, _ = approx_kmeans(vecs, k, gamma=gamma, restarts=restarts, seed=seed)
+    labels, _, _ = approx_kmeans(vecs, k, seed=seed)
     return labels

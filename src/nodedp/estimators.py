@@ -94,7 +94,6 @@ def ef_spectral(
     g: Graph,
     k: int,
     eps: float,
-    gamma: float = 1.0,
     seed: SeedLike = 0,
     noise_off: bool = False,
 ) -> EstimatorOutput:
@@ -110,7 +109,7 @@ def ef_spectral(
     flipped = _edge_flip(g, eps_eff, rng)
     debiased = _debias_flip(flipped.as_float(), eps_eff)
     _, vecs = sym_eigs(debiased, k, by_abs=True)
-    labels, _, cost = approx_kmeans(vecs, k, gamma=gamma, seed=rng)
+    labels, _, cost = approx_kmeans(vecs, k, seed=rng)
     return EstimatorOutput(
         labels=labels,
         budget=[acc.pure_dp(eps, "edge-flip randomized response (edge level)")],
@@ -126,7 +125,6 @@ def private_pca_lipschitz(
     g: Graph,
     D: float,
     eps: float,
-    gamma: float = 1.0,
     seed: SeedLike = 0,
     noise_off: bool = False,
 ) -> EstimatorOutput:
@@ -166,7 +164,7 @@ def private_pca_lipschitz(
         norm = math.sqrt(2.0)
     u2 = centered / norm
     U = np.column_stack([np.full(n, 1.0 / math.sqrt(n)), u2])
-    labels, _, cost = approx_kmeans(U, 2, gamma=gamma, seed=rng)
+    labels, _, cost = approx_kmeans(U, 2, seed=rng)
     diagnostics["kmeans_cost"] = cost
     return EstimatorOutput(
         labels=labels,
@@ -248,7 +246,6 @@ def eigvec_deflation_cluster(
     D: float,
     eps: float,
     use_lipschitz: bool = False,
-    gamma: float = 1.0,
     seed: SeedLike = 0,
     noise_off: bool = False,
 ) -> EstimatorOutput:
@@ -259,7 +256,7 @@ def eigvec_deflation_cluster(
         g, k, D, eps, use_lipschitz, rng, noise_off=noise_off, diagnostics=diag
     )
     U = np.column_stack(vectors)
-    labels, _, cost = approx_kmeans(U, k, gamma=gamma, seed=rng)
+    labels, _, cost = approx_kmeans(U, k, seed=rng)
     diag["kmeans_cost"] = cost
     scope = "node level" if use_lipschitz else "bounded-degree node level"
     return EstimatorOutput(
@@ -271,6 +268,11 @@ def eigvec_deflation_cluster(
 
 # ---------------------------------------------------------------------------
 # Two-community convex optimization
+
+
+# two_community_convex's Dykstra stopping rule: step norm <= tol within max_iter.
+_DYKSTRA_TOL = 1e-8
+_DYKSTRA_MAX_ITER = 5000
 
 
 def _dykstra_psd_diag(Y: np.ndarray, diag_value: float, tol: float, max_iter: int):
@@ -308,9 +310,6 @@ def two_community_convex(
     delta: float,
     seed: SeedLike = 0,
     noise_off: bool = False,
-    gamma: float = 1.0,
-    tol: float = 1e-8,
-    max_iter: int = 5000,
 ) -> EstimatorOutput:
     """Two-community recovery by projecting the rescaled adjacency matrix onto
     {X PSD, X_ii = 1/n} and reading off the sign of the leading eigenvector of
@@ -333,10 +332,10 @@ def two_community_convex(
     def project():
         A = g.as_float()
         Y = (2.0 / (n * (B11 - B12))) * (A - ((B11 + B12) / n) * np.ones((n, n)))
-        return _dykstra_psd_diag(Y, 1.0 / n, tol, max_iter)
+        return _dykstra_psd_diag(Y, 1.0 / n, _DYKSTRA_TOL, _DYKSTRA_MAX_ITER)
 
     # The projection does not depend on eps: one solve per graph.
-    Xhat, iters, resid = memo(g, ("dykstra", B11, B12, tol, max_iter), project)
+    Xhat, iters, resid = memo(g, ("dykstra", B11, B12), project)
     if noise_off:
         noisy = Xhat
     else:
@@ -367,7 +366,6 @@ def matrix_estimation(
     k: int,
     eps: float,
     delta: float,
-    gamma: float = 1.0,
     seed: SeedLike = 0,
     L: int | None = None,
     noise_off: bool = False,
@@ -401,7 +399,7 @@ def matrix_estimation(
     # Ahat's left singular vectors are X_prev times those of the p x p factor R.T.
     W, _, _ = np.linalg.svd(R.T)
     Uk = X_prev @ W[:, :k]
-    labels, _, cost = approx_kmeans(Uk, k, gamma=gamma, seed=rng)
+    labels, _, cost = approx_kmeans(Uk, k, seed=rng)
     rho = 0.0 if noise_off else eps * eps / (4.0 * math.log(1.0 / delta))
     return EstimatorOutput(
         labels=labels,
@@ -416,7 +414,6 @@ def matrix_estimation(
 
 def good_center(
     points: np.ndarray,
-    theta0,
     R_max: float,
     r_min: float,
     zeta: float,
@@ -436,7 +433,7 @@ def good_center(
     if pts.ndim != 2:
         raise ValueError("points must be a (t, n) array")
     t, n = pts.shape
-    theta = np.zeros(n) + np.asarray(theta0, dtype=np.float64)
+    theta = np.zeros(n)
     if not (0.0 < zeta < 1.0):
         raise ValueError("zeta must lie in (0, 1)")
     if rho <= 0:
@@ -480,11 +477,8 @@ def subspace_estimation(
     zeta: float = 0.1,
     seed: SeedLike = 0,
     noise_off: bool = False,
-    gamma: float = 1.0,
     C1: float = 1.0,
     Cprime: float = 3.0,
-    r_mult: float = 1.0,
-    beta0: float = 0.9,
 ) -> EstimatorOutput:
     """Private approximate subspace estimation with per-chunk projections,
     GoodCenter aggregation of projected Gaussian reference points, and a final
@@ -514,8 +508,8 @@ def subspace_estimation(
         if eps <= 0:
             raise ValueError("eps must be positive")
         t_real = C1 * math.sqrt(n * logn * log1d) / eps
-        if not (2.0 <= t_real <= n**beta0):
-            lo = C1 * math.sqrt(n * logn * log1d) / (n**beta0)
+        if not (2.0 <= t_real <= n**0.9):
+            lo = C1 * math.sqrt(n * logn * log1d) / (n**0.9)
             hi = C1 * math.sqrt(n * logn * log1d) / 2.0
             raise AssumptionViolation(
                 f"chunk-count assumption violated: eps={eps:g} admissible range "
@@ -544,7 +538,7 @@ def subspace_estimation(
 
     Z = rng.standard_normal((n, q))
     grid_half = R_max / math.sqrt(n)
-    r = r_mult * (
+    r = (
         math.sqrt(logn) / (n**2 * math.sqrt(n))
         + (log1d**0.25 / (logn**2.5 * math.sqrt(eps)) + math.sqrt(log1d) / (logn**5 * eps))
         * logn
@@ -557,7 +551,7 @@ def subspace_estimation(
         proj = np.stack([Vj @ (Vj.T @ Z[:, i]) for Vj in bases])  # (t, n)
         snapped = np.clip(np.round(proj / r_min) * r_min, -grid_half, grid_half)
         center, _ = good_center(
-            snapped, 0.0, R_max, r_min / 2.0, zeta / q,
+            snapped, R_max, r_min / 2.0, zeta / q,
             1.0 if noise_off else rho, rng, noise_off=noise_off,
         )
         if noise_off:
@@ -575,7 +569,7 @@ def subspace_estimation(
     Zhat = np.column_stack(zhat_cols)
     U, _, _ = np.linalg.svd(Zhat, full_matrices=False)
     Uk = U[:, :k]
-    labels, _, cost = approx_kmeans(Uk, k, gamma=gamma, seed=rng)
+    labels, _, cost = approx_kmeans(Uk, k, seed=rng)
     rho_total = 0.0 if noise_off else 2.0 * q * rho
     return EstimatorOutput(
         labels=labels,
@@ -626,7 +620,6 @@ def reduce_to_node_private(
     delta2: float,
     seed: SeedLike = 0,
     noise_off: bool = False,
-    force_Lhat: float | None = None,
 ) -> EstimatorOutput:
     """Compose degree truncation with a bounded-degree-private estimator.
 
@@ -639,8 +632,7 @@ def reduce_to_node_private(
     """
     rng = as_generator(seed)
     cert = truncate_with_certificate(g, D, eps1, delta1, rng, noise_off=noise_off)
-    truncated, d_T = cert.truncated, cert.d_T
-    L_hat = cert.L_hat if force_Lhat is None else float(force_Lhat)
+    truncated, d_T, L_hat = cert.truncated, cert.d_T, cert.L_hat
     eps2p, delta2p = acc.reduction_budgets(eps2, delta2, L_hat)
     out = base.run(truncated, eps2p, delta2p, rng, noise_off=noise_off)
     if base.privacy_form == "pure":

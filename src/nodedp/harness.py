@@ -29,8 +29,14 @@ from .boosting import BoostConfig, graph_boost
 from .estimators import BoundedDegreeEstimator, reduce_to_node_private
 from .graphs import SbmParams, WeightModel, sample_sbm, sample_weighted_sbm
 from .metrics import loss_overall, loss_worst_case
-from .registry import PIPELINES, make_bounded_base, run_pipeline
+from .registry import PIPELINES, check_params, make_bounded_base, run_pipeline
 from .rng import spawn
+
+# wrapper.D_rule mode -> (value, average degree d) -> D
+_D_RULES = {
+    "absolute": lambda value, d: int(value),
+    "multiple_of_d": lambda value, d: int(math.ceil(float(value) * d)),
+}
 
 RECORD_COLUMNS = [
     "scenario", "estimator", "grid_index", "eps", "delta", "D", "seed",
@@ -56,6 +62,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimator id {self.estimator.get('id')!r}")
         if not self.eps_grid or not self.delta_grid or not self.seeds:
             raise ValueError("eps_grid, delta_grid, and seeds must be non-empty")
+        check_params(self.estimator["id"], self.estimator.get("params", {}))
+        rule = self._D_rule()
+        if self.wrapper is not None and (rule.get("mode") not in _D_RULES or "value" not in rule):
+            raise ValueError(f"invalid D rule {rule!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -72,13 +82,12 @@ class ExperimentConfig:
         return SbmParams(n=int(s["n"]), k=int(s["k"]),
                          B=np.asarray(s["B"], dtype=float), weight_model=wm)
 
+    def _D_rule(self) -> dict:
+        return (self.wrapper or {}).get("D_rule", {"mode": "multiple_of_d", "value": 3.0})
+
     def resolve_D(self, params: SbmParams) -> int:
-        rule = (self.wrapper or {}).get("D_rule", {"mode": "multiple_of_d", "value": 3.0})
-        if rule["mode"] == "absolute":
-            return int(rule["value"])
-        if rule["mode"] == "multiple_of_d":
-            return int(math.ceil(float(rule["value"]) * params.d))
-        raise ValueError(f"unknown D rule {rule!r}")
+        rule = self._D_rule()
+        return _D_RULES[rule["mode"]](rule["value"], params.d)
 
 
 @dataclass

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.sparse.linalg import ArpackError, eigsh
 
+from .accounting import exp_capped
 from .clustering import ARPACK_SEED
 from .graphs import Graph, is_symmetric
 from .rng import SeedLike, as_generator
@@ -66,7 +67,8 @@ def edge_flip(g: Graph, eps: float, seed: SeedLike) -> Graph:
 
     Each upper-triangular entry is independently flipped with probability
     1/(1 + e^eps) and kept with probability e^eps/(1 + e^eps); the result is
-    symmetrized. eps = inf returns the input unchanged. Satisfies
+    symmetrized. e^eps saturates to inf above eps = 700 (exp_capped), where
+    nothing flips; eps = inf returns the input unchanged. Satisfies
     (eps, 0)-edge DP.
     """
     if eps < 0:
@@ -75,7 +77,7 @@ def edge_flip(g: Graph, eps: float, seed: SeedLike) -> Graph:
         return g
     rng = as_generator(seed)
     n = g.n
-    p_flip = 1.0 / (1.0 + math.exp(eps))
+    p_flip = 1.0 / (1.0 + exp_capped(eps))
     flips = np.triu(rng.random((n, n)) < p_flip, k=1)
     upper = np.triu(g.adj, k=1) ^ flips
     return Graph(n, (upper | upper.T).astype(np.uint8))
@@ -90,7 +92,7 @@ def debias_flip(m: np.ndarray, eps: float) -> np.ndarray:
     if math.isinf(eps):
         return m.copy()
     n = m.shape[0]
-    return m - (np.ones((n, n)) - np.eye(n)) / (math.exp(eps) + 1.0)
+    return m - (np.ones((n, n)) - np.eye(n)) / (exp_capped(eps) + 1.0)
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,12 @@ small (guard at k <= 8), so exhaustive enumeration is exact and fast.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import LabelAssignment
 
 _MAX_K = 8
-
-
-@dataclass(frozen=True)
-class LossReport:
-    overall: float
-    worst_case: float
-    best_permutation: tuple[int, ...]
 
 
 def _check_pair(theta_hat: LabelAssignment, theta: LabelAssignment) -> int:
@@ -90,11 +82,3 @@ def align(theta_a: LabelAssignment, theta_b: LabelAssignment) -> tuple[int, ...]
 def relabel(theta: LabelAssignment, sigma: tuple[int, ...]) -> LabelAssignment:
     """Apply a label permutation: new label = sigma[old label]."""
     return LabelAssignment(np.asarray(sigma)[theta.labels], theta.k)
-
-
-def loss_report(theta_hat: LabelAssignment, theta: LabelAssignment) -> LossReport:
-    return LossReport(
-        overall=loss_overall(theta_hat, theta),
-        worst_case=loss_worst_case(theta_hat, theta),
-        best_permutation=align(theta_hat, theta),
-    )

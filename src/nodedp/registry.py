@@ -36,12 +36,15 @@ class Pipeline:
     divisor: Callable  # (k, D) -> node-level eps / mechanism eps
     weighted: bool  # samples a WeightedGraph when the SBM has a weight model
     call: Callable  # (graph, p, kw) -> EstimatorOutput; p holds k, eps, delta and D
+    options: tuple = ()  # keys of p passed on to the estimator as keywords, when present
+
+
+# Parameters every pipeline accepts; anything else must be one of its options.
+_COMMON_PARAMS = frozenset({"k", "B", "D", "eps", "delta"})
 
 
 def _n_scaled_pair(graph, params):
     """(B11, B12) in the n-scaled convention (n times the edge probabilities)."""
-    if "B11" in params and "B12" in params:
-        return float(params["B11"]), float(params["B12"])
     B = np.asarray(params["B"], dtype=float)
     return graph.n * float(B[0, 0]), graph.n * float(B[0, 1])
 
@@ -54,29 +57,34 @@ PIPELINES = {
     "pca_lipschitz": Pipeline("pure", lambda k, D: 2.0, False, lambda g, p, kw: (
         private_pca_lipschitz(g, p["D"], p["eps"], **kw))),
     "eig_deflation": Pipeline("pure", lambda k, D: 2.0 * k, False, lambda g, p, kw: (
-        eigvec_deflation_cluster(g, p["k"], p["D"], p["eps"],
-                                 use_lipschitz=bool(p.get("use_lipschitz", False)), **kw))),
+        eigvec_deflation_cluster(g, p["k"], p["D"], p["eps"], **kw)),
+        options=("use_lipschitz",)),
     "two_community": Pipeline("approx", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
-        two_community_convex(g, *_n_scaled_pair(g, p), p["eps"], p["delta"],
-                             tol=float(p.get("tol", 1e-8)),
-                             max_iter=int(p.get("max_iter", 5000)), **kw))),
+        two_community_convex(g, *_n_scaled_pair(g, p), p["eps"], p["delta"], **kw))),
     "matrix_estimation": Pipeline("approx", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
-        matrix_estimation(g, p["k"], p["eps"], p["delta"], L=p.get("L"), **kw))),
+        matrix_estimation(g, p["k"], p["eps"], p["delta"], **kw)), options=("L",)),
     "subspace_estimation": Pipeline("approx", lambda k, D: 5.0 * D, True, lambda g, p, kw: (
-        subspace_estimation(g, p["k"], p["eps"], p["delta"], zeta=float(p.get("zeta", 0.1)),
-                            C1=float(p.get("C1", 1.0)), Cprime=float(p.get("Cprime", 3.0)),
-                            r_mult=float(p.get("r_mult", 1.0)), **kw))),
+        subspace_estimation(g, p["k"], p["eps"], p["delta"], **kw)),
+        options=("zeta", "C1", "Cprime")),
 }
 
 
+def check_params(estimator_id, params) -> None:
+    """Raise ValueError for a parameter that the pipeline would not read."""
+    unknown = set(params) - _COMMON_PARAMS - set(PIPELINES[estimator_id].options)
+    if unknown:
+        raise ValueError(f"unknown {estimator_id} parameter(s): {', '.join(sorted(unknown))}")
+
+
 def _call(entry, graph, p, seed, noise_off) -> EstimatorOutput:
-    kw = {"gamma": float(p.get("gamma", 1.0)), "seed": seed, "noise_off": noise_off}
-    return entry.call(graph, p, kw)
+    kw = {key: p[key] for key in entry.options if key in p}
+    return entry.call(graph, p, dict(kw, seed=seed, noise_off=noise_off))
 
 
 def run_pipeline(estimator_id, graph, params, seed, noise_off=False) -> EstimatorOutput:
     """Run one pipeline directly with explicit mechanism-level parameters."""
     entry, p = PIPELINES[estimator_id], dict(params)
+    check_params(estimator_id, p)
     p.update(k=int(p.get("k", 2)), eps=float(p.get("eps", 1.0)),
              delta=float(p.get("delta", 1e-6)))
     if "D" in p:
@@ -88,6 +96,7 @@ def make_bounded_base(estimator_id, k, D, params) -> BoundedDegreeEstimator:
     """Adapter: (eps, delta) interpreted as a node-DP budget on max degree
     <= 2D graphs, converted to the mechanism's own parameter."""
     entry, params = PIPELINES[estimator_id], dict(params)
+    check_params(estimator_id, params)
 
     def run(graph, eps, delta, seed, noise_off=False):
         p = {**params, "k": k, "D": D, "eps": eps / entry.divisor(k, D), "delta": delta}

@@ -107,7 +107,7 @@ def test_provenance_and_json():
     blob = json.loads(json.dumps([b.to_dict() for b in chain]))
     assert blob[0]["kind"] == "pure" and blob[0]["provenance"] == ["stage one"]
     assert blob[1]["kind"] == "approx" and "delta" in blob[1]
-    roundtrip = json.loads(chain[1].to_json())
+    roundtrip = json.loads(json.dumps(chain[1].to_dict()))
     assert roundtrip["eps"] == chain[1].eps
 
 

@@ -12,7 +12,7 @@ def config_file(tmp_path):
     cfg = {
         "scenario": "cli",
         "sbm": {"n": 40, "k": 2, "B": [[0.6, 0.1], [0.1, 0.6]]},
-        "estimator": {"id": "ef_spectral", "params": {"gamma": 1.0}},
+        "estimator": {"id": "ef_spectral", "params": {}},
         "eps_grid": [2.0, 8.0],
         "delta_grid": [0.0],
         "seeds": [0, 1],

@@ -194,7 +194,7 @@ def test_kmeans_guards():
     with pytest.raises(ValueError):
         approx_kmeans(np.zeros((2, 2)), 3, seed=0)
     with pytest.raises(ValueError):
-        approx_kmeans(np.zeros((5, 2)), 2, gamma=0.0, seed=0)
+        approx_kmeans(np.zeros((5, 2)), 2, restarts=0, seed=0)
 
 
 def test_lloyd_cost_monotone():

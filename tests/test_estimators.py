@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import nodedp.estimators
+import nodedp.truncation
 from nodedp import (
     Graph,
     LabelAssignment,
@@ -29,7 +31,7 @@ from nodedp import (
 )
 from nodedp.clustering import approx_kmeans
 from nodedp.estimators import AssumptionViolation, BoundedDegreeEstimator, _dykstra_psd_diag
-from nodedp.registry import make_bounded_base, run_pipeline
+from nodedp.registry import PIPELINES, make_bounded_base, run_pipeline
 from nodedp.rng import spawn
 
 PARAMS_400 = SbmParams(n=400, k=2, B=np.array([[0.3, 0.05], [0.05, 0.3]]))
@@ -52,6 +54,13 @@ def test_ef_spectral_infinite_eps_matches_plain_spectral():
     base = spectral_cluster(g.as_float(), 2, seed=spawn(201, 2))
     assert loss_overall(out.labels, base) == 0.0
     assert out.budget[0].kind == "pure"
+
+
+def test_ef_spectral_runs_past_float_overflow_of_exp_eps():
+    g = sample_sbm(PARAMS_400, spawn(201, 0))
+    out = ef_spectral(g, 2, 1e4, seed=spawn(201, 3))
+    assert out.labels is not None
+    assert loss_overall(out.labels, ef_spectral(g, 2, math.inf, seed=0).labels) == 0.0
 
 
 def test_ef_spectral_eps_zero_is_random_guessing():
@@ -314,17 +323,18 @@ def test_two_community_projects_once_per_graph_with_unchanged_output(dykstra_cal
         assert np.array_equal(out.labels.labels, fresh[i].labels.labels)
         assert out.diagnostics == fresh[i].diagnostics
     assert len(dykstra_calls) == 1
-    # Other parameters of the projection are a new solve.
-    two_community_convex(g, 60.0, 12.0, eps=50.0, delta=1e-6, seed=0, tol=1e-6)
+    # Other block parameters are a new solve.
+    two_community_convex(g, 60.0, 13.0, eps=50.0, delta=1e-6, seed=0)
     assert len(dykstra_calls) == 2
 
 
-def test_two_community_dykstra_failure_raises_at_every_call(dykstra_calls):
+def test_two_community_dykstra_failure_raises_at_every_call(dykstra_calls, monkeypatch):
     g = sample_sbm(SbmParams(n=40, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]])), spawn(229, 0))
+    monkeypatch.setattr(nodedp.estimators, "_DYKSTRA_TOL", 0.0)
+    monkeypatch.setattr(nodedp.estimators, "_DYKSTRA_MAX_ITER", 2)
     for eps in (1.0, 2.0):
         with pytest.raises(nodedp.estimators.DykstraFailure):
-            two_community_convex(g, 20.0, 4.0, eps=eps, delta=1e-4, seed=0, tol=0.0,
-                                 max_iter=2)
+            two_community_convex(g, 20.0, 4.0, eps=eps, delta=1e-4, seed=0)
     assert len(dykstra_calls) == 2
 
 
@@ -383,7 +393,7 @@ def _matrix_estimation_reference(g, k, eps, delta, seed, noise_off=False, restar
         Y = A @ X + G
         X_prev, X = X, np.linalg.qr(Y)[0]
     U = np.linalg.svd(X_prev @ Y.T)[0][:, :k]
-    labels, _, cost = approx_kmeans(U, k, gamma=1.0, restarts=restarts, seed=rng)
+    labels, _, cost = approx_kmeans(U, k, restarts=restarts, seed=rng)
     return U, labels, cost
 
 
@@ -503,7 +513,7 @@ def test_subspace_weighted_pilot_threshold():
 
 def test_good_center_identical_points():
     pts = np.tile(np.array([0.5, -0.25, 0.125]), (40, 1))
-    center, radius = good_center(pts, 0.0, R_max=8.0, r_min=1e-3, zeta=0.1,
+    center, radius = good_center(pts, R_max=8.0, r_min=1e-3, zeta=0.1,
                                  rho=1.0, seed=0, noise_off=True)
     assert np.linalg.norm(center - pts[0]) <= 1e-3
     assert radius <= 1e-3
@@ -514,7 +524,7 @@ def test_good_center_two_clusters_noise_off():
     big = np.array([2.0, 0.0]) + 0.01 * rng.standard_normal((80, 2))
     small = np.array([-6.0, 0.0]) + 0.01 * rng.standard_normal((20, 2))
     pts = np.vstack([big, small])
-    center, radius = good_center(pts, 0.0, R_max=16.0, r_min=1e-3, zeta=0.1,
+    center, radius = good_center(pts, R_max=16.0, r_min=1e-3, zeta=0.1,
                                  rho=1.0, seed=0, noise_off=True)
     inside = np.linalg.norm(big - center, axis=1) <= radius
     assert inside.all()
@@ -530,7 +540,7 @@ def test_good_center_statistical_coverage():
         pts = c + 0.02 * rng.standard_normal((t, n)) / math.sqrt(n)
         tau = 0.01
         pts = np.clip(np.round(pts / tau) * tau, -1.5, 1.5)
-        center, radius = good_center(pts, 0.0, 1.5 * math.sqrt(n), tau / 2.0,
+        center, radius = good_center(pts, 1.5 * math.sqrt(n), tau / 2.0,
                                      0.1, 1.0, rng)
         if int((np.linalg.norm(pts - center, axis=1) <= radius).sum()) >= t // 2:
             cover += 1
@@ -542,7 +552,8 @@ def test_good_center_statistical_coverage():
 # Generic reduction and symmetrization
 
 
-def test_reduction_noop_graph_and_budget_passthrough():
+def test_reduction_noop_graph_and_budget_passthrough(monkeypatch):
+    monkeypatch.setattr(nodedp.truncation, "private_sensitivity_bound", lambda *a, **kw: 1.0)
     g = sample_sbm(PARAMS_400, spawn(251, 0))
     D = 360
     assert max_degree(g) <= D
@@ -555,8 +566,7 @@ def test_reduction_noop_graph_and_budget_passthrough():
         return ef_spectral(graph, 2, math.inf, seed=seed)
 
     base = BoundedDegreeEstimator("probe", "pure", run)
-    out = reduce_to_node_private(g, base, D, 1.0, 1e-6, eps2=8.0, delta2=0.0,
-                                 seed=1, force_Lhat=1.0)
+    out = reduce_to_node_private(g, base, D, 1.0, 1e-6, eps2=8.0, delta2=0.0, seed=1)
     assert np.array_equal(seen["adj"], g.adj)  # graph passed through unchanged
     assert seen["eps"] == pytest.approx(8.0)  # L_hat = 1: no rescale
     assert out.diagnostics["d_T"] == 0.0
@@ -585,7 +595,8 @@ def test_reduction_total_budget_formulas():
         assert out.budget[0].eps == pytest.approx(eps1)
 
 
-def test_reduction_rescales_budgets_by_Lhat():
+def test_reduction_rescales_budgets_by_Lhat(monkeypatch):
+    monkeypatch.setattr(nodedp.truncation, "private_sensitivity_bound", lambda *a, **kw: 25.0)
     g = sample_sbm(SbmParams(n=30, k=2, B=np.full((2, 2), 0.3) + 0.2 * np.eye(2)), 0)
     seen = {}
 
@@ -594,8 +605,7 @@ def test_reduction_rescales_budgets_by_Lhat():
         return ef_spectral(graph, 2, math.inf, seed=seed)
 
     base = BoundedDegreeEstimator("probe", "approx", run)
-    out = reduce_to_node_private(g, base, 30, 1.0, 1e-6, 10.0, 1e-6, seed=5,
-                                 force_Lhat=25.0)
+    out = reduce_to_node_private(g, base, 30, 1.0, 1e-6, 10.0, 1e-6, seed=5)
     assert seen["eps"] == pytest.approx(10.0 / 25.0)
     assert seen["delta"] == pytest.approx(1e-6 / 25.0)
     assert out.diagnostics["L_hat"] == 25.0
@@ -699,7 +709,9 @@ def test_registry_bounded_base_is_direct_run_at_divided_eps(estimator_id, diviso
     g = sample_sbm(SbmParams(n=40, k=2, B=np.full((2, 2), 0.3) + 0.2 * np.eye(2)), 0)
     k, D, delta = 2, 20, 1e-6
     assert max_degree(g) <= D  # the sphere samplers stay off the LP-extension path
-    params = {"B": [[0.5, 0.3], [0.3, 0.5]], "zeta": 0.1}
+    params = {"B": [[0.5, 0.3], [0.3, 0.5]]}
+    if estimator_id == "subspace_estimation":
+        params["zeta"] = 0.1
     base = make_bounded_base(estimator_id, k, D, params)
     assert base.privacy_form == form
     bounded = base.run(g, eps, delta, spawn(278, 0))
@@ -717,6 +729,33 @@ def test_registry_unknown_id_raises_key_error():
         run_pipeline("nope", g, {}, 0)
     with pytest.raises(KeyError):
         make_bounded_base("nope", 2, 3, {})
+
+
+def test_registry_rejects_a_parameter_the_pipeline_does_not_read():
+    g = Graph(4, np.zeros((4, 4), dtype=np.uint8))
+    with pytest.raises(ValueError, match="gamma"):
+        run_pipeline("ef_spectral", g, {"eps": 1.0, "gamma": 1.0}, 0)
+    with pytest.raises(ValueError, match="use_lipschitz"):
+        make_bounded_base("pca_lipschitz", 2, 3, {"use_lipschitz": True})
+
+
+def test_registry_options_are_keywords_of_the_estimators():
+    # Each option is a keyword of the estimator its pipeline calls, with a
+    # default there (the registry states none). Shipped configs go through
+    # the load-time parameter check in test_shipped_configs_load_and_cover_every_pipeline.
+    estimators = {
+        "ef_spectral": ef_spectral, "pca_lipschitz": private_pca_lipschitz,
+        "eig_deflation": eigvec_deflation_cluster, "two_community": two_community_convex,
+        "matrix_estimation": matrix_estimation, "subspace_estimation": subspace_estimation,
+    }
+    assert estimators.keys() == PIPELINES.keys()
+    for estimator_id, entry in PIPELINES.items():
+        params = inspect.signature(estimators[estimator_id]).parameters
+        for option in entry.options:
+            assert option in params, (estimator_id, option)
+            assert params[option].kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                                           inspect.Parameter.KEYWORD_ONLY)
+            assert params[option].default is not inspect.Parameter.empty
 
 
 @pytest.mark.parametrize("estimator_id", ["pca_lipschitz", "eig_deflation"])

@@ -31,7 +31,7 @@ def base_config(**overrides):
     cfg = dict(
         scenario="unit",
         sbm={"n": 60, "k": 2, "B": [[0.6, 0.1], [0.1, 0.6]]},
-        estimator={"id": "ef_spectral", "params": {"gamma": 1.0}},
+        estimator={"id": "ef_spectral", "params": {}},
         eps_grid=[2.0],
         delta_grid=[0.0],
         seeds=[0],
@@ -47,6 +47,25 @@ def test_config_validation():
         base_config(eps_grid=[])
     with pytest.raises(ValueError):
         base_config(seeds=[])
+
+
+def test_config_rejects_a_parameter_no_pipeline_reads():
+    # A misspelt option would otherwise run the sweep at the option's default.
+    with pytest.raises(ValueError, match="zetaa"):
+        base_config(estimator={"id": "subspace_estimation", "params": {"zetaa": 0.2}})
+    with pytest.raises(ValueError, match="zeta"):  # an option of another pipeline
+        base_config(estimator={"id": "ef_spectral", "params": {"zeta": 0.1}})
+    base_config(estimator={"id": "subspace_estimation", "params": {"zeta": 0.2, "D": 3}})
+
+
+def test_config_rejects_an_invalid_D_rule_before_any_trial_runs():
+    with pytest.raises(ValueError, match="D rule"):
+        base_config(wrapper={"D_rule": {"mode": "multiple_of_dd", "value": 1.0}})
+    with pytest.raises(ValueError, match="D rule"):
+        base_config(wrapper={"D_rule": {"value": 1.0}})
+    with pytest.raises(ValueError, match="D rule"):
+        base_config(wrapper={"D_rule": {"mode": "absolute"}})
+    assert base_config(wrapper={}).resolve_D(base_config().sbm_params()) == 108  # 3 n max(B)
 
 
 def test_single_point_single_seed_one_record():
@@ -304,6 +323,7 @@ def test_sbm_params_built_once_per_sweep(monkeypatch):
 
 
 def test_shipped_configs_load_and_cover_every_pipeline():
+    # Loading runs the parameter check: a key that no pipeline reads fails here.
     configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
     assert configs
     ids = {ExperimentConfig.from_json(p.read_text()).estimator["id"] for p in configs}
@@ -328,7 +348,8 @@ def test_trial_samples_weighted_graph_only_for_weighted_pipelines(monkeypatch, e
     spy("sample_weighted_sbm", nodedp.harness.sample_weighted_sbm)
     sbm = {"n": 60, "k": 2, "B": [[0.6, 0.1], [0.1, 0.6]],
            "weight_model": {"means": [[1.0, 0.2], [0.2, 1.0]], "scale": 0.5}}
-    cfg = base_config(sbm=sbm, estimator={"id": estimator_id, "params": {"zeta": 0.1}},
+    est_params = {"zeta": 0.1} if estimator_id == "subspace_estimation" else {}
+    cfg = base_config(sbm=sbm, estimator={"id": estimator_id, "params": est_params},
                       delta_grid=[1e-6])
     shared = {}
     _run_trial(cfg, cfg.sbm_params(), 0, 2.0, 1e-6, 0, shared)

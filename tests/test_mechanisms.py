@@ -51,6 +51,18 @@ def test_edge_flip_identity_at_infinity():
     assert np.array_equal(edge_flip(g, math.inf, 0).adj, g.adj)
 
 
+def test_edge_flip_and_debias_past_float_overflow_of_exp_eps():
+    # e^eps overflows a float from eps ~ 709.8: the flip probability and the
+    # debias offset are then 0, and the flip still draws its n x n uniforms.
+    g = random_graph(30, 0.4, 1)
+    rng, ref = spawn(61, 0), spawn(61, 0)
+    assert np.array_equal(edge_flip(g, 1e4, rng).adj, g.adj)
+    ref.random((30, 30))
+    assert rng.random() == ref.random()
+    m = g.as_float()
+    assert np.array_equal(debias_flip(m, 1e4), m)
+
+
 @pytest.mark.parametrize("eps", [0.0, 2.0])
 def test_edge_flip_frequency(eps):
     g = random_graph(100, 0.5, 2)
