@@ -16,7 +16,7 @@ from . import accounting as acc
 from .estimators import BoundedDegreeEstimator, EstimatorOutput
 from .graphs import Graph, LabelAssignment, thin_graph
 from .metrics import align, loss_overall, relabel
-from .rng import as_generator, spawn
+from .rng import spawn
 
 
 @dataclass(frozen=True)
@@ -43,18 +43,18 @@ def graph_boost(
 ) -> EstimatorOutput:
     """Boost a constant-success-probability estimator to high probability.
 
-    Runs base on T edge-thinned subgraphs, selects a witness index whose
-    estimate is within overall loss 2*xi of at least (T+1)/2 estimates
-    (uniform tie-break; typed bot-failure if none exists), aligns all
-    estimates to the witness, and majority-votes per node, breaking row ties
-    toward the witness's label. The total budget is T times the base budget.
+    Runs base on T edge-thinned subgraphs in one run_batch call, sub-run j
+    drawing from spawn(seed, 1, j) (the thinning and the witness draw come
+    from spawn(seed, 0)). Then selects a witness index whose estimate is
+    within overall loss 2*xi of at least (T+1)/2 estimates (uniform
+    tie-break; typed bot-failure if none exists), aligns all estimates to the
+    witness, and majority-votes per node, breaking row ties toward the
+    witness's label. The total budget is T times the base budget.
     """
-    rng = as_generator(spawn(seed, 0) if isinstance(seed, int) else seed)
+    rng = spawn(seed, 0)
     subgraphs = thin_graph(g, cfg.T, rng)
-    outputs = []
-    for j, gj in enumerate(subgraphs):
-        sub_seed = spawn(seed, 1, j) if isinstance(seed, int) else rng
-        outputs.append(base.run(gj, eps, delta, sub_seed, noise_off=noise_off))
+    outputs = base.run_batch(subgraphs, [eps] * cfg.T, [delta] * cfg.T,
+                             [spawn(seed, 1, j) for j in range(cfg.T)], noise_off=noise_off)
     if any(o.labels is None for o in outputs):
         return EstimatorOutput(
             labels=None,
@@ -88,19 +88,7 @@ def graph_boost(
     for j in range(cfg.T):
         sigma = align(estimates[j], estimates[j_star])
         aligned.append(relabel(estimates[j], sigma).labels)
-    votes = np.stack(aligned)  # (T, n)
-    n = g.n
-    out_labels = np.empty(n, dtype=np.int64)
-    witness = aligned[j_star]
-    for i in range(n):
-        counts = np.bincount(votes[:, i], minlength=cfg.k)
-        top = counts.max()
-        winners = np.flatnonzero(counts == top)
-        if winners.size == 1:
-            out_labels[i] = winners[0]
-        else:
-            # Row tie (possible for k >= 3): break toward the witness label.
-            out_labels[i] = witness[i] if witness[i] in winners else winners[0]
+    out_labels = _majority_vote(np.stack(aligned), aligned[j_star], cfg.k)
     return EstimatorOutput(
         labels=LabelAssignment(out_labels, cfg.k),
         budget=_boosted_budget(base, eps, delta, cfg.T),
@@ -110,6 +98,16 @@ def graph_boost(
             "noise_off": noise_off,
         },
     )
+
+
+def _majority_vote(votes, witness, k):
+    """Each node's most common label among the rows of votes (T, n); a row
+    tie (possible for k >= 3) goes to the witness's label if it is among the
+    winners, else to the lowest winner."""
+    n = votes.shape[1]
+    counts = np.bincount((np.arange(n) * k + votes).ravel(), minlength=n * k).reshape(n, k)
+    winners = counts == counts.max(axis=1, keepdims=True)
+    return np.where(winners[np.arange(n), witness], witness, winners.argmax(axis=1))
 
 
 def _boosted_budget(base, eps, delta, T):

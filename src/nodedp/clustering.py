@@ -55,11 +55,15 @@ def sym_eigs(M: np.ndarray, k: int, by_abs: bool = True):
 
 
 def _sq_dist(pT, centers):
-    """Squared distances (..., n) of the points, held as d x n in pT, to
+    """Squared distances (..., n) of the points, held as (..., d, n) in pT, to
     centers (..., d), adding the dimensions in order."""
-    d2 = (pT[0] - centers[..., 0, None]) ** 2
-    for j in range(1, pT.shape[0]):
-        d2 += (pT[j] - centers[..., j, None]) ** 2
+    d2 = np.subtract(pT[..., 0, :], centers[..., 0, None])
+    d2 *= d2
+    term = np.empty_like(d2)
+    for j in range(1, pT.shape[-2]):
+        np.subtract(pT[..., j, :], centers[..., j, None], out=term)
+        term *= term
+        d2 += term
     return d2
 
 
@@ -89,11 +93,11 @@ def _kmeans_pp_init(points, k, rng):
 def _assign(pT, centers):
     """Nearest center for each restart: labels (R, n), the lowest index on
     ties as argmin takes it, and the squared distance to it (R, n). pT holds
-    the points as d x n, centers is (R, k, d)."""
-    R, k = centers.shape[:2]
-    labels = np.zeros((R, pT.shape[1]), dtype=np.intp)
-    dmin = np.full(labels.shape, np.inf)
-    for c in range(k):
+    the points as d x n, or one d x n set per restart as (R, d, n); centers
+    is (R, k, d)."""
+    labels = np.zeros((centers.shape[0], pT.shape[-1]), dtype=np.intp)
+    dmin = _sq_dist(pT, centers[:, 0])
+    for c in range(1, centers.shape[1]):
         d2 = _sq_dist(pT, centers[:, c])
         labels[d2 < dmin] = c
         np.minimum(dmin, d2, out=dmin)
@@ -101,43 +105,50 @@ def _assign(pT, centers):
 
 
 def _lloyd_restarts(points, centers, max_iter=100):
-    """Lloyd iterations for R restarts at once; centers (R, k, d) is updated
-    in place. Returns labels (R, n), centers and costs (R,).
+    """Lloyd iterations for R restarts on each of S point sets at once:
+    points is (S, n, d), and restart r of set s starts from centers[s, r] of
+    the (S, R, k, d) centers. Returns labels (S, R, n), centers (S, R, k, d)
+    and costs (S, R).
 
-    Each restart takes the steps a lone Lloyd run would: it stops when its
-    labels repeat (its centers are then left alone, so it keeps reproducing
-    itself), an empty cluster is re-seeded at the restart's point farthest
-    from its center, and max_iter bounds its center updates. Distances add
-    dimensions in order and center sums add points in order, so for
-    2 <= d <= 7 every bit equals a per-restart loop of
+    Each restart takes the steps a lone Lloyd run on its own set would: it
+    stops when its labels repeat (its centers are then left alone, so it
+    keeps reproducing itself), an empty cluster is re-seeded at the point of
+    its set farthest from its center, and max_iter bounds its center updates.
+    Distances add dimensions in order and center sums add points in order, so
+    for 2 <= d <= 7 every bit equals a per-restart loop of
     ``((points[:, None] - centers[None]) ** 2).sum(axis=2)`` and
     ``points[mask].mean(axis=0)``. At d = 1 (numpy's mean) and d >= 8 (its
     distance sum) numpy adds pairwise instead, so centers and costs there may
     differ from such a loop in the last bits.
     """
-    R, k, d = centers.shape
-    pT = np.ascontiguousarray(points.T)
-    labels = np.full((R, points.shape[0]), -1)  # so every restart moves at first
-    live = np.arange(R)
+    S, R, k, d = centers.shape
+    n = points.shape[1]
+    pT = np.ascontiguousarray(points.transpose(0, 2, 1))  # (S, d, n)
+    owner = np.repeat(np.arange(S), R)  # the point set of each restart
+    centers = centers.reshape(S * R, k, d)
+    labels = np.full((S * R, n), -1)  # so every restart moves at first
+    live = np.arange(S * R)
     for _ in range(max_iter):
-        new, dmin = _assign(pT, centers[live])
+        pts = pT[owner[live]]
+        new, dmin = _assign(pts, centers[live])
         moved = (new != labels[live]).any(axis=1)
-        live, new, dmin = live[moved], new[moved], dmin[moved]
+        live, new, dmin, pts = live[moved], new[moved], dmin[moved], pts[moved]
         if live.size == 0:
             break
         labels[live] = new
         flat = (np.arange(live.size)[:, None] * k + new).ravel()
         bins = live.size * k
         counts = np.bincount(flat, minlength=bins).reshape(-1, k)
-        sums = np.stack([np.bincount(flat, weights=np.tile(pT[j], live.size), minlength=bins)
+        sums = np.stack([np.bincount(flat, weights=pts[:, j].ravel(), minlength=bins)
                          for j in range(d)], axis=-1)
         means = sums.reshape(-1, k, d) / np.maximum(counts, 1)[:, :, None]
-        # Re-seed an empty cluster at the point farthest from its center.
+        # Re-seed an empty cluster at its set's point farthest from its center.
         r, c = np.nonzero(counts == 0)
-        means[r, c] = points[dmin[r].argmax(axis=1)]
+        means[r, c] = points[owner[live[r]], dmin[r].argmax(axis=1)]
         centers[live] = means
-    labels, dmin = _assign(pT, centers)
-    return labels, centers, dmin.sum(axis=1)
+    labels, dmin = _assign(pT[owner], centers)
+    return (labels.reshape(S, R, n), centers.reshape(S, R, k, d),
+            dmin.sum(axis=1).reshape(S, R))
 
 
 def approx_kmeans(
@@ -155,29 +166,44 @@ def approx_kmeans(
     The seedings draw from the stream one restart after another; the Lloyd
     runs then go together. The first restart of cost 0 ends the search: the
     result is that restart, and the stream is left where its seeding left it.
+
+    A stack of S point sets, (S, n, d), with a sequence of S seeds is a
+    batch: each set's seedings draw from its own stream, in the order above,
+    every Lloyd run of every set goes in one loop, and the result is a list
+    of S triples, each bit for bit what a lone call on that set and seed
+    returns (and leaves its stream where that call would).
     """
     points = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(points)):
         raise ValueError("embedding must be finite")
-    if points.ndim != 2:
-        raise ValueError("points must be 2-D")
-    n = points.shape[0]
+    if points.ndim not in (2, 3):
+        raise ValueError("points must be 2-D, or 3-D for a batch")
+    batch = points.ndim == 3
+    sets, seeds = (points, list(seed)) if batch else (points[None], [seed])
+    if len(seeds) != len(sets):
+        raise ValueError("a batch needs one seed per point set")
+    S, n, d = sets.shape
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError("k must not exceed the number of points")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    rng = as_generator(seed)
+    rngs = [as_generator(s) for s in seeds]
     inits, states = [], []
-    for _ in range(restarts):
-        inits.append(_kmeans_pp_init(points, k, rng))
-        states.append(rng.bit_generator.state)
-    labels, centers, costs = _lloyd_restarts(points, np.stack(inits))
-    best = costs.argmin()
-    if costs[best] == 0.0:
-        rng.bit_generator.state = states[best]
-    return LabelAssignment(labels[best], k), centers[best], float(costs[best])
+    for pts, rng in zip(sets, rngs):
+        for _ in range(restarts):
+            inits.append(_kmeans_pp_init(pts, k, rng))
+            states.append(rng.bit_generator.state)
+    labels, centers, costs = _lloyd_restarts(sets, np.reshape(inits, (S, restarts, k, d)))
+    out = []
+    for s, rng in enumerate(rngs):
+        best = costs[s].argmin()
+        if costs[s, best] == 0.0:
+            rng.bit_generator.state = states[s * restarts + best]
+        out.append((LabelAssignment(labels[s, best], k), centers[s, best],
+                    float(costs[s, best])))
+    return out if batch else out[0]
 
 
 def spectral_cluster(M: np.ndarray, k: int, seed: SeedLike = 0) -> LabelAssignment:

@@ -374,38 +374,60 @@ def matrix_estimation(
     noise N(0, 4 k L log(1/delta)/eps^2), followed by a rank-2k reconstruction,
     SVD, and k-means on the first k left singular vectors. The iteration is
     eps^2/(4 log(1/delta))-zCDP at the edge level.
+
+    The stream gives, in order: the n x 2k start block, one n x 2k noise
+    block per iteration (none when the noise scale is 0), then the k-means
+    seedings.
+
+    A list of graphs of one size is a batch: eps, delta and seed are then
+    lists of the same length, and the result is the list of outputs that
+    lone calls would give, bit for bit, each drawing from its own stream in
+    the order above. The runs go in lockstep, with one stacked QR per
+    iteration and one k-means call for all of them.
     """
+    batch = isinstance(g, list)
+    graphs, epss, deltas, seeds = (g, eps, delta, seed) if batch else ([g], [eps], [delta], [seed])
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if eps <= 0 and not noise_off:
-        raise ValueError("eps must be positive")
-    rng = as_generator(seed)
-    n = g.n
-    A = g.as_float()
+    for e, d in zip(epss, deltas):
+        if not (0.0 < d < 1.0):
+            raise ValueError("delta must lie in (0, 1)")
+        if e <= 0 and not noise_off:
+            raise ValueError("eps must be positive")
+    n = graphs[0].n
+    if any(gj.n != n for gj in graphs):
+        raise ValueError("a batch needs graphs with one node count")
+    rngs = [as_generator(s) for s in seeds]
     if L is None:
         L = max(1, math.ceil(12.0 * math.log(n)))
     p = min(2 * k, n)
-    sigma = 0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / delta)) / eps
-    X, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    sigmas = [0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / d)) / e
+              for e, d in zip(epss, deltas)]
+    A = [gj.as_float() for gj in graphs]
+    X, _ = np.linalg.qr(np.stack([rng.standard_normal((n, p)) for rng in rngs]))
+    Y = np.empty_like(X)
+    G = np.zeros_like(X)  # rows at noise scale 0 stay 0: A @ X + 0.0, as drawn
     for _ in range(L):
-        G = sigma * rng.standard_normal((n, p)) if sigma > 0 else 0.0
-        Y = A @ X + G
-        X_next, R = np.linalg.qr(Y)
-        X_prev, X = X, X_next
+        for j, (Aj, rng, sigma) in enumerate(zip(A, rngs, sigmas)):
+            np.matmul(Aj, X[j], out=Y[j])
+            if sigma > 0:
+                rng.standard_normal(out=G[j])
+                G[j] *= sigma
+        Y += G
+        X_prev, (X, R) = X, np.linalg.qr(Y)
     # Rank-2k reconstruction from the penultimate basis and the last product,
     # Ahat = X_prev @ Y.T = X_prev @ R.T @ X.T. Both bases are orthonormal, so
     # Ahat's left singular vectors are X_prev times those of the p x p factor R.T.
-    W, _, _ = np.linalg.svd(R.T)
-    Uk = X_prev @ W[:, :k]
-    labels, _, cost = approx_kmeans(Uk, k, seed=rng)
-    rho = 0.0 if noise_off else eps * eps / (4.0 * math.log(1.0 / delta))
-    return EstimatorOutput(
-        labels=labels,
-        budget=[acc.zcdp(rho, "noisy power method (edge level)")],
-        diagnostics={"noise_off": noise_off, "iterations": L, "kmeans_cost": cost},
-    )
+    Uk = np.stack([Xj @ np.linalg.svd(Rj.T)[0][:, :k] for Xj, Rj in zip(X_prev, R)])
+    outs = []
+    for (labels, _, cost), e, d in zip(approx_kmeans(Uk, k, seed=rngs), epss, deltas):
+        rho = 0.0 if noise_off else e * e / (4.0 * math.log(1.0 / d))
+        outs.append(EstimatorOutput(
+            labels=labels,
+            budget=[acc.zcdp(rho, "noisy power method (edge level)")],
+            diagnostics={"noise_off": noise_off, "iterations": L, "kmeans_cost": cost},
+        ))
+    return outs if batch else outs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -597,17 +619,27 @@ class BoundedDegreeEstimator:
 
     ``run(graph, eps, delta, seed, noise_off)`` must satisfy
     (eps, delta)_{2D}-node DP (pure estimators ignore delta).
+    ``run_batch(graphs, eps, delta, seeds, noise_off)`` takes lists, one
+    entry per run, and returns the outputs that ``run`` gives on each. It
+    calls ``run`` once per graph unless a ``batch_fn`` that runs them
+    together is given.
     """
 
-    def __init__(self, name: str, privacy_form: str, run_fn):
+    def __init__(self, name: str, privacy_form: str, run_fn, batch_fn=None):
         if privacy_form not in ("pure", "approx"):
             raise ValueError("privacy_form must be 'pure' or 'approx'")
         self.name = name
         self.privacy_form = privacy_form
         self._run = run_fn
+        self._run_batch = batch_fn
 
     def run(self, graph, eps, delta, seed, noise_off=False) -> EstimatorOutput:
         return self._run(graph, eps, delta, seed, noise_off)
+
+    def run_batch(self, graphs, eps, delta, seeds, noise_off=False) -> list[EstimatorOutput]:
+        if self._run_batch is not None:
+            return self._run_batch(graphs, eps, delta, seeds, noise_off)
+        return [self.run(*args, noise_off) for args in zip(graphs, eps, delta, seeds)]
 
 
 def reduce_to_node_private(
@@ -629,36 +661,46 @@ def reduce_to_node_private(
     (eps1 + eps2, e^{eps1} delta1)-node DP for pure bases and
     (eps1 + 2 eps2, e^{eps1}(delta1 + delta2 e^{2 eps2}))-node DP for
     approximate ones.
+
+    A list of graphs is a batch: eps2, delta2 and seed are then lists of the
+    same length, each graph's certificate draws from its own seed, the base
+    gets every truncated graph in one run_batch call, and the result is the
+    list of outputs that lone calls would give.
     """
-    rng = as_generator(seed)
-    cert = truncate_with_certificate(g, D, eps1, delta1, rng, noise_off=noise_off)
-    truncated, d_T, L_hat = cert.truncated, cert.d_T, cert.L_hat
-    eps2p, delta2p = acc.reduction_budgets(eps2, delta2, L_hat)
-    out = base.run(truncated, eps2p, delta2p, rng, noise_off=noise_off)
-    if base.privacy_form == "pure":
-        slack = 0.0 if delta1 == 0.0 else min(1.0, acc.exp_capped(eps1) * delta1)
-        total = acc.approx_dp(eps1 + eps2, slack, "generic reduction (pure base)")
-    else:
-        group_term = (
-            0.0 if delta2 == 0.0 else delta2 * acc.exp_capped(2.0 * eps2)
-        )
-        slack = min(1.0, acc.exp_capped(eps1) * (delta1 + group_term))
-        if delta1 == 0.0 and group_term == 0.0:
-            slack = 0.0
-        total = acc.approx_dp(eps1 + 2.0 * eps2, slack,
-                              "generic reduction (approx base)")
-    chain = [acc.pure_dp(eps1, "private sensitivity bound release")] + out.budget + [total]
-    diag = {
-        "L_hat": L_hat,
-        "d_T": d_T,
-        "D": D,
-        "base": base.name,
-        "base_eps": eps2p,
-        "base_delta": delta2p,
-        "noise_off": noise_off,
-    }
-    diag.update({f"base_{k}": v for k, v in out.diagnostics.items()})
-    return EstimatorOutput(labels=out.labels, budget=chain, diagnostics=diag)
+    batch = isinstance(g, list)
+    graphs, eps2s, delta2s, seeds = (
+        (g, eps2, delta2, seed) if batch else ([g], [eps2], [delta2], [seed]))
+    rngs = [as_generator(s) for s in seeds]
+    certs = [truncate_with_certificate(gj, D, eps1, delta1, rng, noise_off=noise_off)
+             for gj, rng in zip(graphs, rngs)]
+    budgets = [acc.reduction_budgets(e, d, cert.L_hat)
+               for e, d, cert in zip(eps2s, delta2s, certs)]
+    outs = base.run_batch([cert.truncated for cert in certs], [b[0] for b in budgets],
+                          [b[1] for b in budgets], rngs, noise_off=noise_off)
+    results = []
+    for out, cert, (eps2p, delta2p), e2, d2 in zip(outs, certs, budgets, eps2s, delta2s):
+        if base.privacy_form == "pure":
+            slack = 0.0 if delta1 == 0.0 else min(1.0, acc.exp_capped(eps1) * delta1)
+            total = acc.approx_dp(eps1 + e2, slack, "generic reduction (pure base)")
+        else:
+            group_term = 0.0 if d2 == 0.0 else d2 * acc.exp_capped(2.0 * e2)
+            slack = min(1.0, acc.exp_capped(eps1) * (delta1 + group_term))
+            if delta1 == 0.0 and group_term == 0.0:
+                slack = 0.0
+            total = acc.approx_dp(eps1 + 2.0 * e2, slack, "generic reduction (approx base)")
+        chain = [acc.pure_dp(eps1, "private sensitivity bound release")] + out.budget + [total]
+        diag = {
+            "L_hat": cert.L_hat,
+            "d_T": cert.d_T,
+            "D": D,
+            "base": base.name,
+            "base_eps": eps2p,
+            "base_delta": delta2p,
+            "noise_off": noise_off,
+        }
+        diag.update({f"base_{k}": v for k, v in out.diagnostics.items()})
+        results.append(EstimatorOutput(labels=out.labels, budget=chain, diagnostics=diag))
+    return results if batch else results[0]
 
 
 def symmetrize(base: BoundedDegreeEstimator) -> BoundedDegreeEstimator:

@@ -66,6 +66,12 @@ class ExperimentConfig:
         rule = self._D_rule()
         if self.wrapper is not None and (rule.get("mode") not in _D_RULES or "value" not in rule):
             raise ValueError(f"invalid D rule {rule!r}")
+        if self.boost is not None:
+            if self.wrapper is None:
+                raise ValueError("boost needs a wrapper: only the reduced estimator is boosted")
+            if set(self.boost) != {"T", "xi"}:
+                raise ValueError(f"boost must set exactly T and xi, got {sorted(self.boost)}")
+            self.boost_config()  # raises for an even T or xi outside (0, 1/(8k))
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -81,6 +87,10 @@ class ExperimentConfig:
             )
         return SbmParams(n=int(s["n"]), k=int(s["k"]),
                          B=np.asarray(s["B"], dtype=float), weight_model=wm)
+
+    def boost_config(self) -> BoostConfig:
+        return BoostConfig(T=int(self.boost["T"]), xi=float(self.boost["xi"]),
+                           k=int(self.sbm["k"]))
 
     def _D_rule(self) -> dict:
         return (self.wrapper or {}).get("D_rule", {"mode": "multiple_of_d", "value": 3.0})
@@ -143,17 +153,15 @@ def _run_trial(cfg: ExperimentConfig, params: SbmParams, grid_index: int, eps: f
             eps1 = float(cfg.wrapper.get("eps1", 1.0))
             delta1 = float(cfg.wrapper.get("delta1", 1e-6))
             if cfg.boost is not None:
-                bcfg = BoostConfig(T=int(cfg.boost["T"]), xi=float(cfg.boost["xi"]),
-                                   k=params.k)
-
-                def reduced_run(graph_j, e, d, s, noise_off=False):
+                # reduce_to_node_private takes one graph or a list of them.
+                def reduced_run(graphs, e, d, s, noise_off=False):
                     return reduce_to_node_private(
-                        graph_j, base, D, eps1, delta1, e, d, s, noise_off=noise_off
+                        graphs, base, D, eps1, delta1, e, d, s, noise_off=noise_off
                     )
 
                 reduced = BoundedDegreeEstimator(f"reduced({est_id})", "approx",
-                                                 reduced_run)
-                out = graph_boost(graph, bcfg, reduced, eps, delta,
+                                                 reduced_run, reduced_run)
+                out = graph_boost(graph, cfg.boost_config(), reduced, eps, delta,
                                   seed=int(seed), noise_off=cfg.noise_off)
             else:
                 out = reduce_to_node_private(

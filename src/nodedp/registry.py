@@ -37,6 +37,7 @@ class Pipeline:
     weighted: bool  # samples a WeightedGraph when the SBM has a weight model
     call: Callable  # (graph, p, kw) -> EstimatorOutput; p holds k, eps, delta and D
     options: tuple = ()  # keys of p passed on to the estimator as keywords, when present
+    batched: bool = False  # call takes a list of graphs, with lists of eps, delta and seeds
 
 
 # Parameters every pipeline accepts; anything else must be one of its options.
@@ -62,7 +63,8 @@ PIPELINES = {
     "two_community": Pipeline("approx", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
         two_community_convex(g, *_n_scaled_pair(g, p), p["eps"], p["delta"], **kw))),
     "matrix_estimation": Pipeline("approx", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
-        matrix_estimation(g, p["k"], p["eps"], p["delta"], **kw)), options=("L",)),
+        matrix_estimation(g, p["k"], p["eps"], p["delta"], **kw)), options=("L",),
+        batched=True),
     "subspace_estimation": Pipeline("approx", lambda k, D: 5.0 * D, True, lambda g, p, kw: (
         subspace_estimation(g, p["k"], p["eps"], p["delta"], **kw)),
         options=("zeta", "C1", "Cprime")),
@@ -102,4 +104,10 @@ def make_bounded_base(estimator_id, k, D, params) -> BoundedDegreeEstimator:
         p = {**params, "k": k, "D": D, "eps": eps / entry.divisor(k, D), "delta": delta}
         return _call(entry, graph, p, seed, noise_off)
 
-    return BoundedDegreeEstimator(estimator_id, entry.privacy_form, run)
+    def run_batch(graphs, eps, delta, seeds, noise_off=False):
+        p = {**params, "k": k, "D": D, "eps": [e / entry.divisor(k, D) for e in eps],
+             "delta": list(delta)}
+        return _call(entry, list(graphs), p, list(seeds), noise_off)
+
+    return BoundedDegreeEstimator(estimator_id, entry.privacy_form, run,
+                                  run_batch if entry.batched else None)

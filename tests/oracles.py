@@ -4,9 +4,10 @@ Everything here is deliberately written from scratch against the definitions,
 not by calling the package: brute-force loss enumeration, a dense-tableau
 simplex solver and a vertex-enumeration LP oracle, LP rows one at a time and
 a text dump of an LP, a shifted power-iteration eigensolver, top-k
-eigenpairs from a full dense eigh, sequential k-means restarts, exact minimum
-vertex cover (for node distance), sphere quadrature helpers, and the sphere
-rejection sampler as it was before it worked chunk by chunk.
+eigenpairs from a full dense eigh, sequential k-means restarts, a per-node
+majority vote, exact minimum vertex cover (for node distance), sphere
+quadrature helpers, and the sphere rejection sampler as it was before it
+worked chunk by chunk.
 """
 
 from __future__ import annotations
@@ -259,6 +260,17 @@ def approx_kmeans_ref(points, k, rng, restarts=20, max_iter=100):
         if best[2] == 0.0:
             break
     return best
+
+
+def majority_vote_ref(votes, witness, k):
+    """Per-node majority over the rows of votes (T, n); a tie goes to the
+    witness's label if it is among the winners, else to the lowest winner."""
+    out = np.empty(votes.shape[1], dtype=np.int64)
+    for i in range(votes.shape[1]):
+        counts = np.bincount(votes[:, i], minlength=k)
+        winners = np.flatnonzero(counts == counts.max())
+        out[i] = witness[i] if witness[i] in winners else winners[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,12 @@ from nodedp import (
     loss_overall,
     sample_sbm,
 )
+from nodedp.boosting import _majority_vote
 from nodedp.estimators import EstimatorOutput
+from nodedp.metrics import align, relabel
 from nodedp.rng import as_generator, spawn
+
+from oracles import majority_vote_ref
 
 
 def const_base(labels, form="pure"):
@@ -22,16 +26,19 @@ def const_base(labels, form="pure"):
     return BoundedDegreeEstimator("const", form, run)
 
 
-def corrupting_base(theta, flips):
-    """Returns the truth with `flips` uniformly chosen labels toggled (k=2)."""
+def corrupting_base(theta, flips, seen=None):
+    """Returns the truth with `flips` uniformly chosen nodes moved to another
+    label, drawn uniformly; appends each output's labels to `seen`."""
 
     def run(graph, eps, delta, seed, noise_off=False):
         rng = as_generator(seed)
         lab = theta.labels.copy()
         idx = rng.choice(lab.size, size=flips, replace=False)
-        lab[idx] = 1 - lab[idx]
-        return EstimatorOutput(labels=LabelAssignment(lab, 2), budget=[],
-                               diagnostics={})
+        lab[idx] = (lab[idx] + rng.integers(1, theta.k, size=flips)) % theta.k
+        est = LabelAssignment(lab, theta.k)
+        if seen is not None:
+            seen.append(est)
+        return EstimatorOutput(labels=est, budget=[], diagnostics={})
 
     return BoundedDegreeEstimator("corrupt", "pure", run)
 
@@ -94,22 +101,45 @@ def test_boost_bot_failure_is_typed():
 
 def test_boost_error_bound_with_corrupting_base():
     # With few flips per sub-estimate, the premise holds and the boosted
-    # worst-case loss respects the xi*T bound trial by trial.
+    # worst-case loss respects the xi*T bound trial by trial. The labels are a
+    # per-node loop's votes over the estimates aligned to the witness; at k = 3
+    # a node moved to two different labels ties its row, which the witness breaks.
     from nodedp import loss_worst_case
 
-    params = SbmParams(n=200, k=2, B=np.array([[0.3, 0.05], [0.05, 0.3]]))
-    theta = params.theta
-    cfg = BoostConfig(T=11, xi=0.06, k=2)
-    checked = 0
-    for trial in range(20):
-        g = sample_sbm(params, spawn(19, trial, 0))
-        base = corrupting_base(theta, flips=2)
-        out = graph_boost(g, cfg, base, eps=0.1, delta=0.0,
-                          seed=int(spawn(19, trial, 1).integers(2**31)))
-        assert not out.failed
-        assert loss_worst_case(out.labels, theta) <= cfg.xi * cfg.T + 1e-12
-        checked += 1
-    assert checked == 20
+    for k, n, T, xi, flips in ((2, 200, 11, 0.06, 2), (3, 600, 3, 0.041, 12)):
+        params = SbmParams(n=n, k=k, B=np.full((k, k), 0.05) + 0.25 * np.eye(k))
+        theta = params.theta
+        cfg = BoostConfig(T=T, xi=xi, k=k)
+        checked = ties = 0
+        for trial in range(20):
+            g = sample_sbm(params, spawn(19, trial, 0))
+            seen = []
+            base = corrupting_base(theta, flips=flips, seen=seen)
+            out = graph_boost(g, cfg, base, eps=0.1, delta=0.0,
+                              seed=int(spawn(19, trial, 1).integers(2**31)))
+            assert not out.failed
+            assert loss_worst_case(out.labels, theta) <= cfg.xi * cfg.T + 1e-12
+            j_star = out.diagnostics["j_star"]
+            votes = np.stack([relabel(e, align(e, seen[j_star])).labels for e in seen])
+            assert np.array_equal(out.labels.labels,
+                                  majority_vote_ref(votes, votes[j_star], k))
+            counts = np.stack([np.bincount(col, minlength=k) for col in votes.T])
+            ties += int(((counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+            checked += 1
+        assert checked == 20
+        assert ties > 0 if k == 3 else ties == 0
+
+
+def test_majority_vote_matches_per_node_loop():
+    # Few labels over many rows: every kind of row tie, with the witness's
+    # label among the winners or not.
+    rng = spawn(191, 0)
+    for case in range(60):
+        k, T, n = int(rng.integers(2, 6)), int(rng.integers(1, 8)), int(rng.integers(1, 50))
+        votes = rng.integers(k, size=(T, n))
+        witness = votes[int(rng.integers(T))]
+        assert np.array_equal(_majority_vote(votes, witness, k),
+                              majority_vote_ref(votes, witness, k))
 
 
 def test_hgr_closed_form_points():

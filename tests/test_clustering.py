@@ -204,9 +204,9 @@ def test_lloyd_cost_monotone():
     costs = []
     cur = centers
     for _ in range(8):
-        _, cur, cost = _lloyd_restarts(pts, cur[None], 1)
-        cur = cur[0]
-        costs.append(float(cost[0]))
+        _, cur, cost = _lloyd_restarts(pts[None], cur[None, None], 1)
+        cur = cur[0, 0]
+        costs.append(float(cost[0, 0]))
     assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
 
@@ -255,6 +255,30 @@ def test_kmeans_matches_sequential_reference_duplicate_rows():
         assert _assert_matches_reference(points, k, 20, (173, case, 1)) == 0.0
 
 
+def test_batched_kmeans_equals_lone_calls():
+    # Per d in 2..7, one batch of three sets: random rows, and two sets of at
+    # most k distinct integer rows, whose Lloyd runs meet empty clusters and
+    # whose first restart has cost 0, so each stops early and rewinds its stream.
+    for d in range(2, 8):
+        rng = spawn(193, d)
+        k, n = int(rng.integers(2, 6)), int(rng.integers(20, 90))
+        sets = [rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0)]
+        for _ in range(2):
+            distinct = rng.integers(-5, 6, (int(rng.integers(1, k + 1)), d)).astype(float)
+            sets.append(distinct[rng.integers(len(distinct), size=n)])
+        batch_rngs = [spawn(193, d, s) for s in range(3)]
+        lone_rngs = [spawn(193, d, s) for s in range(3)]
+        batch = approx_kmeans(np.stack(sets), k, restarts=7, seed=batch_rngs)
+        for s, (labels, centers, cost) in enumerate(batch):
+            ref_labels, ref_centers, ref_cost = approx_kmeans(sets[s], k, restarts=7,
+                                                              seed=lone_rngs[s])
+            assert np.array_equal(labels.labels, ref_labels.labels)
+            assert _same_bits(centers, ref_centers)
+            assert _same_bits(cost, ref_cost)
+            assert _same_bits(batch_rngs[s].random(), lone_rngs[s].random())
+        assert batch[1][2] == batch[2][2] == 0.0
+
+
 def test_kmeans_pp_seeding_matches_reference_bit_for_bit():
     # Per-dimension distances give np.sum's bits for d <= 7; rows drawn from a
     # few integer points also run the seeding out of mass (total <= 0).
@@ -274,23 +298,27 @@ def test_kmeans_pp_seeding_matches_reference_bit_for_bit():
 
 
 def test_lloyd_restarts_match_reference_at_max_iter_and_empty_clusters():
+    # Two point sets in one batch, each re-seeding from its own rows.
     rng = spawn(179, 0)
-    points = rng.standard_normal((300, 3))
-    inits = np.stack([kmeans_pp_init_ref(points, 5, rng) for _ in range(6)])
-    # Two restarts start with a repeated center, so their first step leaves a
-    # cluster empty and re-seeds it.
-    inits[4, 1] = inits[4, 0]
-    inits[5, 2:] = inits[5, 0]
+    sets = np.stack([rng.standard_normal((300, 3)), 10.0 + rng.standard_normal((300, 3))])
+    inits = np.stack([[kmeans_pp_init_ref(points, 5, rng) for _ in range(6)]
+                      for points in sets])
+    # Two restarts of each set start with a repeated center, so their first
+    # step leaves a cluster empty and re-seeds it.
+    inits[:, 4, 1] = inits[:, 4, 0]
+    inits[:, 5, 2:] = inits[:, 5, :1]
     stopped_early = False
     for max_iter in (0, 1, 2, 3, 100):
-        labels, centers, costs = _lloyd_restarts(points, inits.copy(), max_iter)
-        for r in range(len(inits)):
-            ref_labels, ref_centers, ref_cost = lloyd_ref(points, inits[r].copy(), max_iter)
-            assert _same_bits(labels[r], ref_labels)
-            assert _same_bits(centers[r], ref_centers)
-            assert _same_bits(costs[r], ref_cost)
-            full_labels = lloyd_ref(points, inits[r].copy(), 100)[0]
-            stopped_early |= not np.array_equal(ref_labels, full_labels)
+        labels, centers, costs = _lloyd_restarts(sets, inits.copy(), max_iter)
+        for s, points in enumerate(sets):
+            for r in range(inits.shape[1]):
+                ref_labels, ref_centers, ref_cost = lloyd_ref(points, inits[s, r].copy(),
+                                                              max_iter)
+                assert _same_bits(labels[s, r], ref_labels)
+                assert _same_bits(centers[s, r], ref_centers)
+                assert _same_bits(costs[s, r], ref_cost)
+                full_labels = lloyd_ref(points, inits[s, r].copy(), 100)[0]
+                stopped_early |= not np.array_equal(ref_labels, full_labels)
     assert stopped_early  # some runs were cut by max_iter
 
 

@@ -423,13 +423,50 @@ def test_matrix_estimation_factor_svd_matches_full_svd(case, monkeypatch):
     out = matrix_estimation(g, 2, eps, 1e-6, seed=spawn(229, 1), noise_off=noise_off)
     U_ref, labels_ref, cost_ref = _matrix_estimation_reference(
         g, 2, eps, 1e-6, (229, 1), noise_off=noise_off)
-    (U,) = seen
+    ((U,),) = seen  # one batched call, on a stack of one embedding
     assert U.shape == U_ref.shape == (g.n, 2)
     for j in range(2):
         sign = np.sign(U[:, j] @ U_ref[:, j])
         np.testing.assert_allclose(sign * U[:, j], U_ref[:, j], rtol=0, atol=1e-10)
     np.testing.assert_array_equal(out.labels.labels, labels_ref.labels)
     assert out.diagnostics["kmeans_cost"] == pytest.approx(cost_ref, rel=1e-9)
+
+
+def _matrix_estimation_lone_loop(g, k, eps, delta, rng, noise_off=False):
+    """One run of the noisy power method as a 2-D loop: (labels, k-means cost)."""
+    n, A = g.n, g.as_float()
+    L, p = max(1, math.ceil(12.0 * math.log(n))), min(2 * k, n)
+    sigma = 0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / delta)) / eps
+    X, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    for _ in range(L):
+        G = sigma * rng.standard_normal((n, p)) if sigma > 0 else 0.0
+        X_prev, (X, R) = X, np.linalg.qr(A @ X + G)
+    labels, _, cost = approx_kmeans(X_prev @ np.linalg.svd(R.T)[0][:, :k], k, seed=rng)
+    return labels, cost
+
+
+@pytest.mark.parametrize("noise_off", [False, True])
+def test_batched_matrix_estimation_equals_lone_calls(noise_off):
+    # Three graphs of one size at three budgets run in lockstep: every output,
+    # and where every stream is left, equals three lone calls and a 2-D loop.
+    params = SbmParams(n=120, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]]))
+    graphs = [sample_sbm(params, spawn(233, j, 0)) for j in range(3)]
+    eps, delta = [30.0, 300.0, 3000.0], [1e-6, 1e-3, 1e-6]
+    streams = [[spawn(233, j, 1) for j in range(3)] for _ in range(3)]
+    batch = matrix_estimation(graphs, 2, eps, delta, seed=streams[0], noise_off=noise_off)
+    for j, out in enumerate(batch):
+        lone = matrix_estimation(graphs[j], 2, eps[j], delta[j], seed=streams[1][j],
+                                 noise_off=noise_off)
+        labels, cost = _matrix_estimation_lone_loop(graphs[j], 2, eps[j], delta[j],
+                                                    streams[2][j], noise_off)
+        assert np.array_equal(out.labels.labels, lone.labels.labels)
+        assert np.array_equal(out.labels.labels, labels.labels)
+        assert out.diagnostics == lone.diagnostics
+        assert out.diagnostics["kmeans_cost"] == cost
+        assert out.budget == lone.budget
+        after = [s[j].bit_generator.state for s in streams]
+        assert after[0] == after[1] == after[2]
+    assert len({out.diagnostics["kmeans_cost"] for out in batch}) == 3
 
 
 def test_matrix_estimation_k_zero_rejected():
@@ -721,6 +758,14 @@ def test_registry_bounded_base_is_direct_run_at_divided_eps(estimator_id, diviso
     assert bounded.labels is not None and direct.labels is not None
     np.testing.assert_array_equal(bounded.labels.labels, direct.labels.labels)
     assert [b.to_dict() for b in bounded.budget] == [b.to_dict() for b in direct.budget]
+    # A batch (forwarded whole by matrix_estimation, run by run elsewhere)
+    # divides each entry's eps and gives each run's lone output.
+    batch = base.run_batch([g, g], [eps, 2.0 * eps], [delta, delta],
+                           [spawn(278, 0), spawn(278, 1)])
+    for out, e, path in zip(batch, (eps, 2.0 * eps), (0, 1)):
+        lone = base.run(g, e, delta, spawn(278, path))
+        np.testing.assert_array_equal(out.labels.labels, lone.labels.labels)
+        assert [b.to_dict() for b in out.budget] == [b.to_dict() for b in lone.budget]
 
 
 def test_registry_unknown_id_raises_key_error():

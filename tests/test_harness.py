@@ -68,6 +68,30 @@ def test_config_rejects_an_invalid_D_rule_before_any_trial_runs():
     assert base_config(wrapper={}).resolve_D(base_config().sbm_params()) == 108  # 3 n max(B)
 
 
+def test_config_rejects_a_boost_block_missing_T_or_xi():
+    # Otherwise every trial samples its graph and then fails with KeyError.
+    wrapper = {"D_rule": {"mode": "absolute", "value": 36}}
+    for boost in ({"xi": 0.05}, {"T": 3}, {"T": 3, "xi": 0.05, "t": 5}):
+        with pytest.raises(ValueError, match="T and xi"):
+            base_config(wrapper=wrapper, boost=boost)
+
+
+def test_config_rejects_a_boost_block_without_a_wrapper():
+    # Only the reduced estimator is boosted; without a wrapper the block was ignored.
+    with pytest.raises(ValueError, match="wrapper"):
+        base_config(boost={"T": 3, "xi": 0.05})
+
+
+def test_config_rejects_an_even_T_or_an_xi_outside_its_range():
+    wrapper = {"D_rule": {"mode": "absolute", "value": 36}}
+    with pytest.raises(ValueError, match="odd"):
+        base_config(wrapper=wrapper, boost={"T": 4, "xi": 0.05})
+    for xi in (0.0, 1.0 / 16.0, 0.2):  # xi must lie in (0, 1/(8k)) = (0, 1/16)
+        with pytest.raises(ValueError, match="xi"):
+            base_config(wrapper=wrapper, boost={"T": 3, "xi": xi})
+    assert base_config(wrapper=wrapper, boost={"T": 3, "xi": 0.06}).boost_config().T == 3
+
+
 def test_single_point_single_seed_one_record():
     records = run_sweep(base_config())
     assert len(records) == 1
@@ -83,15 +107,29 @@ def test_rerun_byte_identical_csv(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+BOOSTED_MATRIX_ESTIMATION = dict(
+    sbm={"n": 100, "k": 2, "B": [[0.6, 0.1], [0.1, 0.6]]},
+    estimator={"id": "matrix_estimation", "params": {}},
+    delta_grid=[1e-6],
+    wrapper={"D_rule": {"mode": "multiple_of_d", "value": 3.0},
+             "eps1": 1.0, "delta1": 1e-6},
+    boost={"T": 3, "xi": 0.05},
+)
+
+
 def test_thread_count_does_not_change_results(tmp_path):
-    cfg = base_config(eps_grid=[1.0, 3.0], seeds=[0, 1, 2, 3])
-    serial = run_sweep(cfg, threads=1)
-    parallel = run_sweep(base_config(eps_grid=[1.0, 3.0], seeds=[0, 1, 2, 3]),
-                         threads=4)
-    p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
-    write_records_csv(serial, p1)
-    write_records_csv(parallel, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    cases = [  # (config keywords, threads)
+        (dict(eps_grid=[1.0, 3.0], seeds=[0, 1, 2, 3]), 4),
+        (dict(BOOSTED_MATRIX_ESTIMATION, eps_grid=[1e8, 1e10], seeds=[0, 1, 2, 3]), 2),
+    ]
+    for overrides, threads in cases:
+        serial = run_sweep(base_config(**overrides), threads=1)
+        parallel = run_sweep(base_config(**overrides), threads=threads)
+        p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
+        write_records_csv(serial, p1)
+        write_records_csv(parallel, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+    assert all(r.status == "ok" for r in serial)  # the boosted runs reach the vote
 
 
 def test_failure_rows_are_typed_not_fatal():
