@@ -6,7 +6,7 @@ Library layout:
 - metrics: misclassification losses and label alignment
 - accounting: privacy budget algebra (DP and zCDP)
 - mechanisms: Laplace noise, edge flipping, sphere samplers
-- lp: generic LP surface (HiGHS-backed)
+- lp: solve_lp, one HiGHS call for the truncation LPs
 - truncation: degree truncation T_D, extension score, sensitivity bound L_hat
 - clustering: eigendecomposition and approximate k-means
 - estimators: the six private pipelines plus reduction and symmetrization

@@ -59,7 +59,12 @@ def lb_packing(q: LowerBoundQuery, eps_guess: float) -> float:
     return math.log(inner) / (4.0 * xn)
 
 
-def lb_packing_solve(q: LowerBoundQuery, tol: float = 1e-6, eps_max: float = 1e6) -> float:
+# lb_packing_solve bisects to within _PACKING_TOL and never above _PACKING_EPS_MAX.
+_PACKING_TOL = 1e-6
+_PACKING_EPS_MAX = 1e6
+
+
+def lb_packing_solve(q: LowerBoundQuery) -> float:
     """Fixed point of eps = lb_packing(q, eps), found by bisection.
 
     The right-hand side is nonincreasing in eps, so f(eps) = rhs(eps) - eps
@@ -68,9 +73,8 @@ def lb_packing_solve(q: LowerBoundQuery, tol: float = 1e-6, eps_max: float = 1e6
     f0 = lb_packing(q, 0.0)
     if f0 <= 0.0:
         return 0.0
-    lo, hi = 0.0, f0  # rhs is nonincreasing, so the fixed point is <= rhs(0)
-    hi = min(hi, eps_max)
-    while hi - lo > tol:
+    lo, hi = 0.0, min(f0, _PACKING_EPS_MAX)  # the fixed point is <= rhs(0)
+    while hi - lo > _PACKING_TOL:
         mid = 0.5 * (lo + hi)
         if lb_packing(q, mid) > mid:
             lo = mid

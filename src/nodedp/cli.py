@@ -33,20 +33,15 @@ def _add_seed(p):
 
 
 def cmd_generate(args) -> int:
-    from .graphs import sample_sbm, sample_weighted_sbm, write_graph, write_labels
+    from .graphs import write_graph, write_labels
     from .harness import ExperimentConfig
-    from .registry import PIPELINES
-    from .rng import spawn
 
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     params = cfg.sbm_params()
-    # The graph the sweep scores: weighted only for a weighted pipeline.
-    weighted = params.weight_model is not None and PIPELINES[cfg.estimator["id"]].weighted
-    sample = sample_weighted_sbm if weighted else sample_sbm
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for seed in cfg.seeds:
-        g = sample(params, spawn(int(seed), 0))
+        g = cfg.sample_graph(params, seed)
         write_graph(out / f"{cfg.scenario}_seed{seed}.graph", g)
         write_labels(out / f"{cfg.scenario}_seed{seed}.labels", params.theta)
         print(f"wrote {cfg.scenario}_seed{seed}.graph (n={g.n})")

@@ -400,6 +400,8 @@ def matrix_estimation(
     rngs = [as_generator(s) for s in seeds]
     if L is None:
         L = max(1, math.ceil(12.0 * math.log(n)))
+    if L < 1:
+        raise ValueError("L must be >= 1")
     p = min(2 * k, n)
     sigmas = [0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / d)) / e
               for e, d in zip(epss, deltas)]

@@ -88,6 +88,13 @@ class ExperimentConfig:
         return SbmParams(n=int(s["n"]), k=int(s["k"]),
                          B=np.asarray(s["B"], dtype=float), weight_model=wm)
 
+    def sample_graph(self, params: SbmParams, seed: int):
+        """Seed's graph as the sweep scores it, from stream spawn(seed, 0): a
+        WeightedGraph only when the SBM has a weight model and the pipeline
+        takes weights."""
+        weighted = params.weight_model is not None and PIPELINES[self.estimator["id"]].weighted
+        return (sample_weighted_sbm if weighted else sample_sbm)(params, spawn(int(seed), 0))
+
     def boost_config(self) -> BoostConfig:
         return BoostConfig(T=int(self.boost["T"]), xi=float(self.boost["xi"]),
                            k=int(self.sbm["k"]))
@@ -144,9 +151,7 @@ def _run_trial(cfg: ExperimentConfig, params: SbmParams, grid_index: int, eps: f
     try:
         graph = shared.get("graph")
         if graph is None:  # concurrent trials of a seed may both sample; all keep the first
-            weighted = params.weight_model is not None and PIPELINES[est_id].weighted
-            sample = sample_weighted_sbm if weighted else sample_sbm
-            graph = shared.setdefault("graph", sample(params, spawn(seed, 0)))
+            graph = shared.setdefault("graph", cfg.sample_graph(params, seed))
         mech_seed = spawn(seed, 1, grid_index)
         if cfg.wrapper is not None:
             base = make_bounded_base(est_id, params.k, D, est_params)

@@ -63,8 +63,7 @@ PIPELINES = {
     "two_community": Pipeline("approx", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
         two_community_convex(g, *_n_scaled_pair(g, p), p["eps"], p["delta"], **kw))),
     "matrix_estimation": Pipeline("approx", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
-        matrix_estimation(g, p["k"], p["eps"], p["delta"], **kw)), options=("L",),
-        batched=True),
+        matrix_estimation(g, p["k"], p["eps"], p["delta"], **kw)), batched=True),
     "subspace_estimation": Pipeline("approx", lambda k, D: 5.0 * D, True, lambda g, p, kw: (
         subspace_estimation(g, p["k"], p["eps"], p["delta"], **kw)),
         options=("zeta", "C1", "Cprime")),

@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .graphs import Graph, WeightedGraph, adjacency_squared, max_degree, memo
-from .lp import LpProblem, solve_lp
+from .lp import solve_lp
 from .mechanisms import laplace
 from .rng import SeedLike
 
@@ -126,15 +127,15 @@ def lipschitz_extension_score(
     # One variable per pair i <= j with (A^2)_ij > 0; C is symmetric.
     coef = np.where(iu == ju, Wobj[iu, ju], 2.0 * Wobj[iu, ju])
     bounds = [(0.0, hi) for hi in A2[iu, ju].tolist()]
-    prob = LpProblem(objective=coef, sense="max", bounds=bounds)
     # Row i sums, once each, the variables of the pairs touching node i.
     once = np.ones(2 * iu.size, dtype=bool)
     once[1::2] = iu != ju
     node = np.column_stack([iu, ju]).ravel()[once]
     has_row, row = np.unique(node, return_inverse=True)
-    prob.add_rows(row, np.repeat(np.arange(iu.size), 2)[once], np.ones(node.size),
-                  "<=", np.full(has_row.size, float(D) * float(D)))
-    sol = solve_lp(prob)
+    col = np.repeat(np.arange(iu.size), 2)[once]
+    A_ub = sparse.csr_matrix((np.ones(node.size), (row, col)), shape=(has_row.size, iu.size))
+    sol = solve_lp(coef, A_ub, np.full(has_row.size, float(D) * float(D)), bounds,
+                   maximize=True)
     if sol.status != "optimal":
         raise LpFailure(f"extension LP ended with status {sol.status}: {sol.message}")
     return float(sol.objective)
@@ -159,16 +160,17 @@ def degree_truncate(g: Graph, D: int) -> tuple[Graph, float]:
     # Variables: x_0..x_{n-1}, then w_e for each present edge e.
     obj = np.concatenate([np.ones(n), np.zeros(m)])
     bounds = [(0.0, None)] * n + [(0.0, 1.0)] * m
-    prob = LpProblem(objective=obj, sense="min", bounds=bounds)
     e = np.arange(m)
-    # w_uv >= 1 - x_u - x_v, i.e. x_u + x_v + w_e >= 1, one row per edge e.
-    prob.add_rows(np.repeat(e, 3), np.column_stack([iu, ju, n + e]).ravel(),
-                  np.ones(3 * m), ">=", np.ones(m))
-    # sum_v w_uv <= D, one row per node with an edge; entries go edge by edge.
+    # Rows 0..m-1: w_uv >= 1 - x_u - x_v, negated to -x_u - x_v - w_e <= -1.
+    # Then sum_v w_uv <= D, one row per node with an edge; entries go edge by edge.
     has_row, row = np.unique(np.column_stack([iu, ju]).ravel(), return_inverse=True)
-    prob.add_rows(row, np.repeat(n + e, 2), np.ones(2 * m), "<=",
-                  np.full(has_row.size, float(D)))
-    sol = solve_lp(prob)
+    A_ub = sparse.csr_matrix(
+        (np.concatenate([np.full(3 * m, -1.0), np.ones(2 * m)]),
+         (np.concatenate([np.repeat(e, 3), m + row]),
+          np.concatenate([np.column_stack([iu, ju, n + e]).ravel(), np.repeat(n + e, 2)]))),
+        shape=(m + has_row.size, n + m))
+    b_ub = np.concatenate([np.full(m, -1.0), np.full(has_row.size, float(D))])
+    sol = solve_lp(obj, A_ub, b_ub, bounds)
     if sol.status != "optimal":
         raise LpFailure(f"truncation LP ended with status {sol.status}: {sol.message}")
     x = sol.x[:n]

@@ -136,35 +136,6 @@ def dense_simplex_max(c, A_ub, b_ub):
     raise ValueError("iteration limit")
 
 
-def row_triplets(coeffs):
-    """One LP row as add_rows triplets (row, col, coeff): from a dense
-    coefficient vector (its nonzeros) or an {index: coeff} dict (every entry,
-    zeros included)."""
-    if isinstance(coeffs, dict):
-        col, coeff = list(coeffs.keys()), list(coeffs.values())
-    else:
-        coeff = np.asarray(coeffs, dtype=np.float64)
-        col = np.nonzero(coeff)[0]
-        coeff = coeff[col]
-    return np.zeros(len(col), dtype=np.int64), col, coeff
-
-
-def lp_dump(problem):
-    """An LpProblem as text: objective, rows in the order added, bounds."""
-    lines = [f"{problem.sense} "
-             f"{' + '.join(f'{c:g} x{i}' for i, c in enumerate(problem.objective) if c)}"]
-    for row, col, coeff, rel, rhs in problem.batches:
-        order = np.argsort(row, kind="stable")
-        per_row = np.split(order, np.searchsorted(row[order], np.arange(1, rhs.size)))
-        for b, e in zip(rhs, per_row):
-            terms = " + ".join(f"{c:g} x{i}" for i, c in zip(col[e], coeff[e]))
-            lines.append(f"  {terms or '0'} {rel} {b:g}")
-    for i, (lo, hi) in enumerate(problem.bounds):
-        lines.append(f"  x{i} in [{'-inf' if lo is None else lo:g}, "
-                     f"{'inf' if hi is None else hi}]")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Eigensolver oracle: shifted power iteration with deflation.
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nodedp.estimators
+import nodedp.lp
 import nodedp.truncation
 from nodedp import (
     Graph,
@@ -172,8 +173,19 @@ def test_perfbench_trace_patches_resolve(monkeypatch):
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
     spec.loader.exec_module(spans)
-    patches = spans.Tracer().patches()
-    assert (nodedp.estimators, "sample_sphere_exp") in [(m, a) for m, a, _ in patches]
+    tracer = spans.Tracer()
+    patches = tracer.patches()
+    plan = [(m, a) for m, a, _ in patches]
+    assert (nodedp.estimators, "sample_sphere_exp") in plan
+    assert (nodedp.truncation, "solve_lp") in plan
+    assert (nodedp.lp, "linprog") in plan
+    # lp.rows and lp.nnz are read from linprog's keyword A_ub: a star with its
+    # hub above D reaches the LP, whose 4 edge rows and 5 node rows hold 20
+    # nonzeros.
+    with spans.installed(patches):
+        nodedp.truncation.degree_truncate(star(5), 2)
+    assert (tracer.counts["lp.vars"], tracer.counts["lp.rows"],
+            tracer.counts["lp.nnz"]) == (9, 9, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +390,15 @@ def test_matrix_estimation_noise_free_reconstruction():
     U, s, Vt = np.linalg.svd(A)
     A2k = (U[:, : 2 * k] * s[: 2 * k]) @ Vt[: 2 * k]
     assert np.linalg.norm(A - A2k, 2) <= svals[2 * k] + 1e-6 * np.linalg.norm(A, 2)
+
+
+def test_matrix_estimation_rejects_L_below_one():
+    g = sample_sbm(SbmParams(n=40, k=2, B=np.array([[0.6, 0.1], [0.1, 0.6]])), 3)
+    rng = spawn(5, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="L must be"):
+        matrix_estimation(g, 2, eps=1.0, delta=1e-6, seed=rng, L=0)
+    assert rng.bit_generator.state == state  # raised before drawing anything
 
 
 def _matrix_estimation_reference(g, k, eps, delta, seed, noise_off=False, restarts=20):

@@ -58,6 +58,14 @@ def test_config_rejects_a_parameter_no_pipeline_reads():
     base_config(estimator={"id": "subspace_estimation", "params": {"zeta": 0.2, "D": 3}})
 
 
+def test_config_rejects_matrix_estimation_L():
+    # L sets the privacy noise through its default ceil(12 ln n), so a config
+    # cannot set it; L = 0 would leave the power iteration empty.
+    for L in (0, 5):
+        with pytest.raises(ValueError, match="matrix_estimation parameter.*L"):
+            base_config(estimator={"id": "matrix_estimation", "params": {"L": L}})
+
+
 def test_config_rejects_an_invalid_D_rule_before_any_trial_runs():
     with pytest.raises(ValueError, match="D rule"):
         base_config(wrapper={"D_rule": {"mode": "multiple_of_dd", "value": 1.0}})
@@ -259,9 +267,9 @@ def counting_solve_lp(monkeypatch, result=None):
     calls = []
     real = nodedp.truncation.solve_lp
 
-    def spy(problem):
-        calls.append(problem.n_vars)
-        return real(problem) if result is None else result
+    def spy(c, *args, **kwargs):
+        calls.append(len(c))
+        return real(c, *args, **kwargs) if result is None else result
 
     monkeypatch.setattr(nodedp.truncation, "solve_lp", spy)
     return calls

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import nodedp.truncation
 from nodedp import (
     Graph,
     SbmParams,
@@ -37,6 +38,19 @@ def random_graph(n, p, seed):
     rng = spawn(seed, 0)
     adj = np.triu((rng.random((n, n)) < p).astype(np.uint8), 1)
     return Graph(n, adj | adj.T)
+
+
+def lp_inputs(monkeypatch):
+    """Record the (c, A_ub, b_ub, bounds, maximize) of every solve_lp call."""
+    calls = []
+    real = nodedp.truncation.solve_lp
+
+    def spy(c, A_ub, b_ub, bounds, maximize=False):
+        calls.append((c, A_ub, b_ub, bounds, maximize))
+        return real(c, A_ub, b_ub, bounds, maximize=maximize)
+
+    monkeypatch.setattr(nodedp.truncation, "solve_lp", spy)
+    return calls
 
 
 def random_unit(n, rng):
@@ -136,6 +150,30 @@ def test_extension_sensitivity_small_exhaustive():
             assert abs(a - b) <= extension_score_sensitivity(D) + 1e-6
 
 
+def test_extension_lp_rows_follow_the_docstring(monkeypatch):
+    # One variable per pair i <= j with (A^2)_ij > 0, in row-major order;
+    # objective W_ii on the diagonal and 2 W_ij off it, W = VV' + J; bounds
+    # [0, (A^2)_ij]; row i sums the pairs touching node i and is <= D^2.
+    g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    A2 = g.as_float() @ g.as_float()
+    V = np.linalg.qr(spawn(103, 0).standard_normal((5, 2)))[0]
+    W = V @ V.T + 1.0
+    pairs = [(i, j) for i in range(5) for j in range(i, 5) if A2[i, j] > 0]
+    nodes = sorted({i for pair in pairs for i in pair})
+    A = np.zeros((len(nodes), len(pairs)))
+    for r, i in enumerate(nodes):
+        for k, pair in enumerate(pairs):
+            A[r, k] = 1.0 if i in pair else 0.0
+    calls = lp_inputs(monkeypatch)
+    lipschitz_extension_score(g, V, 1.5, force_lp=True)
+    [(c, A_ub, b_ub, bounds, maximize)] = calls
+    assert maximize
+    assert np.allclose(c, [W[i, j] * (1 if i == j else 2) for i, j in pairs])
+    assert bounds == [(0.0, A2[i, j]) for i, j in pairs]
+    assert np.array_equal(A_ub.toarray(), A)
+    assert np.array_equal(b_ub, np.full(len(nodes), 2.25))
+
+
 def test_extension_is_quadratic_at_row_sum_D_squared():
     # Star(m) at D = 2: A^2 has every row sum m - 1 (the hub's diagonal, or a
     # leaf's m - 2 two-walks plus its own), against D^2 = 4.
@@ -152,6 +190,31 @@ def test_extension_requires_orthonormal_V():
 
 # ---------------------------------------------------------------------------
 # Degree truncation
+
+
+def test_truncation_lp_rows_follow_the_docstring(monkeypatch):
+    # Variables x_0..x_{n-1}, then w_e per edge u < v in row-major order.
+    # min sum_u x_u; first x_u + x_v + w_e >= 1 per edge, negated into
+    # -x_u - x_v - w_e <= -1, then sum of w_e over the edges at u <= D for
+    # each node u with an edge.
+    n, D = 7, 2
+    g = graph_from_edges(n, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.adj[u, v]]
+    m = len(edges)
+    A = np.zeros((m, n + m))
+    for e, (u, v) in enumerate(edges):
+        A[e, [u, v, n + e]] = -1.0
+    node_rows = [[1.0 if u in edge else 0.0 for edge in edges]
+                 for u in range(n) if any(u in edge for edge in edges)]
+    A = np.vstack([A, np.hstack([np.zeros((len(node_rows), n)), np.array(node_rows)])])
+    calls = lp_inputs(monkeypatch)
+    degree_truncate(g, D)
+    [(c, A_ub, b_ub, bounds, maximize)] = calls
+    assert not maximize
+    assert np.array_equal(c, [1.0] * n + [0.0] * m)
+    assert bounds == [(0.0, None)] * n + [(0.0, 1.0)] * m
+    assert np.array_equal(A_ub.toarray(), A)
+    assert np.array_equal(b_ub, [-1.0] * m + [float(D)] * len(node_rows))
 
 
 def test_truncate_noop_below_threshold():
