@@ -9,7 +9,7 @@ Library layout:
 - lp: solve_lp, one HiGHS call for the truncation LPs
 - truncation: degree truncation T_D, extension score, sensitivity bound L_hat
 - clustering: eigendecomposition and approximate k-means
-- estimators: the six private pipelines plus reduction and symmetrization
+- estimators: the six private pipelines plus the reduction to node privacy
 - boosting: graph-based boosting and the thinned-Bernoulli correlation
 - bounds: lower-bound calculators
 - harness: config-driven sweeps; cli: command-line entry points
@@ -36,7 +36,7 @@ from .bounds import (
     lb_stable,
     stability_success_cap,
 )
-from .clustering import approx_kmeans, spectral_cluster, sym_eigs
+from .clustering import approx_kmeans, sym_eigs
 from .estimators import (
     BoundedDegreeEstimator,
     EstimatorOutput,
@@ -48,7 +48,6 @@ from .estimators import (
     private_pca_lipschitz,
     reduce_to_node_private,
     subspace_estimation,
-    symmetrize,
     two_community_convex,
 )
 from .graphs import (

@@ -1,10 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate (write SBM graph files), run (one estimator on one
-graph), sweep (config-driven grid), bounds (lower-bound tables), selftest
-(quick property suites). generate and sweep take their seeds from the
-config's seeds list; run and selftest take --seed, which falls back to the
-NODEDP_SEED environment variable when not given.
+graph), sweep (config-driven grid), bounds (lower-bound tables). generate
+and sweep take their seeds from the config's seeds list; run takes --seed,
+which falls back to the NODEDP_SEED environment variable when not given.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 
 def _resolve_seed(args) -> int:
@@ -144,48 +141,6 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    """Quick property checks; the full suites live in the pytest tree."""
-    from . import accounting as acc
-    from .boosting import hgr_thinned_bernoulli
-    from .graphs import Graph, SbmParams, max_degree, sample_sbm
-    from .mechanisms import edge_flip
-    from .rng import spawn
-    from .truncation import degree_truncate
-
-    seed = _resolve_seed(args)
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-
-    b = acc.zcdp_to_dp(acc.group_zcdp(acc.zcdp(0.1), 3), 1e-6)
-    check("accounting: zCDP group + conversion",
-          abs(b.eps - (0.9 + math.sqrt(4 * 0.9 * math.log(1e6)))) < 1e-12)
-    check("hgr: p=q=1/2 gives 1/3", abs(hgr_thinned_bernoulli(0.5, 0.5) - 1 / 3) < 1e-15)
-
-    params = SbmParams(n=60, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]]))
-    g = sample_sbm(params, spawn(seed, 0))
-    flipped = edge_flip(g, 1.0, spawn(seed, 1))
-    frac = np.mean(np.triu(flipped.adj != g.adj, k=1)[np.triu_indices(g.n, 1)])
-    p_flip = 1.0 / (1.0 + math.e)
-    sigma = math.sqrt(p_flip * (1 - p_flip) / (g.n * (g.n - 1) / 2))
-    check("edge flip: empirical frequency near 1/(1+e)", abs(frac - p_flip) < 4 * sigma)
-
-    rng = spawn(seed, 2)
-    adj = (rng.random((40, 40)) < 0.5).astype(np.uint8)
-    adj = np.triu(adj, 1)
-    dense = Graph(40, adj | adj.T)
-    truncated, d_T = degree_truncate(dense, 5)
-    check("truncation: max degree <= 2D", max_degree(truncated) <= 10)
-    check("truncation: d_T nonnegative", d_T >= 0)
-
-    print("selftest:", "OK" if failures == 0 else f"{failures} failure(s)")
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nodedp",
@@ -224,10 +179,6 @@ def main(argv=None) -> int:
     p.add_argument("--delta", default="0.0,1e-6")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("selftest", help="quick property checks")
-    _add_seed(p)
-    p.set_defaults(func=cmd_selftest)
 
     args = parser.parse_args(argv)
     return args.func(args)

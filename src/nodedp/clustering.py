@@ -67,27 +67,51 @@ def _sq_dist(pT, centers):
     return d2
 
 
-def _kmeans_pp_init(points, k, rng):
-    """k-means++ seeding: k centers drawn from the rows of points.
+def _kmeans_pp_seed(sets, k, rngs, restarts):
+    """k-means++ seedings of every restart of every point set: centers
+    (S, R, k, d) drawn from the rows of sets (S, n, d), restart r of set s
+    from rngs[s] after restarts 0..r-1 of that set, and the state each
+    stream was left in after each restart, [r][s].
 
-    Distances add the dimensions in order, as _assign does, so for d <= 7
-    every bit equals ``np.sum((points - c) ** 2, axis=1)``. At d >= 8 numpy
-    adds pairwise instead, so distances, and with them the seeding
-    probabilities, may differ from that form's in the last bits.
+    Each stream draws what a lone seeding does: integers(n) for the first
+    center, then for each further center the one uniform that
+    ``Generator.choice(n, p=d2 / total)`` consumes once its checks pass,
+    mapped to a row by the same cumsum, normalisation and right-side search;
+    or, once the mass runs out (total <= 0), integers(n, size=k - c) for the
+    rest. Where one restart's draws stop, and so where the next restart's
+    start, depends on its own draws (distinct rows whose squared distance
+    underflows to 0 need not cover each other), so the restarts of a set go
+    one after another; the sets go together. Distances add the dimensions in
+    order, as _assign does, so for d <= 7 every bit equals
+    ``np.sum((points - c) ** 2, axis=1)``; at d >= 8 numpy adds pairwise
+    instead, so the seeding probabilities may differ from that form's in the
+    last bits.
     """
-    n = points.shape[0]
-    pT = np.ascontiguousarray(points.T)
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = _sq_dist(pT, centers[0])
-    for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centers[c:] = points[rng.integers(n, size=k - c)]
-            break
-        centers[c] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, _sq_dist(pT, centers[c]))
-    return centers
+    S, n, d = sets.shape
+    pT = np.ascontiguousarray(sets.transpose(0, 2, 1))
+    centers = np.empty((S, restarts, k, d))
+    states = []
+    for r in range(restarts):
+        live = np.arange(S)
+        centers[:, r, 0] = sets[live, [rng.integers(n) for rng in rngs]]
+        d2 = _sq_dist(pT, centers[:, r, 0])
+        for c in range(1, k):
+            total = d2.sum(axis=1)
+            if np.isinf(total).any():  # where choice(p=d2 / total) raised
+                raise ValueError("squared distances overflow")
+            spent = total <= 0
+            if spent.any():
+                for s in live[spent]:
+                    centers[s, r, c:] = sets[s, rngs[s].integers(n, size=k - c)]
+                live, d2, total = live[~spent], d2[~spent], total[~spent]
+            cdf = (d2 / total[:, None]).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            u = np.array([rngs[s].random() for s in live])
+            centers[live, r, c] = sets[live, (cdf <= u[:, None]).sum(axis=1)]
+            if c + 1 < k:
+                np.minimum(d2, _sq_dist(pT[live], centers[live, r, c]), out=d2)
+        states.append([rng.bit_generator.state for rng in rngs])
+    return centers, states
 
 
 def _assign(pT, centers):
@@ -169,9 +193,10 @@ def approx_kmeans(
 
     A stack of S point sets, (S, n, d), with a sequence of S seeds is a
     batch: each set's seedings draw from its own stream, in the order above,
-    every Lloyd run of every set goes in one loop, and the result is a list
-    of S triples, each bit for bit what a lone call on that set and seed
-    returns (and leaves its stream where that call would).
+    the sets' seedings go together, every Lloyd run of every set goes in one
+    loop, and the result is a list of S triples, each bit for bit what a
+    lone call on that set and seed returns (and leaves its stream where that
+    call would).
     """
     points = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(points)):
@@ -182,33 +207,20 @@ def approx_kmeans(
     sets, seeds = (points, list(seed)) if batch else (points[None], [seed])
     if len(seeds) != len(sets):
         raise ValueError("a batch needs one seed per point set")
-    S, n, d = sets.shape
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > n:
+    if k > sets.shape[1]:
         raise ValueError("k must not exceed the number of points")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rngs = [as_generator(s) for s in seeds]
-    inits, states = [], []
-    for pts, rng in zip(sets, rngs):
-        for _ in range(restarts):
-            inits.append(_kmeans_pp_init(pts, k, rng))
-            states.append(rng.bit_generator.state)
-    labels, centers, costs = _lloyd_restarts(sets, np.reshape(inits, (S, restarts, k, d)))
+    inits, states = _kmeans_pp_seed(sets, k, rngs, restarts)
+    labels, centers, costs = _lloyd_restarts(sets, inits)
     out = []
     for s, rng in enumerate(rngs):
         best = costs[s].argmin()
         if costs[s, best] == 0.0:
-            rng.bit_generator.state = states[s * restarts + best]
+            rng.bit_generator.state = states[best][s]
         out.append((LabelAssignment(labels[s, best], k), centers[s, best],
                     float(costs[s, best])))
     return out if batch else out[0]
-
-
-def spectral_cluster(M: np.ndarray, k: int, seed: SeedLike = 0) -> LabelAssignment:
-    """Cluster the rows of the top-k (by absolute eigenvalue) eigenvector
-    matrix of M with approximate k-means."""
-    _, vecs = sym_eigs(M, k, by_abs=True)
-    labels, _, _ = approx_kmeans(vecs, k, seed=seed)
-    return labels

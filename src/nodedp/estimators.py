@@ -1,6 +1,6 @@
-"""The six private community-estimation pipelines, the symmetrization wrapper,
-and the generic reduction that composes degree truncation with any estimator
-that is private on bounded-degree graphs.
+"""The six private community-estimation pipelines and the generic reduction
+that composes degree truncation with any estimator that is private on
+bounded-degree graphs.
 
 Every pipeline accepts a ``noise_off`` flag used by oracle-equivalence tests:
 all noise scales become zero and exponential-mechanism draws are replaced by
@@ -361,6 +361,11 @@ def two_community_convex(
 # Low-rank matrix estimation (noisy power method)
 
 
+# Power iterations whose noise each stream draws in one call: a block holds
+# 16 x n x 2k doubles per run, and the calls per run fall from L to L / 16.
+_NOISE_BLOCK = 16
+
+
 def matrix_estimation(
     g: Graph,
     k: int,
@@ -382,8 +387,8 @@ def matrix_estimation(
     A list of graphs of one size is a batch: eps, delta and seed are then
     lists of the same length, and the result is the list of outputs that
     lone calls would give, bit for bit, each drawing from its own stream in
-    the order above. The runs go in lockstep, with one stacked QR per
-    iteration and one k-means call for all of them.
+    the order above. The runs go in lockstep, with one stacked matmul and one
+    stacked QR per iteration, and one k-means call for all of them.
     """
     batch = isinstance(g, list)
     graphs, epss, deltas, seeds = (g, eps, delta, seed) if batch else ([g], [eps], [delta], [seed])
@@ -405,22 +410,33 @@ def matrix_estimation(
     p = min(2 * k, n)
     sigmas = [0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / d)) / e
               for e, d in zip(epss, deltas)]
-    A = [gj.as_float() for gj in graphs]
-    X, _ = np.linalg.qr(np.stack([rng.standard_normal((n, p)) for rng in rngs]))
+    A = np.empty((len(graphs), n, n))
+    X = np.empty((len(graphs), n, p))
+    for Aj, Xj, gj, rng in zip(A, X, graphs, rngs):
+        Aj[...] = gj.adj
+        rng.standard_normal(out=Xj)
+    X, _ = np.linalg.qr(X)
     Y = np.empty_like(X)
-    G = np.zeros_like(X)  # rows at noise scale 0 stay 0: A @ X + 0.0, as drawn
-    for _ in range(L):
-        for j, (Aj, rng, sigma) in enumerate(zip(A, rngs, sigmas)):
-            np.matmul(Aj, X[j], out=Y[j])
-            if sigma > 0:
-                rng.standard_normal(out=G[j])
-                G[j] *= sigma
-        Y += G
+    # A stream's block of noise comes in the order per-iteration calls would
+    # draw it. Runs at noise scale 0 draw nothing; their zero noise still
+    # adds +0.0 to A @ X.
+    G = np.zeros((len(graphs), min(L, _NOISE_BLOCK), n, p))
+    scale = np.array(sigmas)[:, None, None, None]
+    for i in range(L):
+        b = i % G.shape[1]
+        if b == 0:
+            m = min(G.shape[1], L - i)
+            for Gj, rng, sigma in zip(G, rngs, sigmas):
+                if sigma > 0:
+                    rng.standard_normal(out=Gj[:m])
+            G[:, :m] *= scale
+        np.matmul(A, X, out=Y)
+        Y += G[:, b]
         X_prev, (X, R) = X, np.linalg.qr(Y)
     # Rank-2k reconstruction from the penultimate basis and the last product,
     # Ahat = X_prev @ Y.T = X_prev @ R.T @ X.T. Both bases are orthonormal, so
     # Ahat's left singular vectors are X_prev times those of the p x p factor R.T.
-    Uk = np.stack([Xj @ np.linalg.svd(Rj.T)[0][:, :k] for Xj, Rj in zip(X_prev, R)])
+    Uk = X_prev @ np.linalg.svd(R.transpose(0, 2, 1))[0][..., :k]
     outs = []
     for (labels, _, cost), e, d in zip(approx_kmeans(Uk, k, seed=rngs), epss, deltas):
         rho = 0.0 if noise_off else e * e / (4.0 * math.log(1.0 / d))
@@ -613,7 +629,7 @@ def subspace_estimation(
 
 
 # ---------------------------------------------------------------------------
-# Generic reduction to node privacy, and symmetrization
+# Generic reduction to node privacy
 
 
 class BoundedDegreeEstimator:
@@ -703,29 +719,3 @@ def reduce_to_node_private(
         diag.update({f"base_{k}": v for k, v in out.diagnostics.items()})
         results.append(EstimatorOutput(labels=out.labels, budget=chain, diagnostics=diag))
     return results if batch else results[0]
-
-
-def symmetrize(base: BoundedDegreeEstimator) -> BoundedDegreeEstimator:
-    """Wrap an estimator so its output law is invariant to node relabeling:
-    conjugate the input by a uniform random permutation and undo it on the
-    output labels."""
-
-    def run(graph, eps, delta, seed, noise_off=False):
-        rng = as_generator(seed)
-        perm = rng.permutation(graph.n)
-        if isinstance(graph, WeightedGraph):
-            permuted = WeightedGraph(graph.n, graph.weights[np.ix_(perm, perm)])
-        else:
-            permuted = Graph(graph.n, graph.adj[np.ix_(perm, perm)])
-        out = base.run(permuted, eps, delta, rng, noise_off)
-        if out.labels is None:
-            return out
-        unpermuted = np.empty(graph.n, dtype=np.int64)
-        unpermuted[perm] = out.labels.labels
-        return EstimatorOutput(
-            labels=LabelAssignment(unpermuted, out.labels.k),
-            budget=out.budget,
-            diagnostics=dict(out.diagnostics, symmetrized=True),
-        )
-
-    return BoundedDegreeEstimator(f"symmetrized({base.name})", base.privacy_form, run)

@@ -273,7 +273,7 @@ def test_criterion_5_noise_free_oracle_equivalence():
     for seed in range(20):
         g = sample_sbm(params, spawn(1005, seed, 0))
         # The baseline's eigenvectors come from a full eigh, not from the
-        # package's eigensolver, then the same k-means as spectral_cluster's.
+        # package's eigensolver, then the package's k-means.
         _, vecs = sym_eigs_ref(g.as_float(), 2)
         base_labels, _, _ = approx_kmeans(vecs, 2, seed=spawn(1005, seed, 1))
         base_loss = loss_overall(base_labels, params.theta)

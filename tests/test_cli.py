@@ -67,12 +67,6 @@ def test_bounds_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_selftest(capsys):
-    assert main(["selftest", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "selftest: OK" in out
-
-
 def test_env_seed_fallback(tmp_path, config_file, monkeypatch, capsys):
     out = tmp_path / "graphs"
     main(["generate", "--config", str(config_file), "--out", str(out)])

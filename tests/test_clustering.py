@@ -13,10 +13,9 @@ from nodedp import (
     edge_flip,
     loss_overall,
     sample_sbm,
-    spectral_cluster,
     sym_eigs,
 )
-from nodedp.clustering import ARPACK_SEED, _kmeans_pp_init, _lloyd_restarts
+from nodedp.clustering import ARPACK_SEED, _kmeans_pp_seed, _lloyd_restarts
 from nodedp.rng import spawn
 
 from oracles import (
@@ -256,18 +255,20 @@ def test_kmeans_matches_sequential_reference_duplicate_rows():
 
 
 def test_batched_kmeans_equals_lone_calls():
-    # Per d in 2..7, one batch of three sets: random rows, and two sets of at
-    # most k distinct integer rows, whose Lloyd runs meet empty clusters and
-    # whose first restart has cost 0, so each stops early and rewinds its stream.
-    for d in range(2, 8):
-        rng = spawn(193, d)
-        k, n = int(rng.integers(2, 6)), int(rng.integers(20, 90))
+    # One batch of three sets per d in 1..7, with k drawn from 2..5, and per d
+    # in (1, 4) with k = 1: random rows, and two sets of at most k distinct
+    # integer rows, whose Lloyd runs meet empty clusters and whose first
+    # restart has cost 0, so each stops early and rewinds its stream.
+    for path in [(193, d) for d in range(1, 8)] + [(195, 1), (195, 4)]:
+        rng, d = spawn(*path), path[1]
+        k = int(rng.integers(2, 6)) if path[0] == 193 else 1
+        n = int(rng.integers(20, 90))
         sets = [rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0)]
         for _ in range(2):
             distinct = rng.integers(-5, 6, (int(rng.integers(1, k + 1)), d)).astype(float)
             sets.append(distinct[rng.integers(len(distinct), size=n)])
-        batch_rngs = [spawn(193, d, s) for s in range(3)]
-        lone_rngs = [spawn(193, d, s) for s in range(3)]
+        batch_rngs = [spawn(*path, s) for s in range(3)]
+        lone_rngs = [spawn(*path, s) for s in range(3)]
         batch = approx_kmeans(np.stack(sets), k, restarts=7, seed=batch_rngs)
         for s, (labels, centers, cost) in enumerate(batch):
             ref_labels, ref_centers, ref_cost = approx_kmeans(sets[s], k, restarts=7,
@@ -281,19 +282,27 @@ def test_batched_kmeans_equals_lone_calls():
 
 def test_kmeans_pp_seeding_matches_reference_bit_for_bit():
     # Per-dimension distances give np.sum's bits for d <= 7; rows drawn from a
-    # few integer points also run the seeding out of mass (total <= 0).
-    for case in range(70):
+    # few integer points also run the seeding out of mass (total <= 0). So do
+    # rows on a grid of step 1e-162 (cases 70-79), where the squared distance
+    # of neighbours underflows to 0 but that of rows two steps apart does
+    # not, so how many centers a restart draws before it runs out depends on
+    # which rows it drew.
+    for case in range(80):
         rng = spawn(171, case)
         d, k = 1 + case % 7, int(rng.integers(1, 6))
         n = int(rng.integers(k, 200))
-        if case % 5 == 4:
+        if case >= 70:
+            points = rng.integers(0, 6, size=(n, d)) * 1e-162
+        elif case % 5 == 4:
             distinct = rng.integers(0, 3, size=(int(rng.integers(1, k + 1)), d)).astype(float)
             points = distinct[rng.integers(0, len(distinct), size=n)]
         else:
             points = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0)
         got_rng, ref_rng = spawn(171, case, 1), spawn(171, case, 1)
-        assert _same_bits(_kmeans_pp_init(points, k, got_rng),
-                          kmeans_pp_init_ref(points, k, ref_rng))
+        (got,), states = _kmeans_pp_seed(points[None], k, [got_rng], 2)
+        for r in range(2):  # the second restart draws where the first stopped
+            assert _same_bits(got[r], kmeans_pp_init_ref(points, k, ref_rng))
+            assert states[r] == [ref_rng.bit_generator.state]
         assert _same_bits(got_rng.random(), ref_rng.random())
 
 
@@ -348,46 +357,6 @@ def test_kmeans_rejects_non_finite_before_drawing(bad, k):
     assert rng.bit_generator.state == state
 
 
-def test_spectral_cluster_block_diagonal():
-    blocks = np.zeros((8, 8))
-    blocks[:4, :4] = 1.0
-    blocks[4:, 4:] = 1.0
-    labels = spectral_cluster(blocks, 2, seed=0)
-    truth = LabelAssignment(np.repeat([0, 1], 4), 2)
-    assert loss_overall(labels, truth) == 0.0
-
-
-def test_spectral_cluster_zero_matrix_valid_output():
-    labels = spectral_cluster(np.zeros((6, 6)), 2, seed=0)
-    assert labels.n == 6 and labels.k == 2
-
-
-def test_spectral_cluster_sbm_recovery():
-    # Non-private planted SBM at n=400: loss <= 0.05 in >= 95% of 50 seeds.
-    params = SbmParams(n=400, k=2, B=np.array([[0.3, 0.05], [0.05, 0.3]]))
-    good = 0
-    for seed in range(50):
-        g = sample_sbm(params, spawn(157, seed, 0))
-        labels = spectral_cluster(g.as_float(), 2, seed=spawn(157, seed, 1))
-        if loss_overall(labels, params.theta) <= 0.05:
-            good += 1
-    assert good >= 48  # 95% of 50 rounded up, with one seed of slack
-
-
-def test_spectral_cluster_permutation_invariance():
-    params = SbmParams(n=60, k=2, B=np.array([[0.6, 0.1], [0.1, 0.6]]))
-    g = sample_sbm(params, 5)
-    rng = spawn(163, 0)
-    labels = spectral_cluster(g.as_float(), 2, seed=spawn(163, 1))
-    for _ in range(3):
-        perm = rng.permutation(60)
-        M = g.as_float()[np.ix_(perm, perm)]
-        plabels = spectral_cluster(M, 2, seed=spawn(163, 1))
-        unperm = np.empty(60, dtype=np.int64)
-        unperm[perm] = plabels.labels
-        assert loss_overall(LabelAssignment(unperm, 2), labels) == 0.0
-
-
 def test_embedding_rejects_non_finite():
     approx_kmeans(np.zeros((3, 2)), 1, seed=0)
     # The check runs before anything is drawn from the stream.
@@ -396,3 +365,14 @@ def test_embedding_rejects_non_finite():
     with pytest.raises(ValueError):
         approx_kmeans(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1, seed=rng)
     assert rng.bit_generator.state == state
+
+
+def test_kmeans_rejects_squared_distances_that_overflow():
+    # Finite rows 1e200 apart: the seeding's total is inf, where the
+    # sequential reference's Generator.choice raises.
+    points = np.array([[0.0], [1e200], [-1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            kmeans_pp_init_ref(points, 2, spawn(197, 0))
+        with pytest.raises(ValueError, match="overflow"):
+            approx_kmeans(points, 2, seed=spawn(197, 0))

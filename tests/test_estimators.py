@@ -9,7 +9,6 @@ import nodedp.lp
 import nodedp.truncation
 from nodedp import (
     Graph,
-    LabelAssignment,
     SbmParams,
     WeightModel,
     align,
@@ -25,12 +24,10 @@ from nodedp import (
     relabel,
     sample_sbm,
     sample_weighted_sbm,
-    spectral_cluster,
     subspace_estimation,
-    symmetrize,
     two_community_convex,
 )
-from nodedp.clustering import approx_kmeans
+from nodedp.clustering import approx_kmeans, sym_eigs
 from nodedp.estimators import AssumptionViolation, BoundedDegreeEstimator, _dykstra_psd_diag
 from nodedp.registry import PIPELINES, make_bounded_base, run_pipeline
 from nodedp.rng import spawn
@@ -52,7 +49,8 @@ def star(n):
 def test_ef_spectral_infinite_eps_matches_plain_spectral():
     g = sample_sbm(PARAMS_400, spawn(201, 0))
     out = ef_spectral(g, 2, math.inf, seed=spawn(201, 1))
-    base = spectral_cluster(g.as_float(), 2, seed=spawn(201, 2))
+    _, vecs = sym_eigs(g.as_float(), 2)
+    base, _, _ = approx_kmeans(vecs, 2, seed=spawn(201, 2))
     assert loss_overall(out.labels, base) == 0.0
     assert out.budget[0].kind == "pure"
 
@@ -466,13 +464,19 @@ def _matrix_estimation_lone_loop(g, k, eps, delta, rng, noise_off=False):
     return labels, cost
 
 
-@pytest.mark.parametrize("noise_off", [False, True])
-def test_batched_matrix_estimation_equals_lone_calls(noise_off):
+@pytest.mark.parametrize("noise_off, eps", [
+    (False, [30.0, 300.0, 3000.0]),
+    (True, [30.0, 300.0, 3000.0]),
+    # eps = inf is noise scale 0 beside noisy runs; L = 58 is no multiple of
+    # the iterations whose noise is drawn at once.
+    (False, [300.0, math.inf, 30.0]),
+], ids=["False", "True", "inf-beside-noisy"])
+def test_batched_matrix_estimation_equals_lone_calls(noise_off, eps):
     # Three graphs of one size at three budgets run in lockstep: every output,
     # and where every stream is left, equals three lone calls and a 2-D loop.
     params = SbmParams(n=120, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]]))
     graphs = [sample_sbm(params, spawn(233, j, 0)) for j in range(3)]
-    eps, delta = [30.0, 300.0, 3000.0], [1e-6, 1e-3, 1e-6]
+    delta = [1e-6, 1e-3, 1e-6]
     streams = [[spawn(233, j, 1) for j in range(3)] for _ in range(3)]
     batch = matrix_estimation(graphs, 2, eps, delta, seed=streams[0], noise_off=noise_off)
     for j, out in enumerate(batch):
@@ -527,7 +531,8 @@ def test_subspace_test_mode_matches_plain_spectral():
         out = subspace_estimation(g, 2, eps=1.0, delta=1e-6, zeta=0.1,
                                   seed=spawn(229, seed, 1), noise_off=True)
         assert out.diagnostics["t"] == 1
-        base = spectral_cluster(g.as_float(), 2, seed=spawn(229, seed, 2))
+        _, vecs = sym_eigs(g.as_float(), 2)
+        base, _, _ = approx_kmeans(vecs, 2, seed=spawn(229, seed, 2))
         diff = abs(loss_overall(out.labels, params.theta)
                    - loss_overall(base, params.theta))
         assert diff <= 0.05
@@ -684,61 +689,6 @@ def test_reduction_degree_bound_composition():
     D = 5
     reduce_to_node_private(g, base, D, 1.0, 1e-6, 5.0, 0.0, seed=1)
     assert seen["maxdeg"] <= 2 * D
-
-
-def test_symmetrize_identity_labeler():
-    # Identity labeler: output after symmetrization is a relabeled copy with
-    # zero loss to the base labeling.
-    n = 12
-    fixed = LabelAssignment(np.repeat([0, 1], n // 2), 2)
-
-    def run(graph, eps, delta, seed, noise_off=False):
-        from nodedp.estimators import EstimatorOutput
-        return EstimatorOutput(labels=fixed, budget=[], diagnostics={})
-
-    base = BoundedDegreeEstimator("const", "pure", run)
-    sym = symmetrize(base)
-    g = sample_sbm(SbmParams(n=n, k=2, B=np.full((2, 2), 0.4) + 0.2 * np.eye(2)), 0)
-    out = sym.run(g, 1.0, 0.0, spawn(263, 0))
-    assert sorted(out.labels.counts().tolist()) == [6, 6]
-
-
-def test_symmetrize_deterministic_base_agrees_after_align():
-    params = SbmParams(n=60, k=2, B=np.array([[0.6, 0.1], [0.1, 0.6]]))
-    g = sample_sbm(params, 7)
-
-    def run(graph, eps, delta, seed, noise_off=False):
-        from nodedp.estimators import EstimatorOutput
-        labels = spectral_cluster(graph.as_float(), 2, seed=9)
-        return EstimatorOutput(labels=labels, budget=[], diagnostics={})
-
-    sym = symmetrize(BoundedDegreeEstimator("spec", "pure", run))
-    out1 = sym.run(g, 1.0, 0.0, spawn(269, 0))
-    out2 = sym.run(g, 1.0, 0.0, spawn(269, 1))
-    assert loss_overall(out1.labels, out2.labels) == 0.0
-
-
-def test_symmetrize_uniformizes_node_zero():
-    # Under random conjugation, node 0's label matches the base histogram:
-    # chi-square goodness of fit p-value > 0.01.
-    from scipy.stats import chisquare
-
-    n = 10
-    fixed = LabelAssignment(np.array([0] * 3 + [1] * 7), 2)
-
-    def run(graph, eps, delta, seed, noise_off=False):
-        from nodedp.estimators import EstimatorOutput
-        return EstimatorOutput(labels=fixed, budget=[], diagnostics={})
-
-    sym = symmetrize(BoundedDegreeEstimator("const", "pure", run))
-    g = Graph(n, np.zeros((n, n), dtype=np.uint8))
-    counts = np.zeros(2)
-    reps = 4000
-    for i in range(reps):
-        out = sym.run(g, 1.0, 0.0, spawn(271, i))
-        counts[out.labels.labels[0]] += 1
-    _, p = chisquare(counts, f_exp=np.array([0.3, 0.7]) * reps)
-    assert p > 0.01
 
 
 def test_registry_bounded_bases_scale_mechanism_parameters():
