@@ -45,58 +45,38 @@ def graph_boost(
 
     Runs base on T edge-thinned subgraphs in one run_batch call, sub-run j
     drawing from spawn(seed, 1, j) (the thinning and the witness draw come
-    from spawn(seed, 0)). Then selects a witness index whose estimate is
-    within overall loss 2*xi of at least (T+1)/2 estimates (uniform
-    tie-break; typed bot-failure if none exists), aligns all estimates to the
-    witness, and majority-votes per node, breaking row ties toward the
-    witness's label. The total budget is T times the base budget.
+    from spawn(seed, 0)). An estimate within overall loss 2*xi of at least
+    (T+1)/2 estimates, counted on one T x T agreement matrix, is a witness;
+    one is drawn uniformly (typed bot-failure if none exists), every estimate
+    is aligned to it, and each node takes its majority label, a row tie going
+    to the witness's label. The total budget is T times the base budget.
     """
     rng = spawn(seed, 0)
     subgraphs = thin_graph(g, cfg.T, rng)
     outputs = base.run_batch(subgraphs, [eps] * cfg.T, [delta] * cfg.T,
                              [spawn(seed, 1, j) for j in range(cfg.T)], noise_off=noise_off)
+    budget = _boosted_budget(base, eps, delta, cfg.T)
+
+    def failed(reason):
+        return EstimatorOutput(labels=None, budget=budget,
+                               diagnostics={"failure": reason, "noise_off": noise_off})
+
     if any(o.labels is None for o in outputs):
-        return EstimatorOutput(
-            labels=None,
-            budget=_boosted_budget(base, eps, delta, cfg.T),
-            diagnostics={"failure": "base-estimator-failure", "noise_off": noise_off},
-        )
+        return failed("base-estimator-failure")
     estimates = [o.labels for o in outputs]
-
-    # Witness selection: counts include j itself (distance 0).
-    valid = []
-    pair_loss = {}
-    for j_star in range(cfg.T):
-        count = 0
-        for j in range(cfg.T):
-            key = (min(j, j_star), max(j, j_star))
-            if key not in pair_loss:
-                pair_loss[key] = loss_overall(estimates[key[0]], estimates[key[1]])
-            if pair_loss[key] <= 2.0 * cfg.xi:
-                count += 1
-        if count >= (cfg.T + 1) // 2:
-            valid.append(j_star)
-    if not valid:
-        return EstimatorOutput(
-            labels=None,
-            budget=_boosted_budget(base, eps, delta, cfg.T),
-            diagnostics={"failure": "no-majority-witness", "noise_off": noise_off},
-        )
-    j_star = valid[int(rng.integers(len(valid)))]
-
-    aligned = []
-    for j in range(cfg.T):
-        sigma = align(estimates[j], estimates[j_star])
-        aligned.append(relabel(estimates[j], sigma).labels)
-    out_labels = _majority_vote(np.stack(aligned), aligned[j_star], cfg.k)
+    # close[a, b]: estimates a and b agree up to 2*xi; a row counts its own estimate.
+    close = np.array([[loss_overall(a, b) <= 2.0 * cfg.xi for b in estimates]
+                      for a in estimates])
+    valid = np.flatnonzero(close.sum(axis=1) >= (cfg.T + 1) // 2)
+    if valid.size == 0:
+        return failed("no-majority-witness")
+    j_star = int(valid[rng.integers(len(valid))])
+    aligned = np.stack([relabel(e, align(e, estimates[j_star])).labels for e in estimates])
     return EstimatorOutput(
-        labels=LabelAssignment(out_labels, cfg.k),
-        budget=_boosted_budget(base, eps, delta, cfg.T),
-        diagnostics={
-            "j_star": j_star,
-            "valid_witnesses": len(valid),
-            "noise_off": noise_off,
-        },
+        labels=LabelAssignment(_majority_vote(aligned, aligned[j_star], cfg.k), cfg.k),
+        budget=budget,
+        diagnostics={"j_star": j_star, "valid_witnesses": int(valid.size),
+                     "noise_off": noise_off},
     )
 
 

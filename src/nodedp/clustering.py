@@ -151,11 +151,13 @@ def _lloyd_restarts(points, centers, max_iter=100):
     owner = np.repeat(np.arange(S), R)  # the point set of each restart
     centers = centers.reshape(S * R, k, d)
     labels = np.full((S * R, n), -1)  # so every restart moves at first
+    costs = np.empty(S * R)
     live = np.arange(S * R)
     for _ in range(max_iter):
         pts = pT[owner[live]]
         new, dmin = _assign(pts, centers[live])
         moved = (new != labels[live]).any(axis=1)
+        costs[live[~moved]] = dmin[~moved].sum(axis=1)  # stopped: labels are final
         live, new, dmin, pts = live[moved], new[moved], dmin[moved], pts[moved]
         if live.size == 0:
             break
@@ -170,9 +172,10 @@ def _lloyd_restarts(points, centers, max_iter=100):
         r, c = np.nonzero(counts == 0)
         means[r, c] = points[owner[live[r]], dmin[r].argmax(axis=1)]
         centers[live] = means
-    labels, dmin = _assign(pT[owner], centers)
-    return (labels.reshape(S, R, n), centers.reshape(S, R, k, d),
-            dmin.sum(axis=1).reshape(S, R))
+    else:  # the restarts still live at max_iter
+        labels[live], dmin = _assign(pT[owner[live]], centers[live])
+        costs[live] = dmin.sum(axis=1)
+    return labels.reshape(S, R, n), centers.reshape(S, R, k, d), costs.reshape(S, R)
 
 
 def approx_kmeans(

@@ -63,9 +63,19 @@ class ExperimentConfig:
         if not self.eps_grid or not self.delta_grid or not self.seeds:
             raise ValueError("eps_grid, delta_grid, and seeds must be non-empty")
         check_params(self.estimator["id"], self.estimator.get("params", {}))
-        rule = self._D_rule()
-        if self.wrapper is not None and (rule.get("mode") not in _D_RULES or "value" not in rule):
-            raise ValueError(f"invalid D rule {rule!r}")
+        if self.wrapper is not None:
+            if not set(self.wrapper) <= {"D_rule", "eps1", "delta1"}:
+                raise ValueError(f"wrapper keys {sorted(self.wrapper)}: only D_rule, eps1, delta1")
+            rule = self._D_rule()
+            try:  # d = 1 stands in for any d > 0: a rule gives D >= 1 at all or at none
+                D = _D_RULES[rule["mode"]](rule["value"], 1.0)
+                eps1, delta1 = self.wrapper_budget()
+                valid = D >= 1 and eps1 > 0.0 and 0.0 < delta1 < 1.0
+            except (KeyError, TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                raise ValueError(f"invalid wrapper {self.wrapper!r}: its D rule must give an "
+                                 "integer D >= 1, eps1 must be > 0 and delta1 in (0, 1)")
         if self.boost is not None:
             if self.wrapper is None:
                 raise ValueError("boost needs a wrapper: only the reduced estimator is boosted")
@@ -101,6 +111,11 @@ class ExperimentConfig:
 
     def _D_rule(self) -> dict:
         return (self.wrapper or {}).get("D_rule", {"mode": "multiple_of_d", "value": 3.0})
+
+    def wrapper_budget(self) -> tuple[float, float]:
+        """(eps1, delta1): the budget of the wrapper's sensitivity release."""
+        w = self.wrapper or {}
+        return float(w.get("eps1", 1.0)), float(w.get("delta1", 1e-6))
 
     def resolve_D(self, params: SbmParams) -> int:
         rule = self._D_rule()
@@ -147,37 +162,34 @@ def _run_trial(cfg: ExperimentConfig, params: SbmParams, grid_index: int, eps: f
     est_params.setdefault("k", params.k)
     est_params.setdefault("B", np.asarray(params.B).tolist())
     start = time.perf_counter()
-    D = cfg.resolve_D(params) if cfg.wrapper is not None else est_params.get("D")
+    D = est_params.get("D")
     try:
+        if cfg.wrapper is not None:
+            D = cfg.resolve_D(params)
         graph = shared.get("graph")
         if graph is None:  # concurrent trials of a seed may both sample; all keep the first
             graph = shared.setdefault("graph", cfg.sample_graph(params, seed))
         mech_seed = spawn(seed, 1, grid_index)
-        if cfg.wrapper is not None:
+        if cfg.wrapper is None:
+            out = run_pipeline(est_id, graph, {**est_params, "eps": eps, "delta": delta},
+                               mech_seed, noise_off=cfg.noise_off)
+        else:
             base = make_bounded_base(est_id, params.k, D, est_params)
-            eps1 = float(cfg.wrapper.get("eps1", 1.0))
-            delta1 = float(cfg.wrapper.get("delta1", 1e-6))
-            if cfg.boost is not None:
-                # reduce_to_node_private takes one graph or a list of them.
-                def reduced_run(graphs, e, d, s, noise_off=False):
-                    return reduce_to_node_private(
-                        graphs, base, D, eps1, delta1, e, d, s, noise_off=noise_off
-                    )
+            eps1, delta1 = cfg.wrapper_budget()
 
-                reduced = BoundedDegreeEstimator(f"reduced({est_id})", "approx",
-                                                 reduced_run, reduced_run)
+            # reduce_to_node_private takes one graph or a list of them.
+            def reduced_run(graphs, e, d, s, noise_off=False):
+                return reduce_to_node_private(
+                    graphs, base, D, eps1, delta1, e, d, s, noise_off=noise_off
+                )
+
+            reduced = BoundedDegreeEstimator(f"reduced({est_id})", "approx",
+                                             reduced_run, reduced_run)
+            if cfg.boost is None:
+                out = reduced.run(graph, eps, delta, mech_seed, noise_off=cfg.noise_off)
+            else:
                 out = graph_boost(graph, cfg.boost_config(), reduced, eps, delta,
                                   seed=int(seed), noise_off=cfg.noise_off)
-            else:
-                out = reduce_to_node_private(
-                    graph, base, D, eps1, delta1, eps, delta,
-                    seed=mech_seed, noise_off=cfg.noise_off,
-                )
-        else:
-            est_params["eps"] = eps
-            est_params["delta"] = delta
-            out = run_pipeline(est_id, graph, est_params, mech_seed,
-                               noise_off=cfg.noise_off)
         runtime = 1000.0 * (time.perf_counter() - start)
         losses = (None, None)
         status, error = "failed", out.diagnostics.get("failure", "estimator-failure")

@@ -5,9 +5,9 @@ not by calling the package: brute-force loss enumeration, a dense-tableau
 simplex solver and a vertex-enumeration LP oracle, LP rows one at a time and
 a text dump of an LP, a shifted power-iteration eigensolver, top-k
 eigenpairs from a full dense eigh, sequential k-means restarts, a per-node
-majority vote, exact minimum vertex cover (for node distance), sphere
-quadrature helpers, and the sphere rejection sampler as it was before it
-worked chunk by chunk.
+majority vote, boosting's witness selection pair by pair, exact minimum
+vertex cover (for node distance), sphere quadrature helpers, and the sphere
+rejection sampler as it was before it worked chunk by chunk.
 """
 
 from __future__ import annotations
@@ -242,6 +242,33 @@ def majority_vote_ref(votes, witness, k):
         winners = np.flatnonzero(counts == counts.max())
         out[i] = witness[i] if witness[i] in winners else winners[0]
     return out
+
+
+def boost_select_ref(estimates, xi, k, rng):
+    """Graph boosting after its base runs, one pair at a time. estimates holds
+    T label arrays, or None for a failed run. An estimate within overall loss
+    2 xi of at least (T + 1) / 2 estimates (itself included) is a witness; one
+    witness is drawn with rng.integers, every estimate is aligned to it, and
+    the votes go to majority_vote_ref. Returns (labels, diagnostics), with
+    labels None and diagnostics {"failure": reason} when no vote is taken."""
+    if any(e is None for e in estimates):
+        return None, {"failure": "base-estimator-failure"}
+    T = len(estimates)
+    witnesses = []
+    for a in range(T):
+        close = 0
+        for b in range(T):
+            if brute_loss_overall(estimates[a], estimates[b], k) <= 2.0 * xi:
+                close += 1
+        if 2 * close >= T + 1:
+            witnesses.append(a)
+    if not witnesses:
+        return None, {"failure": "no-majority-witness"}
+    j_star = witnesses[int(rng.integers(len(witnesses)))]
+    votes = np.array([[brute_align(e, estimates[j_star], k)[label] for label in e]
+                      for e in estimates])
+    labels = majority_vote_ref(votes, votes[j_star], k)
+    return labels, {"j_star": j_star, "valid_witnesses": len(witnesses)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,12 @@ from nodedp import (
     sample_sbm,
 )
 from nodedp.boosting import _majority_vote
+from nodedp.graphs import thin_graph
 from nodedp.estimators import EstimatorOutput
 from nodedp.metrics import align, relabel
 from nodedp.rng import as_generator, spawn
 
-from oracles import majority_vote_ref
+from oracles import boost_select_ref, majority_vote_ref
 
 
 def const_base(labels, form="pure"):
@@ -128,6 +132,59 @@ def test_boost_error_bound_with_corrupting_base():
             checked += 1
         assert checked == 20
         assert ties > 0 if k == 3 else ties == 0
+
+
+def test_witness_selection_matches_per_pair_reference():
+    # Each sub-run fails with probability 0.02, else moves up to `spread` of
+    # the first 3 nodes and permutes the labels, all drawn from its own stream:
+    # some runs have fewer witnesses than T, some none, and at k >= 3 some rows
+    # tie. The reference draws its witness from spawn(seed, 0) after thinning.
+    outcomes = Counter()
+    for T, k in itertools.product((1, 3, 5, 7, 9), (2, 3, 4)):
+        params = SbmParams(n=48, k=k, B=np.full((k, k), 0.1) + 0.4 * np.eye(k))
+        theta = params.theta
+        g = sample_sbm(params, spawn(197, T, k))
+        for case, (spread, share) in enumerate(((1, 0.9), (3, 0.9), (3, 0.4))):
+            xi = share / (8 * k)
+            seed = 100 * T + 10 * k + case
+            seen = []
+
+            def run(graph, eps, delta, s, noise_off=False):
+                rng = as_generator(s)
+                if rng.random() < 0.02:
+                    seen.append(None)
+                    return EstimatorOutput(labels=None, budget=[], diagnostics={})
+                lab = theta.labels.copy()
+                flips = int(rng.integers(spread + 1))
+                idx = rng.choice(3, size=flips, replace=False)
+                lab[idx] = (lab[idx] + rng.integers(1, k, size=flips)) % k
+                seen.append(rng.permutation(k)[lab])
+                return EstimatorOutput(labels=LabelAssignment(seen[-1], k), budget=[],
+                                       diagnostics={})
+
+            out = graph_boost(g, BoostConfig(T=T, xi=xi, k=k),
+                              BoundedDegreeEstimator("noisy", "pure", run),
+                              eps=1.0, delta=0.0, seed=seed)
+            rng = spawn(seed, 0)
+            thin_graph(g, T, rng)
+            labels, diagnostics = boost_select_ref(seen, xi, k, rng)
+            assert {key: v for key, v in out.diagnostics.items() if key != "noise_off"} \
+                == diagnostics
+            if labels is None:
+                assert out.labels is None
+                outcomes[diagnostics["failure"]] += 1
+                continue
+            assert np.array_equal(out.labels.labels, labels)
+            outcomes["fewer witnesses than T"] += diagnostics["valid_witnesses"] < T
+            estimates = [LabelAssignment(lab, k) for lab in seen]
+            witness = estimates[diagnostics["j_star"]]
+            votes = np.stack([relabel(e, align(e, witness)).labels for e in estimates])
+            counts = np.stack([np.bincount(col, minlength=k) for col in votes.T])
+            outcomes[f"row ties at k={k}"] += int(
+                ((counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1).any())
+    assert outcomes["no-majority-witness"] and outcomes["base-estimator-failure"]
+    assert outcomes["fewer witnesses than T"]
+    assert outcomes["row ties at k=3"] and outcomes["row ties at k=4"]
 
 
 def test_majority_vote_matches_per_node_loop():

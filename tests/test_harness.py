@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import nodedp
+import nodedp.boosting
 import nodedp.harness
 import nodedp.truncation
 from nodedp.harness import (
@@ -73,7 +74,24 @@ def test_config_rejects_an_invalid_D_rule_before_any_trial_runs():
         base_config(wrapper={"D_rule": {"value": 1.0}})
     with pytest.raises(ValueError, match="D rule"):
         base_config(wrapper={"D_rule": {"mode": "absolute"}})
+    # A value that gives no integer D >= 1 would crash the sweep or fail every trial.
+    for rule in ({"mode": "absolute", "value": "abc"}, {"mode": "absolute", "value": None},
+                 {"mode": "absolute", "value": 0}, {"mode": "absolute", "value": -1},
+                 {"mode": "multiple_of_d", "value": 0}, {"mode": "multiple_of_d", "value": None}):
+        with pytest.raises(ValueError, match="D rule"):
+            base_config(wrapper={"D_rule": rule})
     assert base_config(wrapper={}).resolve_D(base_config().sbm_params()) == 108  # 3 n max(B)
+
+
+def test_config_rejects_an_unknown_wrapper_key_or_an_invalid_eps1_or_delta1():
+    # A misspelt key would run at the default; these budgets would fail every trial.
+    with pytest.raises(ValueError, match="eps_1"):
+        base_config(wrapper={"eps_1": 0.5})
+    for budget in ({"eps1": 0.0}, {"eps1": -1.0}, {"eps1": "abc"}, {"delta1": 0.0},
+                   {"delta1": 1.0}, {"delta1": 1.5}, {"delta1": None}):
+        with pytest.raises(ValueError, match="eps1 must be > 0 and delta1 in"):
+            base_config(wrapper=budget)
+    assert base_config(wrapper={"eps1": 0.5, "delta1": 0.5}).wrapper_budget() == (0.5, 0.5)
 
 
 def test_config_rejects_a_boost_block_missing_T_or_xi():
@@ -153,6 +171,9 @@ def test_failure_rows_are_typed_not_fatal():
     assert len(records) == 2
     assert all(r.status == "failed" for r in records)
     assert all(r.error == "AssumptionViolation" for r in records)
+    # A D rule that loads (D >= 1 at d = 1) but overflows at the graph's d.
+    (rec,) = run_sweep(base_config(wrapper={"D_rule": {"mode": "multiple_of_d", "value": 1e308}}))
+    assert (rec.status, rec.error, rec.D) == ("failed", "OverflowError", None)
 
 
 def test_wrapper_and_boost_paths_run():
@@ -286,6 +307,46 @@ def test_sweep_solves_one_truncation_lp_per_seed(monkeypatch):
         rows = [r for r in records if r.seed == seed]
         assert len({r.diagnostics["d_T"] for r in rows}) == 1
         assert len({r.diagnostics["L_hat"] for r in rows}) == 3
+
+
+WRAPPER_AT_36 = {"D_rule": {"mode": "absolute", "value": 36}}
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({}, id="direct"),
+    pytest.param({"wrapper": WRAPPER_AT_36}, id="wrapped"),
+    pytest.param({"wrapper": WRAPPER_AT_36, "boost": {"T": 3, "xi": 0.05}}, id="boosted",
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "ROADMAP item 2: graph_boost thins with spawn(seed, 0), which sampled "
+                     "the graph, and runs sub-run j on spawn(seed, 1, j) at every grid point"))),
+])
+def test_no_two_random_steps_share_a_stream(monkeypatch, overrides):
+    # Records the (seed, path) of every spawn a trial makes, patched where
+    # perfbench/spans.py patches it: one seed, two grid points.
+    drawn = {}  # (grid_index, seed) -> [(seed, path)]
+    current = []
+    real_trial = nodedp.harness._run_trial
+
+    def run_trial(cfg, params, grid_index, eps, delta, seed, shared):
+        current[:] = [(grid_index, seed)]
+        drawn[current[0]] = []
+        return real_trial(cfg, params, grid_index, eps, delta, seed, shared)
+
+    def recorded(spawn):
+        def wrapped(seed, *path):
+            drawn[current[0]].append((int(seed), tuple(int(p) for p in path)))
+            return spawn(seed, *path)
+        return wrapped
+
+    monkeypatch.setattr(nodedp.harness, "_run_trial", run_trial)
+    for module in (nodedp.harness, nodedp.boosting):
+        monkeypatch.setattr(module, "spawn", recorded(module.spawn))
+    assert len(run_sweep(base_config(eps_grid=[500.0, 2000.0], **overrides))) == 2
+    assert len(drawn) == 2
+    for trial, paths in drawn.items():
+        assert len(paths) == len(set(paths)), f"trial {trial} draws a path twice: {paths}"
+    every = [path for paths in drawn.values() for path in paths]
+    assert len(every) == len(set(every)), f"two trials draw the same path: {drawn}"
 
 
 def test_sweep_matches_trials_run_one_at_a_time(tmp_path):
