@@ -49,13 +49,17 @@ def graph_boost(
     (T+1)/2 estimates, counted on one T x T agreement matrix, is a witness;
     one is drawn uniformly (typed bot-failure if none exists), every estimate
     is aligned to it, and each node takes its majority label, a row tie going
-    to the witness's label. The total budget is T times the base budget.
+    to the witness's label. The budget is T times one base run's guarantee
+    (base.guarantee(eps, delta)), spent whether or not a vote is taken.
     """
     rng = spawn(seed, 0)
     subgraphs = thin_graph(g, cfg.T, rng)
     outputs = base.run_batch(subgraphs, [eps] * cfg.T, [delta] * cfg.T,
                              [spawn(seed, 1, j) for j in range(cfg.T)], noise_off=noise_off)
-    budget = _boosted_budget(base, eps, delta, cfg.T)
+    run = base.guarantee(eps, delta)
+    note = f"boosting: {cfg.T} x ({run.eps:g}, {run.delta:g}) base runs"
+    budget = [acc.PrivacyBudget(run.kind, eps=cfg.T * run.eps,
+                                delta=min(1.0, cfg.T * run.delta), provenance=(note,))]
 
     def failed(reason):
         return EstimatorOutput(labels=None, budget=budget,
@@ -88,16 +92,6 @@ def _majority_vote(votes, witness, k):
     counts = np.bincount((np.arange(n) * k + votes).ravel(), minlength=n * k).reshape(n, k)
     winners = counts == counts.max(axis=1, keepdims=True)
     return np.where(winners[np.arange(n), witness], witness, winners.argmax(axis=1))
-
-
-def _boosted_budget(base, eps, delta, T):
-    if base.privacy_form == "pure":
-        return [acc.pure_dp(T * eps, f"boosting: {T} x ({eps:g}, 0) base runs")]
-    return [
-        acc.approx_dp(
-            T * eps, min(1.0, T * delta), f"boosting: {T} x ({eps:g}, {delta:g}) base runs"
-        )
-    ]
 
 
 def hgr_thinned_bernoulli(p: float, q: float) -> float:

@@ -34,13 +34,12 @@ def cmd_generate(args) -> int:
     from .harness import ExperimentConfig
 
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    params = cfg.sbm_params()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for seed in cfg.seeds:
-        g = cfg.sample_graph(params, seed)
+        g = cfg.sample_graph(seed)
         write_graph(out / f"{cfg.scenario}_seed{seed}.graph", g)
-        write_labels(out / f"{cfg.scenario}_seed{seed}.labels", params.theta)
+        write_labels(out / f"{cfg.scenario}_seed{seed}.labels", cfg.params.theta)
         print(f"wrote {cfg.scenario}_seed{seed}.graph (n={g.n})")
     return 0
 

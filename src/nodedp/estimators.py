@@ -635,29 +635,29 @@ def subspace_estimation(
 class BoundedDegreeEstimator:
     """An estimator declaring its privacy form on graphs of max degree <= 2D.
 
-    ``run(graph, eps, delta, seed, noise_off)`` must satisfy
-    (eps, delta)_{2D}-node DP (pure estimators ignore delta).
     ``run_batch(graphs, eps, delta, seeds, noise_off)`` takes lists, one
-    entry per run, and returns the outputs that ``run`` gives on each. It
-    calls ``run`` once per graph unless a ``batch_fn`` that runs them
-    together is given.
+    entry per run, and returns one output per run; each run must satisfy
+    (eps, delta)_{2D}-node DP (pure estimators ignore delta). ``run`` is a
+    batch of one. ``guarantee(eps, delta)`` is one run's budget: that pair
+    in the declared form, unless a `guarantee` function says otherwise (the
+    reduced estimator's runs spend the reduction's total).
     """
 
-    def __init__(self, name: str, privacy_form: str, run_fn, batch_fn=None):
+    def __init__(self, name: str, privacy_form: str, run_batch, guarantee=None):
         if privacy_form not in ("pure", "approx"):
             raise ValueError("privacy_form must be 'pure' or 'approx'")
         self.name = name
         self.privacy_form = privacy_form
-        self._run = run_fn
-        self._run_batch = batch_fn
+        self.run_batch = run_batch
+        self._guarantee = guarantee
 
     def run(self, graph, eps, delta, seed, noise_off=False) -> EstimatorOutput:
-        return self._run(graph, eps, delta, seed, noise_off)
+        return self.run_batch([graph], [eps], [delta], [seed], noise_off)[0]
 
-    def run_batch(self, graphs, eps, delta, seeds, noise_off=False) -> list[EstimatorOutput]:
-        if self._run_batch is not None:
-            return self._run_batch(graphs, eps, delta, seeds, noise_off)
-        return [self.run(*args, noise_off) for args in zip(graphs, eps, delta, seeds)]
+    def guarantee(self, eps, delta) -> PrivacyBudget:
+        if self._guarantee is not None:
+            return self._guarantee(eps, delta)
+        return acc.pure_dp(eps) if self.privacy_form == "pure" else acc.approx_dp(eps, delta)
 
 
 def reduce_to_node_private(
@@ -697,15 +697,7 @@ def reduce_to_node_private(
                           [b[1] for b in budgets], rngs, noise_off=noise_off)
     results = []
     for out, cert, (eps2p, delta2p), e2, d2 in zip(outs, certs, budgets, eps2s, delta2s):
-        if base.privacy_form == "pure":
-            slack = 0.0 if delta1 == 0.0 else min(1.0, acc.exp_capped(eps1) * delta1)
-            total = acc.approx_dp(eps1 + e2, slack, "generic reduction (pure base)")
-        else:
-            group_term = 0.0 if d2 == 0.0 else d2 * acc.exp_capped(2.0 * e2)
-            slack = min(1.0, acc.exp_capped(eps1) * (delta1 + group_term))
-            if delta1 == 0.0 and group_term == 0.0:
-                slack = 0.0
-            total = acc.approx_dp(eps1 + 2.0 * e2, slack, "generic reduction (approx base)")
+        total = acc.reduction_total(base.privacy_form, eps1, delta1, e2, d2)
         chain = [acc.pure_dp(eps1, "private sensitivity bound release")] + out.budget + [total]
         diag = {
             "L_hat": cert.L_hat,

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .accounting import reduction_total
 from .boosting import BoostConfig, graph_boost
 from .estimators import BoundedDegreeEstimator, reduce_to_node_private
 from .graphs import SbmParams, WeightModel, sample_sbm, sample_weighted_sbm
@@ -58,19 +59,25 @@ class ExperimentConfig:
     noise_off: bool = False
 
     def __post_init__(self):
+        """Validates the config and resolves what every trial reads: `params`
+        (the SbmParams), the wrapper's `D` at the SBM's d and its `eps1` and
+        `delta1` (None without a wrapper), and `boosting` (a BoostConfig or None)."""
         if self.estimator.get("id") not in PIPELINES:
             raise ValueError(f"unknown estimator id {self.estimator.get('id')!r}")
         if not self.eps_grid or not self.delta_grid or not self.seeds:
             raise ValueError("eps_grid, delta_grid, and seeds must be non-empty")
         check_params(self.estimator["id"], self.estimator.get("params", {}))
+        self.params = self.sbm_params()
+        self.D = self.eps1 = self.delta1 = self.boosting = None
         if self.wrapper is not None:
             if not set(self.wrapper) <= {"D_rule", "eps1", "delta1"}:
                 raise ValueError(f"wrapper keys {sorted(self.wrapper)}: only D_rule, eps1, delta1")
-            rule = self._D_rule()
-            try:  # d = 1 stands in for any d > 0: a rule gives D >= 1 at all or at none
-                D = _D_RULES[rule["mode"]](rule["value"], 1.0)
-                eps1, delta1 = self.wrapper_budget()
-                valid = D >= 1 and eps1 > 0.0 and 0.0 < delta1 < 1.0
+            rule = self.wrapper.get("D_rule", {"mode": "multiple_of_d", "value": 3.0})
+            try:
+                self.D = _D_RULES[rule["mode"]](rule["value"], self.params.d)
+                self.eps1 = float(self.wrapper.get("eps1", 1.0))
+                self.delta1 = float(self.wrapper.get("delta1", 1e-6))
+                valid = self.D >= 1 and self.eps1 > 0.0 and 0.0 < self.delta1 < 1.0
             except (KeyError, TypeError, ValueError, OverflowError):
                 valid = False
             if not valid:
@@ -81,7 +88,9 @@ class ExperimentConfig:
                 raise ValueError("boost needs a wrapper: only the reduced estimator is boosted")
             if set(self.boost) != {"T", "xi"}:
                 raise ValueError(f"boost must set exactly T and xi, got {sorted(self.boost)}")
-            self.boost_config()  # raises for an even T or xi outside (0, 1/(8k))
+            # raises for an even T or xi outside (0, 1/(8k))
+            self.boosting = BoostConfig(T=int(self.boost["T"]), xi=float(self.boost["xi"]),
+                                        k=self.params.k)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -98,28 +107,13 @@ class ExperimentConfig:
         return SbmParams(n=int(s["n"]), k=int(s["k"]),
                          B=np.asarray(s["B"], dtype=float), weight_model=wm)
 
-    def sample_graph(self, params: SbmParams, seed: int):
+    def sample_graph(self, seed: int):
         """Seed's graph as the sweep scores it, from stream spawn(seed, 0): a
         WeightedGraph only when the SBM has a weight model and the pipeline
         takes weights."""
-        weighted = params.weight_model is not None and PIPELINES[self.estimator["id"]].weighted
-        return (sample_weighted_sbm if weighted else sample_sbm)(params, spawn(int(seed), 0))
-
-    def boost_config(self) -> BoostConfig:
-        return BoostConfig(T=int(self.boost["T"]), xi=float(self.boost["xi"]),
-                           k=int(self.sbm["k"]))
-
-    def _D_rule(self) -> dict:
-        return (self.wrapper or {}).get("D_rule", {"mode": "multiple_of_d", "value": 3.0})
-
-    def wrapper_budget(self) -> tuple[float, float]:
-        """(eps1, delta1): the budget of the wrapper's sensitivity release."""
-        w = self.wrapper or {}
-        return float(w.get("eps1", 1.0)), float(w.get("delta1", 1e-6))
-
-    def resolve_D(self, params: SbmParams) -> int:
-        rule = self._D_rule()
-        return _D_RULES[rule["mode"]](rule["value"], params.d)
+        weighted = (self.params.weight_model is not None
+                    and PIPELINES[self.estimator["id"]].weighted)
+        return (sample_weighted_sbm if weighted else sample_sbm)(self.params, spawn(int(seed), 0))
 
 
 @dataclass
@@ -154,41 +148,38 @@ class TrialRecord:
         ]
 
 
-def _run_trial(cfg: ExperimentConfig, params: SbmParams, grid_index: int, eps: float,
-               delta: float, seed: int, shared: dict) -> TrialRecord:
+def _run_trial(cfg: ExperimentConfig, grid_index: int, eps: float, delta: float, seed: int,
+               shared: dict) -> TrialRecord:
     """One trial; `shared` passes the seed's graph from its first trial to the rest."""
-    est_id = cfg.estimator["id"]
+    est_id, params = cfg.estimator["id"], cfg.params
     est_params = dict(cfg.estimator.get("params", {}))
     est_params.setdefault("k", params.k)
     est_params.setdefault("B", np.asarray(params.B).tolist())
     start = time.perf_counter()
-    D = est_params.get("D")
+    D = est_params.get("D") if cfg.wrapper is None else cfg.D
     try:
-        if cfg.wrapper is not None:
-            D = cfg.resolve_D(params)
         graph = shared.get("graph")
         if graph is None:  # concurrent trials of a seed may both sample; all keep the first
-            graph = shared.setdefault("graph", cfg.sample_graph(params, seed))
-        mech_seed = spawn(seed, 1, grid_index)
+            graph = shared.setdefault("graph", cfg.sample_graph(seed))
         if cfg.wrapper is None:
             out = run_pipeline(est_id, graph, {**est_params, "eps": eps, "delta": delta},
-                               mech_seed, noise_off=cfg.noise_off)
+                               spawn(seed, 1, grid_index), noise_off=cfg.noise_off)
         else:
             base = make_bounded_base(est_id, params.k, D, est_params)
-            eps1, delta1 = cfg.wrapper_budget()
 
-            # reduce_to_node_private takes one graph or a list of them.
             def reduced_run(graphs, e, d, s, noise_off=False):
                 return reduce_to_node_private(
-                    graphs, base, D, eps1, delta1, e, d, s, noise_off=noise_off
+                    graphs, base, D, cfg.eps1, cfg.delta1, e, d, s, noise_off=noise_off
                 )
 
-            reduced = BoundedDegreeEstimator(f"reduced({est_id})", "approx",
-                                             reduced_run, reduced_run)
-            if cfg.boost is None:
-                out = reduced.run(graph, eps, delta, mech_seed, noise_off=cfg.noise_off)
+            reduced = BoundedDegreeEstimator(
+                f"reduced({est_id})", "approx", reduced_run,
+                lambda e, d: reduction_total(base.privacy_form, cfg.eps1, cfg.delta1, e, d))
+            if cfg.boosting is None:
+                out = reduced.run(graph, eps, delta, spawn(seed, 1, grid_index),
+                                  noise_off=cfg.noise_off)
             else:
-                out = graph_boost(graph, cfg.boost_config(), reduced, eps, delta,
+                out = graph_boost(graph, cfg.boosting, reduced, eps, delta,
                                   seed=int(seed), noise_off=cfg.noise_off)
         runtime = 1000.0 * (time.perf_counter() - start)
         losses = (None, None)
@@ -283,7 +274,6 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
     typed rows. Trials run seed-major: a seed's graph (and its truncation) is
     built by its first trial and dropped after its last. `threads` trials run
     at once, each on one BLAS thread."""
-    params = cfg.sbm_params()
     grid = [(gi, eps, delta)
             for gi, (eps, delta) in enumerate(
                 (e, d) for e in cfg.eps_grid for d in cfg.delta_grid)]
@@ -292,7 +282,7 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
         for seed in cfg.seeds:
             shared = {}
             for gi, eps, delta in grid:
-                yield cfg, params, gi, eps, delta, seed, shared
+                yield cfg, gi, eps, delta, seed, shared
 
     with _one_blas_thread:
         if threads <= 1:

@@ -95,18 +95,17 @@ def run_pipeline(estimator_id, graph, params, seed, noise_off=False) -> Estimato
 
 def make_bounded_base(estimator_id, k, D, params) -> BoundedDegreeEstimator:
     """Adapter: (eps, delta) interpreted as a node-DP budget on max degree
-    <= 2D graphs, converted to the mechanism's own parameter."""
+    <= 2D graphs, converted to the mechanism's own parameter. A batched
+    pipeline gets the whole batch in one call, the others one call per graph."""
     entry, params = PIPELINES[estimator_id], dict(params)
     check_params(estimator_id, params)
-
-    def run(graph, eps, delta, seed, noise_off=False):
-        p = {**params, "k": k, "D": D, "eps": eps / entry.divisor(k, D), "delta": delta}
-        return _call(entry, graph, p, seed, noise_off)
 
     def run_batch(graphs, eps, delta, seeds, noise_off=False):
         p = {**params, "k": k, "D": D, "eps": [e / entry.divisor(k, D) for e in eps],
              "delta": list(delta)}
-        return _call(entry, list(graphs), p, list(seeds), noise_off)
+        if entry.batched:
+            return _call(entry, list(graphs), p, list(seeds), noise_off)
+        return [_call(entry, g, dict(p, eps=e, delta=d), s, noise_off)
+                for g, e, d, s in zip(graphs, p["eps"], p["delta"], seeds)]
 
-    return BoundedDegreeEstimator(estimator_id, entry.privacy_form, run,
-                                  run_batch if entry.batched else None)
+    return BoundedDegreeEstimator(estimator_id, entry.privacy_form, run_batch)

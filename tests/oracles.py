@@ -5,7 +5,8 @@ not by calling the package: brute-force loss enumeration, a dense-tableau
 simplex solver and a vertex-enumeration LP oracle, LP rows one at a time and
 a text dump of an LP, a shifted power-iteration eigensolver, top-k
 eigenpairs from a full dense eigh, sequential k-means restarts, a per-node
-majority vote, boosting's witness selection pair by pair, exact minimum
+majority vote, boosting's witness selection pair by pair, a batch made of
+single runs, exact minimum
 vertex cover (for node distance), sphere quadrature helpers, and the sphere
 rejection sampler as it was before it worked chunk by chunk.
 """
@@ -269,6 +270,14 @@ def boost_select_ref(estimates, xi, k, rng):
                       for e in estimates])
     labels = majority_vote_ref(votes, votes[j_star], k)
     return labels, {"j_star": j_star, "valid_witnesses": len(witnesses)}
+
+
+def batch_of(run):
+    """A run_batch(graphs, eps, delta, seeds, noise_off) that calls the
+    single-run probe run(graph, eps, delta, seed, noise_off) once per entry."""
+    def run_batch(graphs, eps, delta, seeds, noise_off=False):
+        return [run(g, e, d, s, noise_off) for g, e, d, s in zip(graphs, eps, delta, seeds)]
+    return run_batch
 
 
 # ---------------------------------------------------------------------------

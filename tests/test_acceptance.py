@@ -50,6 +50,7 @@ from nodedp.registry import make_bounded_base, run_pipeline
 from nodedp.rng import as_generator, spawn
 
 from oracles import (
+    batch_of,
     brute_loss_overall,
     brute_loss_worst,
     node_distance,
@@ -361,7 +362,7 @@ def test_criterion_9_boosting_bound():
 
     class RecordingBase(BoundedDegreeEstimator):
         def __init__(self):
-            super().__init__("synthetic", "pure", self._run)
+            super().__init__("synthetic", "pure", batch_of(self._run))
 
         def _run(self, graph, eps, delta, seed, noise_off=False):
             rng = as_generator(seed)

@@ -14,6 +14,7 @@ from nodedp import (
     zcdp,
     zcdp_to_dp,
 )
+from nodedp.accounting import reduction_total
 from nodedp.rng import spawn
 
 
@@ -67,6 +68,17 @@ def test_reduction_budgets():
     assert (e, d) == (pytest.approx(2.0), pytest.approx(2e-6))
     with pytest.raises(ValueError):
         reduction_budgets(1.0, 0.0, 0.3)
+
+
+def test_reduction_total_saturates_without_nan():
+    # e^{2 eps2} overflows at the paper's large eps: delta caps at 1, and a
+    # zero delta2 contributes nothing instead of inf * 0 = nan.
+    big = reduction_total("approx", 1.0, 1e-6, 1e7, 1e-6)
+    assert (big.kind, big.eps, big.delta) == ("approx", 1.0 + 2e7, 1.0)
+    zero = reduction_total("approx", 1.0, 1e-6, 1e7, 0.0)
+    assert (zero.eps, zero.delta) == (1.0 + 2e7, pytest.approx(math.e * 1e-6, rel=1e-12))
+    pure = reduction_total("pure", 800.0, 1e-6, 1e7, 0.0)
+    assert (pure.eps, pure.delta) == (800.0 + 1e7, 1.0)
 
 
 def test_monotonicity():

@@ -20,14 +20,14 @@ from nodedp.estimators import EstimatorOutput
 from nodedp.metrics import align, relabel
 from nodedp.rng import as_generator, spawn
 
-from oracles import boost_select_ref, majority_vote_ref
+from oracles import batch_of, boost_select_ref, majority_vote_ref
 
 
 def const_base(labels, form="pure"):
     def run(graph, eps, delta, seed, noise_off=False):
         return EstimatorOutput(labels=labels, budget=[], diagnostics={})
 
-    return BoundedDegreeEstimator("const", form, run)
+    return BoundedDegreeEstimator("const", form, batch_of(run))
 
 
 def corrupting_base(theta, flips, seen=None):
@@ -44,7 +44,7 @@ def corrupting_base(theta, flips, seen=None):
             seen.append(est)
         return EstimatorOutput(labels=est, budget=[], diagnostics={})
 
-    return BoundedDegreeEstimator("corrupt", "pure", run)
+    return BoundedDegreeEstimator("corrupt", "pure", batch_of(run))
 
 
 def test_boost_config_validation():
@@ -96,7 +96,7 @@ def test_boost_bot_failure_is_typed():
         return EstimatorOutput(labels=LabelAssignment(lab, 2), budget=[],
                                diagnostics={})
 
-    base = BoundedDegreeEstimator("adversarial", "pure", run)
+    base = BoundedDegreeEstimator("adversarial", "pure", batch_of(run))
     cfg = BoostConfig(T=5, xi=0.001, k=2)
     out = graph_boost(g, cfg, base, eps=1.0, delta=0.0, seed=17)
     assert out.failed
@@ -163,7 +163,7 @@ def test_witness_selection_matches_per_pair_reference():
                                        diagnostics={})
 
             out = graph_boost(g, BoostConfig(T=T, xi=xi, k=k),
-                              BoundedDegreeEstimator("noisy", "pure", run),
+                              BoundedDegreeEstimator("noisy", "pure", batch_of(run)),
                               eps=1.0, delta=0.0, seed=seed)
             rng = spawn(seed, 0)
             thin_graph(g, T, rng)

@@ -32,6 +32,8 @@ from nodedp.estimators import AssumptionViolation, BoundedDegreeEstimator, _dyks
 from nodedp.registry import PIPELINES, make_bounded_base, run_pipeline
 from nodedp.rng import spawn
 
+from oracles import batch_of
+
 PARAMS_400 = SbmParams(n=400, k=2, B=np.array([[0.3, 0.05], [0.05, 0.3]]))
 
 
@@ -628,7 +630,7 @@ def test_reduction_noop_graph_and_budget_passthrough(monkeypatch):
         seen["delta"] = delta
         return ef_spectral(graph, 2, math.inf, seed=seed)
 
-    base = BoundedDegreeEstimator("probe", "pure", run)
+    base = BoundedDegreeEstimator("probe", "pure", batch_of(run))
     out = reduce_to_node_private(g, base, D, 1.0, 1e-6, eps2=8.0, delta2=0.0, seed=1)
     assert np.array_equal(seen["adj"], g.adj)  # graph passed through unchanged
     assert seen["eps"] == pytest.approx(8.0)  # L_hat = 1: no rescale
@@ -645,7 +647,7 @@ def test_reduction_total_budget_formulas():
         ("pure", 0.7, 1e-7, 11.0, 0.0),
         ("approx", 1.3, 1e-6, 5.0, 1e-8),
     ]:
-        base = BoundedDegreeEstimator("probe", form, run)
+        base = BoundedDegreeEstimator("probe", form, batch_of(run))
         out = reduce_to_node_private(g, base, 40, eps1, delta1, eps2, delta2, seed=3)
         total = out.budget[-1]
         if form == "pure":
@@ -667,7 +669,7 @@ def test_reduction_rescales_budgets_by_Lhat(monkeypatch):
         seen["eps"], seen["delta"] = eps, delta
         return ef_spectral(graph, 2, math.inf, seed=seed)
 
-    base = BoundedDegreeEstimator("probe", "approx", run)
+    base = BoundedDegreeEstimator("probe", "approx", batch_of(run))
     out = reduce_to_node_private(g, base, 30, 1.0, 1e-6, 10.0, 1e-6, seed=5)
     assert seen["eps"] == pytest.approx(10.0 / 25.0)
     assert seen["delta"] == pytest.approx(1e-6 / 25.0)
@@ -685,7 +687,7 @@ def test_reduction_degree_bound_composition():
         seen["maxdeg"] = max_degree(graph)
         return ef_spectral(graph, 2, math.inf, seed=seed)
 
-    base = BoundedDegreeEstimator("probe", "pure", run)
+    base = BoundedDegreeEstimator("probe", "pure", batch_of(run))
     D = 5
     reduce_to_node_private(g, base, D, 1.0, 1e-6, 5.0, 0.0, seed=1)
     assert seen["maxdeg"] <= 2 * D
