@@ -27,7 +27,9 @@ class LpSolution:
 def solve_lp(c, A_ub, b_ub, bounds, maximize=False) -> LpSolution:
     """Optimise c'x over A_ub x <= b_ub and bounds ((lo, hi) per variable,
     None = unbounded); on 'optimal' the solution satisfies A_ub x <= b_ub to
-    within FEAS_TOL and the objective is the optimum for the stated sense."""
+    within FEAS_TOL and the objective is the optimum for the stated sense. A
+    solver answer further from feasible than that is 'failed', with its
+    residual in the message."""
     c = np.asarray(c, dtype=np.float64)
     res = linprog(-c if maximize else c, A_ub=A_ub, b_ub=b_ub, A_eq=None, b_eq=None,
                   bounds=bounds, method="highs")
@@ -36,4 +38,7 @@ def solve_lp(c, A_ub, b_ub, bounds, maximize=False) -> LpSolution:
         return LpSolution(status, None, None, message=res.message)
     x = np.asarray(res.x)
     residual = 0.0 if A_ub is None else float(np.max(A_ub @ x - b_ub, initial=0.0))
+    if residual > FEAS_TOL:
+        return LpSolution("failed", None, None, residual=residual,
+                          message=f"solution violates A_ub x <= b_ub by {residual:.3g}")
     return LpSolution("optimal", x, float(c @ x), residual=residual)

@@ -4,9 +4,14 @@ The projection maps an arbitrary graph onto the set of graphs with maximum
 degree at most 2D by solving a fractional node-removal LP; it comes with a
 smooth distance surrogate d_T whose node sensitivity is at most 4, and a
 privately released high-probability upper bound L_hat on the local
-sensitivity of the projection. The extension score generalizes the PCA score
-Tr(V' A^2 V) + Tr(A^2 J) to unbounded-degree graphs; its sensitivity constant
-is extension_score_sensitivity.
+sensitivity of the projection. The LP has a variable per node and per edge;
+degree_truncate solves it exactly over the node variables, in rounds that
+give an edge its own variable only once the edge needs one. Its docstring
+states both LPs and why the last round's optimum is the full LP's.
+
+The extension score generalizes the PCA score Tr(V' A^2 V) + Tr(A^2 J) to
+unbounded-degree graphs; its sensitivity constant is
+extension_score_sensitivity.
 """
 
 from __future__ import annotations
@@ -144,36 +149,71 @@ def lipschitz_extension_score(
 def degree_truncate(g: Graph, D: int) -> tuple[Graph, float]:
     """Project g onto max degree <= 2D.
 
-    Solves  min sum_u x_u  s.t.  x_u >= 0, 0 <= w_uv <= a_uv,
-    w_uv >= a_uv - x_u - x_v, sum_v w_uv <= D per node; then removes every
-    edge (u, v), u < v, with x*_u > 1/4 or x*_v >= 1/4. Returns the truncated
-    graph and d_T = 4 sum_u x*_u. Graphs already of max degree <= D are
-    returned unchanged with d_T = 0 (the all-zero x is optimal there).
+    The fractional node-removal LP (Kasiviswanathan, Nissim, Raskhodnikova &
+    Smith, TCC 2013) is
+
+        min sum_u x_u  s.t.  x >= 0, 0 <= w_e <= 1, w_e >= 1 - x_u - x_v per
+                             edge e = (u, v), sum_{e at u} w_e <= D per node.
+
+    Lowering each w_e to max(0, 1 - x_u - x_v) keeps a solution feasible, and
+    the row of a node of degree <= D always holds. So this solves the LP over
+    x alone, in rounds. A round has one row per node u of degree > D,
+
+        sum_{e = (u, v) uncut} (1 - x_u - x_v) + sum_{e at u cut} w_e <= D,
+
+    then, per cut edge e, its own w_e in [0, 1] with w_e >= 1 - x_u - x_v.
+    No edge is cut in the first round. After each round, every uncut edge in
+    a row with x_u + x_v > 1 is cut and the LP is solved again. An uncut term
+    is at most max(0, 1 - x_u - x_v), so each round relaxes the full LP; the
+    round that cuts nothing has an x feasible for it, hence optimal for it.
+    Cuts only grow, so the rounds end. (x_u + x_v > 1 is read with the
+    _THRESH_TOL slack of the removal rule.)
+
+    Then removes every edge (u, v), u < v, with x*_u > 1/4 or x*_v >= 1/4.
+    Returns the truncated graph and d_T = 4 sum_u x*_u. Graphs already of max
+    degree <= D are returned unchanged with d_T = 0 (the all-zero x is
+    optimal there).
     """
     if D < 1:
         raise ValueError("D must be >= 1")
     if max_degree(g) <= D:
         return g, 0.0
     n = g.n
+    high = g.degrees() > D
     iu, ju = np.nonzero(np.triu(g.adj, k=1))
-    m = iu.size
-    # Variables: x_0..x_{n-1}, then w_e for each present edge e.
-    obj = np.concatenate([np.ones(n), np.zeros(m)])
-    bounds = [(0.0, None)] * n + [(0.0, 1.0)] * m
-    e = np.arange(m)
-    # Rows 0..m-1: w_uv >= 1 - x_u - x_v, negated to -x_u - x_v - w_e <= -1.
-    # Then sum_v w_uv <= D, one row per node with an edge; entries go edge by edge.
-    has_row, row = np.unique(np.column_stack([iu, ju]).ravel(), return_inverse=True)
-    A_ub = sparse.csr_matrix(
-        (np.concatenate([np.full(3 * m, -1.0), np.ones(2 * m)]),
-         (np.concatenate([np.repeat(e, 3), m + row]),
-          np.concatenate([np.column_stack([iu, ju, n + e]).ravel(), np.repeat(n + e, 2)]))),
-        shape=(m + has_row.size, n + m))
-    b_ub = np.concatenate([np.full(m, -1.0), np.full(has_row.size, float(D))])
-    sol = solve_lp(obj, A_ub, b_ub, bounds)
-    if sol.status != "optimal":
-        raise LpFailure(f"truncation LP ended with status {sol.status}: {sol.message}")
-    x = sol.x[:n]
+    # Only edges at a high node enter a row; rows 0..h-1 are the high nodes'.
+    at_high = high[iu] | high[ju]
+    ends = np.column_stack([iu[at_high], ju[at_high]])
+    h = int(high.sum())
+    edge, side = np.nonzero(high[ends])  # one (edge, end) per row entry
+    row = (np.cumsum(high) - 1)[ends[edge, side]]
+    cut = np.zeros(len(ends), dtype=bool)
+    while True:
+        uncut = ~cut[edge]  # per row entry
+        cut_ends = ends[cut]
+        k = cut_ends.shape[0]
+        w_col = n + np.cumsum(cut) - 1  # column of w_e, read where e is cut
+        # Node rows: -x_u - x_v per uncut edge (rhs D - its count), +w_e per
+        # cut edge; then -x_u - x_v - w_e <= -1 per cut edge.
+        A_ub = sparse.csr_matrix(
+            (np.concatenate([np.full(2 * uncut.sum(), -1.0), np.ones((~uncut).sum()),
+                             np.full(3 * k, -1.0)]),
+             (np.concatenate([np.repeat(row[uncut], 2), row[~uncut],
+                              np.repeat(h + np.arange(k), 3)]),
+              np.concatenate([ends[edge[uncut]].ravel(), w_col[edge[~uncut]],
+                              np.column_stack([cut_ends, n + np.arange(k)]).ravel()]))),
+            shape=(h + k, n + k))
+        b_ub = np.concatenate([D - np.bincount(row[uncut], minlength=h).astype(np.float64),
+                               np.full(k, -1.0)])
+        sol = solve_lp(np.concatenate([np.ones(n), np.zeros(k)]), A_ub, b_ub,
+                       [(0.0, None)] * n + [(0.0, 1.0)] * k)
+        if sol.status != "optimal":
+            raise LpFailure(f"truncation LP ended with status {sol.status}: {sol.message}")
+        x = sol.x[:n]
+        over = ~cut & (x[ends].sum(axis=1) > 1.0 + _THRESH_TOL)
+        if not over.any():
+            break
+        cut |= over
     d_T = 4.0 * float(np.sum(x))
     # Removal rule follows the strict/weak asymmetry of the definition with
     # (u, v) ordered by node index.

@@ -2,13 +2,12 @@
 
 Everything here is deliberately written from scratch against the definitions,
 not by calling the package: brute-force loss enumeration, a dense-tableau
-simplex solver and a vertex-enumeration LP oracle, LP rows one at a time and
-a text dump of an LP, a shifted power-iteration eigensolver, top-k
-eigenpairs from a full dense eigh, sequential k-means restarts, a per-node
-majority vote, boosting's witness selection pair by pair, a batch made of
-single runs, exact minimum
-vertex cover (for node distance), sphere quadrature helpers, and the sphere
-rejection sampler as it was before it worked chunk by chunk.
+simplex solver and a vertex-enumeration LP oracle, degree truncation from the
+full node-removal LP, a shifted power-iteration eigensolver, top-k eigenpairs
+from a full dense eigh, sequential k-means restarts, a per-node majority
+vote, boosting's witness selection pair by pair, a batch made of single runs,
+exact minimum vertex cover (for node distance), sphere quadrature helpers,
+and the sphere rejection sampler as it was before it worked chunk by chunk.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,41 @@ def dense_simplex_max(c, A_ub, b_ub):
                 T[i] -= T[i, enter] * T[leave]
         basis[leave] = enter
     raise ValueError("iteration limit")
+
+
+def degree_truncate_full_lp_ref(adj, D):
+    """Degree truncation from the full fractional node-removal LP, with one
+    w_e per edge and one row per node, solved by HiGHS directly:
+
+        min sum_u x_u  s.t.  x >= 0, 0 <= w_e <= 1, -x_u - x_v - w_e <= -1
+                             per edge, sum_{e at u} w_e <= D per node with
+                             an edge.
+
+    Removes each edge u < v with x_u > 1/4 or x_v >= 1/4 (1e-9 slack).
+    Returns (truncated adjacency, d_T = 4 sum x); D >= max degree gives the
+    input and 0."""
+    adj = np.asarray(adj, dtype=np.uint8)
+    n = adj.shape[0]
+    if adj.sum(axis=1).max(initial=0) <= D:
+        return adj.copy(), 0.0
+    iu, ju = np.nonzero(np.triu(adj, k=1))
+    m = iu.size
+    e = np.arange(m)
+    has_row, row = np.unique(np.column_stack([iu, ju]).ravel(), return_inverse=True)
+    A_ub = sparse.csr_matrix(
+        (np.concatenate([np.full(3 * m, -1.0), np.ones(2 * m)]),
+         (np.concatenate([np.repeat(e, 3), m + row]),
+          np.concatenate([np.column_stack([iu, ju, n + e]).ravel(), np.repeat(n + e, 2)]))),
+        shape=(m + has_row.size, n + m))
+    b_ub = np.concatenate([np.full(m, -1.0), np.full(has_row.size, float(D))])
+    res = linprog(np.concatenate([np.ones(n), np.zeros(m)]), A_ub=A_ub, b_ub=b_ub,
+                  bounds=[(0.0, None)] * n + [(0.0, 1.0)] * m, method="highs")
+    assert res.status == 0, res.message
+    x = res.x[:n]
+    keep = ~((x[iu] > 0.25 + 1e-9) | (x[ju] >= 0.25 - 1e-9))
+    out = np.zeros((n, n), dtype=np.uint8)
+    out[iu[keep], ju[keep]] = 1
+    return out | out.T, 4.0 * float(np.sum(x))
 
 
 # ---------------------------------------------------------------------------

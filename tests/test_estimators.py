@@ -180,12 +180,12 @@ def test_perfbench_trace_patches_resolve(monkeypatch):
     assert (nodedp.truncation, "solve_lp") in plan
     assert (nodedp.lp, "linprog") in plan
     # lp.rows and lp.nnz are read from linprog's keyword A_ub: a star with its
-    # hub above D reaches the LP, whose 4 edge rows and 5 node rows hold 20
-    # nonzeros.
+    # hub above D reaches the LP, solved in one round over the 5 node
+    # variables, with the hub's row the only one (5 nonzeros).
     with spans.installed(patches):
         nodedp.truncation.degree_truncate(star(5), 2)
     assert (tracer.counts["lp.vars"], tracer.counts["lp.rows"],
-            tracer.counts["lp.nnz"]) == (9, 9, 20)
+            tracer.counts["lp.nnz"]) == (5, 1, 5)
 
 
 # ---------------------------------------------------------------------------

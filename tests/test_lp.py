@@ -84,3 +84,14 @@ def test_other_highs_status_is_failed_with_its_message(monkeypatch):
     sol = solve_lp([1.0], None, None, [(0.0, 1.0)])
     assert (sol.status, sol.x, sol.objective) == ("failed", None, None)
     assert sol.message == "numerical trouble"
+
+
+def test_solution_outside_the_rows_is_failed_with_its_residual(monkeypatch):
+    # A solver answer that breaks x <= 1 by 1e-6 (past FEAS_TOL) is no optimum.
+    monkeypatch.setattr(nodedp.lp, "linprog", lambda *a, **kw: OptimizeResult(
+        status=0, x=np.array([1.0 + 1e-6]), message="ok"))
+    sol = solve_lp([1.0], sparse.csr_matrix(np.array([[1.0]])), np.array([1.0]),
+                   [(0.0, None)], maximize=True)
+    assert (sol.status, sol.x, sol.objective) == ("failed", None, None)
+    assert sol.residual == pytest.approx(1e-6)
+    assert "1e-06" in sol.message

@@ -20,7 +20,7 @@ from nodedp import (
 from nodedp.rng import spawn
 from nodedp.truncation import extension_is_quadratic
 
-from oracles import dense_simplex_max, node_distance
+from oracles import degree_truncate_full_lp_ref, dense_simplex_max, node_distance
 
 
 def graph_from_edges(n, edges):
@@ -192,29 +192,99 @@ def test_extension_requires_orthonormal_V():
 # Degree truncation
 
 
+def truncation_round(n, edges, D, cut):
+    """Dense (c, A_ub, b_ub, bounds) of one round of degree_truncate's LP,
+    row by row from its docstring: variables x_0..x_{n-1}, then w_e per cut
+    edge in edge order. One row per node u of degree > D: -x_u - x_v per
+    uncut edge at u (each lowering the rhs D by one), +w_e per cut edge at
+    u. Then -x_u - x_v - w_e <= -1 per cut edge."""
+    cut = [e for e in edges if e in cut]
+    high = [u for u in range(n) if sum(u in e for e in edges) > D]
+    A = np.zeros((len(high) + len(cut), n + len(cut)))
+    b = []
+    for r, u in enumerate(high):
+        rhs = D
+        for e in edges:
+            if u not in e:
+                continue
+            if e in cut:
+                A[r, n + cut.index(e)] = 1.0
+            else:
+                A[r, list(e)] -= 1.0
+                rhs -= 1
+        b.append(float(rhs))
+    for k, (u, v) in enumerate(cut):
+        A[len(high) + k, [u, v, n + k]] = -1.0
+        b.append(-1.0)
+    return [1.0] * n + [0.0] * len(cut), A, b, [(0.0, None)] * n + [(0.0, 1.0)] * len(cut)
+
+
 def test_truncation_lp_rows_follow_the_docstring(monkeypatch):
-    # Variables x_0..x_{n-1}, then w_e per edge u < v in row-major order.
-    # min sum_u x_u; first x_u + x_v + w_e >= 1 per edge, negated into
-    # -x_u - x_v - w_e <= -1, then sum of w_e over the edges at u <= D for
-    # each node u with an edge.
-    n, D = 7, 2
-    g = graph_from_edges(n, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.adj[u, v]]
-    m = len(edges)
-    A = np.zeros((m, n + m))
-    for e, (u, v) in enumerate(edges):
-        A[e, [u, v, n + e]] = -1.0
-    node_rows = [[1.0 if u in edge else 0.0 for edge in edges]
-                 for u in range(n) if any(u in edge for edge in edges)]
-    A = np.vstack([A, np.hstack([np.zeros((len(node_rows), n)), np.array(node_rows)])])
     calls = lp_inputs(monkeypatch)
-    degree_truncate(g, D)
-    [(c, A_ub, b_ub, bounds, maximize)] = calls
-    assert not maximize
-    assert np.array_equal(c, [1.0] * n + [0.0] * m)
-    assert bounds == [(0.0, None)] * n + [(0.0, 1.0)] * m
-    assert np.array_equal(A_ub.toarray(), A)
-    assert np.array_equal(b_ub, [-1.0] * m + [float(D)] * len(node_rows))
+    for n, D, edges, cuts, d_T in [
+        # Only the hub (degree 4) is above D = 2: one row, solved in one round.
+        (7, 2, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)], [], 2.0),
+        # Round one puts x_1 = x_2 = 3/5, so (1, 2) is cut and round two
+        # solves with its w; nodes 5 and 6 (degree 1) have no row.
+        (7, 1, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (5, 6)],
+         [(1, 2)], 16.0 / 3.0),
+    ]:
+        calls.clear()
+        _, got_d_T = degree_truncate(graph_from_edges(n, edges), D)
+        assert got_d_T == pytest.approx(d_T, abs=1e-9)
+        assert len(calls) == 1 + bool(cuts)
+        for (c, A_ub, b_ub, bounds, maximize), cut in zip(calls, [[], cuts]):
+            want_c, want_A, want_b, want_bounds = truncation_round(n, edges, D, cut)
+            assert not maximize
+            assert np.array_equal(c, want_c)
+            assert bounds == want_bounds
+            assert np.array_equal(A_ub.toarray(), want_A)
+            assert np.array_equal(b_ub, want_b)
+
+
+def criterion_3_graphs_above_D(count):
+    """The first count graphs above D from criterion 3's generator."""
+    rng = spawn(1003, 0)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(10, 61))
+        p = float(rng.uniform(0.03, 0.5))
+        D = int(rng.choice([2, 3, 5, 8]))
+        adj = np.triu((rng.random((n, n)) < p).astype(np.uint8), 1)
+        g = Graph(n, adj | adj.T)
+        if max_degree(g) > D:
+            out.append((g, D))
+    return out
+
+
+def assert_matches_full_lp(g, D):
+    out, d_T = degree_truncate(g, D)
+    ref_adj, ref_d_T = degree_truncate_full_lp_ref(g.adj, D)
+    assert np.array_equal(out.adj, ref_adj)
+    assert abs(d_T - ref_d_T) <= 1e-9 * max(1.0, ref_d_T)
+
+
+@pytest.mark.parametrize("family", ["criterion_3", "sbm_200"])
+def test_truncation_matches_the_full_lp(family):
+    # The rounds reach the full LP's optimum value and, on these graphs, the
+    # same truncated graph.
+    if family == "criterion_3":
+        cases = criterion_3_graphs_above_D(60)
+    else:
+        g = sample_sbm(SbmParams(n=200, k=2, B=np.array([[0.3, 0.05], [0.05, 0.3]])),
+                       spawn(19, 0))
+        assert max_degree(g) > 30
+        cases = [(g, D) for D in (5, 17, 30)]
+    for g, D in cases:
+        assert_matches_full_lp(g, D)
+
+
+def test_truncation_needs_a_second_round(monkeypatch):
+    # Criterion 3's third graph above D has an edge to cut after round one.
+    [*_, (g, D)] = criterion_3_graphs_above_D(3)
+    calls = lp_inputs(monkeypatch)
+    assert_matches_full_lp(g, D)
+    assert len(calls) >= 2
 
 
 def test_truncate_noop_below_threshold():
