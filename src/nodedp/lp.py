@@ -3,6 +3,10 @@
 Each caller builds its own objective, per-variable bounds and one sparse
 inequality matrix A_ub x <= b_ub; solve_lp maps HiGHS's status to a string
 and reports how far the solution is from feasible.
+
+HiGHS (scipy.optimize) is imported on the first solve, not with the package:
+it costs a process about 15 MB and 0.3 s, and only degree truncation above D
+and the LP extension solve LPs, which most sweeps never reach.
 """
 
 from __future__ import annotations
@@ -10,9 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 FEAS_TOL = 1e-8
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on its first call; patch this name to intercept it."""
+    from scipy.optimize import linprog as highs_linprog
+    return highs_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import OptimizeResult
 
 import nodedp.lp
+from nodedp import Graph, degree_truncate
+from nodedp.harness import ExperimentConfig, run_sweep, write_records_csv
 from nodedp.lp import FEAS_TOL, solve_lp
 from nodedp.rng import spawn
 
@@ -95,3 +103,81 @@ def test_solution_outside_the_rows_is_failed_with_its_residual(monkeypatch):
     assert (sol.status, sol.x, sol.objective) == ("failed", None, None)
     assert sol.residual == pytest.approx(1e-6)
     assert "1e-06" in sol.message
+
+
+# Runs in a fresh interpreter: argv is (mode, argument, output path). Mode
+# "trials" loads every config in the directory given, runs one trial of an
+# unwrapped and one of a wrapped config, then truncates a 5-node star at D = 2;
+# a thread count runs the JSON config given as a sweep on that many threads.
+# Either way the output says whether scipy.optimize was loaded before and after.
+_FRESH_PROCESS = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from nodedp import Graph, degree_truncate
+from nodedp.harness import ExperimentConfig, run_sweep, write_records_csv
+
+mode, arg, out = sys.argv[1:]
+result = {}
+if mode == "trials":
+    configs = {p.stem: json.loads(p.read_text()) for p in Path(arg).glob("*.json")}
+    for cfg in configs.values():
+        ExperimentConfig(**cfg)
+    result["configs"] = sorted(configs)
+    for name in ("pca_lipschitz_sweep", "ef_spectral_sweep"):
+        cfg = dict(configs[name], eps_grid=configs[name]["eps_grid"][:1], seeds=[0])
+        result[name] = run_sweep(ExperimentConfig(**cfg))[0].status
+    result["before"] = "scipy.optimize" in sys.modules
+    adj = np.zeros((5, 5), dtype=np.uint8)
+    adj[0, 1:] = adj[1:, 0] = 1
+    truncated, d_T = degree_truncate(Graph(5, adj), 2)
+    result.update(adj=truncated.adj.tolist(), d_T=d_T)
+else:
+    cfg = ExperimentConfig(**json.loads(arg))
+    result["before"] = "scipy.optimize" in sys.modules
+    write_records_csv(run_sweep(cfg, threads=int(mode)), out)
+result["after"] = "scipy.optimize" in sys.modules
+print(json.dumps(result))
+"""
+
+
+def test_highs_loads_on_the_first_lp_solve_only(tmp_path):
+    # This process imported scipy.optimize long ago (oracles does), so only a
+    # fresh interpreter shows what importing nodedp loads. The three run at once.
+    src = str(Path(nodedp.lp.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    sweep = dict(scenario="lazy-highs", sbm={"n": 60, "k": 2, "B": [[0.6, 0.1], [0.1, 0.6]]},
+                 estimator={"id": "ef_spectral", "params": {}}, eps_grid=[1e3, 1e4],
+                 delta_grid=[0.0], seeds=[0, 1],
+                 wrapper={"D_rule": {"mode": "multiple_of_d", "value": 0.5}})
+    runs = {mode: (arg, tmp_path / f"{mode}.csv") for mode, arg in [
+        ("trials", str(Path(src).parent / "configs")),
+        ("1", json.dumps(sweep)), ("2", json.dumps(sweep))]}
+    procs = {mode: subprocess.Popen([sys.executable, "-c", _FRESH_PROCESS, mode, arg, str(out)],
+                                    env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True)
+             for mode, (arg, out) in runs.items()}
+    results = {}
+    for mode, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        results[mode] = json.loads(stdout)
+
+    trials = results["trials"]
+    assert trials["configs"] == sorted(p.stem for p in Path(runs["trials"][0]).glob("*.json"))
+    assert (trials["pca_lipschitz_sweep"], trials["ef_spectral_sweep"]) == ("ok", "ok")
+    assert (trials["before"], trials["after"]) == (False, True)
+    adj = np.zeros((5, 5), dtype=np.uint8)
+    adj[0, 1:] = adj[1:, 0] = 1
+    truncated, d_T = degree_truncate(Graph(5, adj), 2)
+    assert (trials["adj"], trials["d_T"]) == (truncated.adj.tolist(), d_T)
+
+    # The sweep's D is below its graphs' max degree, so its first LP imports
+    # HiGHS mid-sweep, on one thread or two; neither moves a record.
+    cfg = ExperimentConfig(**sweep)
+    assert all(max(cfg.sample_graph(s).degrees()) > cfg.D for s in sweep["seeds"])
+    write_records_csv(run_sweep(cfg), tmp_path / "here.csv")
+    for mode in ("1", "2"):
+        assert (results[mode]["before"], results[mode]["after"]) == (False, True)
+        assert runs[mode][1].read_bytes() == (tmp_path / "here.csv").read_bytes()
