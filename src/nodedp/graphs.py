@@ -7,6 +7,7 @@ and can be shared freely across threads.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -257,16 +258,19 @@ def memo(g: Graph | WeightedGraph, key, compute):
     For deterministic work that depends on g alone and that several calls on
     one graph repeat. Arrays in the value (or in a tuple value) are made
     read-only. The value must not refer back to g: a reference cycle would
-    keep g alive past its last use. Concurrent calls may both compute; the
-    results are equal.
+    keep g alive past its last use. Concurrent calls for one key compute it
+    once: each takes the key's lock and computes only if the value is still
+    missing, so a compute that raises leaves the key unset for the next.
     """
     cache = vars(g).setdefault("_memo", {})
     if key not in cache:
-        value = compute()
-        for part in value if isinstance(value, tuple) else (value,):
-            if isinstance(part, np.ndarray):
-                part.setflags(write=False)
-        cache[key] = value
+        with vars(g).setdefault("_memo_locks", {}).setdefault(key, threading.Lock()):
+            if key not in cache:
+                value = compute()
+                for part in value if isinstance(value, tuple) else (value,):
+                    if isinstance(part, np.ndarray):
+                        part.setflags(write=False)
+                cache[key] = value
     return cache[key]
 
 

@@ -268,6 +268,24 @@ class _OneBlasThread:
 
 _one_blas_thread = _OneBlasThread()
 
+# glibc's malloc returns the free top of its heap to the OS once it exceeds
+# twice the dynamic mmap threshold, which starts at 128 KB and rises to the
+# size of the largest mmapped block freed so far (mallopt(3)). A truncation
+# trial at n = 200 that HiGHS does not solve grows the heap by about 0.8 MB
+# and frees no block over 320 KB. Without a floor its heap is trimmed after
+# each trial and faulted back in by the next (200-400 page faults a trial),
+# unless some earlier trial happened to free a larger block, so a run's speed
+# would depend on its history. One freed 2 MB block sets the trim point to at
+# least 4 MB.
+_HEAP_FLOOR_BYTES = 2 << 20
+
+
+def _raise_heap_trim_floor() -> None:
+    """Allocate and free one _HEAP_FLOOR_BYTES block. Its pages are never
+    touched, so it costs a mmap/munmap pair and no memory; where the allocator
+    is not glibc's, or the threshold is already higher, it changes nothing."""
+    np.empty(_HEAP_FLOOR_BYTES, dtype=np.uint8)
+
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
     """One record per (grid point x seed), in grid-major order; failures become
@@ -284,6 +302,7 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[TrialRecord]:
             for gi, eps, delta in grid:
                 yield cfg, gi, eps, delta, seed, shared
 
+    _raise_heap_trim_floor()
     with _one_blas_thread:
         if threads <= 1:
             done = [_run_trial(*t) for t in trials()]

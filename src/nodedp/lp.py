@@ -5,8 +5,10 @@ inequality matrix A_ub x <= b_ub; solve_lp maps HiGHS's status to a string
 and reports how far the solution is from feasible.
 
 HiGHS (scipy.optimize) is imported on the first solve, not with the package:
-it costs a process about 15 MB and 0.3 s, and only degree truncation above D
-and the LP extension solve LPs, which most sweeps never reach.
+it costs a process about 15 MB and 0.3 s, and only two callers reach it. One
+is the LP extension. The other is degree truncation above D, for the rounds
+that cut an edge and for a first round whose numpy solution it cannot
+certify (see truncation.degree_truncate); SBM graphs seldom need either.
 """
 
 from __future__ import annotations

@@ -6,8 +6,11 @@ smooth distance surrogate d_T whose node sensitivity is at most 4, and a
 privately released high-probability upper bound L_hat on the local
 sensitivity of the projection. The LP has a variable per node and per edge;
 degree_truncate solves it exactly over the node variables, in rounds that
-give an edge its own variable only once the edge needs one. Its docstring
-states both LPs and why the last round's optimum is the full LP's.
+give an edge its own variable only once the edge needs one. The first round
+is solved by block principal pivoting in numpy and kept only under an
+optimality and uniqueness certificate; HiGHS solves the rounds that are not.
+Its docstring states the LPs, why the last round's optimum is the full LP's,
+and why a certified first round is the optimum HiGHS would return.
 
 The extension score generalizes the PCA score Tr(V' A^2 V) + Tr(A^2 J) to
 unbounded-degree graphs; its sensitivity constant is
@@ -23,13 +26,17 @@ import numpy as np
 from scipy import sparse
 
 from .graphs import Graph, WeightedGraph, adjacency_squared, max_degree, memo
-from .lp import solve_lp
+from .lp import FEAS_TOL, solve_lp
 from .mechanisms import laplace
 from .rng import SeedLike
 
 # LP vertex solutions sit at exact rational thresholds only by coincidence;
 # this slack keeps the strict/weak comparisons stable under solver noise.
 _THRESH_TOL = 1e-9
+
+# Block principal pivoting gives up after this many solves; round one then
+# goes to HiGHS. The benchmark and test graphs that it certifies take 1-3.
+_PIVOT_SOLVES = 20
 
 
 class LpFailure(RuntimeError):
@@ -169,6 +176,27 @@ def degree_truncate(g: Graph, D: int) -> tuple[Graph, float]:
     Cuts only grow, so the rounds end. (x_u + x_v > 1 is read with the
     _THRESH_TOL slack of the removal rule.)
 
+    Round one is min 1'x over x >= 0 with deg(u) x_u + sum_{v ~ u} x_v >=
+    deg(u) - D for u in H, the nodes of degree > D. Its dual is max
+    sum_u (deg(u) - D) y_u over y >= 0 on H (0 off H) with deg(v) y_v +
+    sum_{u ~ v} y_u <= 1 for every node v. With M = diag(deg_H) + A_HH and
+    e = deg_H - D, block principal pivoting (Judice & Pires 1994) seeks S in
+    H where x_S = M_SS^-1 e_S >= 0, with x = 0 off S, meets every row: the
+    solution of the LCP x >= 0, Mx - e >= 0, x'(Mx - e) = 0. Put y_S =
+    M_SS^-1 1 and y = 0 off S. The rows in S and the dual rows of the nodes
+    in S are tight, so when y >= 0 meets every dual row, (x, y) are
+    complementary and x is optimal. When moreover y_S > 0 and the dual row of
+    every node off S is slack, every optimum is 0 off S and has the rows in S
+    tight, so it solves M_SS x_S = e_S. On vectors supported on S, x'Mx =
+    sum_u (deg(u) - |N(u) & S|) x_u^2 + sum_{uv in E(S)} (x_u + x_v)^2, so
+    M_SS is singular exactly when a connected component of g lies inside S
+    and is bipartite. Otherwise the optimum is unique, and it is what HiGHS
+    returns, up to its tolerances. _certified_round_one checks each of these
+    conditions, the strict ones with a _THRESH_TOL margin. When one fails, a
+    solve raises, or the pivoting has not ended after _PIVOT_SOLVES solves,
+    HiGHS solves round one. A certified round one that cuts an edge passes
+    its cuts on to HiGHS for the later rounds.
+
     Then removes every edge (u, v), u < v, with x*_u > 1/4 or x*_v >= 1/4.
     Returns the truncated graph and d_T = 4 sum_u x*_u. Graphs already of max
     degree <= D are returned unchanged with d_T = 0 (the all-zero x is
@@ -188,7 +216,13 @@ def degree_truncate(g: Graph, D: int) -> tuple[Graph, float]:
     edge, side = np.nonzero(high[ends])  # one (edge, end) per row entry
     row = (np.cumsum(high) - 1)[ends[edge, side]]
     cut = np.zeros(len(ends), dtype=bool)
+    x = _certified_round_one(g, D, high)  # None: HiGHS solves round one
     while True:
+        if x is not None:
+            over = ~cut & (x[ends].sum(axis=1) > 1.0 + _THRESH_TOL)
+            if not over.any():
+                break
+            cut |= over
         uncut = ~cut[edge]  # per row entry
         cut_ends = ends[cut]
         k = cut_ends.shape[0]
@@ -210,10 +244,6 @@ def degree_truncate(g: Graph, D: int) -> tuple[Graph, float]:
         if sol.status != "optimal":
             raise LpFailure(f"truncation LP ended with status {sol.status}: {sol.message}")
         x = sol.x[:n]
-        over = ~cut & (x[ends].sum(axis=1) > 1.0 + _THRESH_TOL)
-        if not over.any():
-            break
-        cut |= over
     d_T = 4.0 * float(np.sum(x))
     # Removal rule follows the strict/weak asymmetry of the definition with
     # (u, v) ordered by node index.
@@ -221,6 +251,72 @@ def degree_truncate(g: Graph, D: int) -> tuple[Graph, float]:
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[iu[keep], ju[keep]] = 1
     return Graph(n, adj | adj.T), d_T
+
+
+def _certified_round_one(g: Graph, D: int, high: np.ndarray) -> np.ndarray | None:
+    """Round one's optimum x by block principal pivoting on (M, e), or None
+    unless degree_truncate's certificate shows it optimal and unique."""
+    A = g.as_float()
+    deg = A.sum(axis=1)
+    H = np.flatnonzero(high)
+    M = A[np.ix_(H, H)]
+    M[np.diag_indices_from(M)] += deg[H]
+    e = deg[H] - D
+    free = np.ones(H.size, dtype=bool)  # S
+    # Judice & Pires: swap every infeasible index while their count falls,
+    # or for 3 more tries; otherwise swap only the last one (Murty's rule).
+    fewest, tries = H.size + 1, 3
+    for _ in range(_PIVOT_SOLVES):
+        try:
+            xy = np.linalg.solve(M[np.ix_(free, free)],
+                                 np.column_stack([e[free], np.ones(free.sum())]))
+        except np.linalg.LinAlgError:
+            return None
+        z = np.zeros(H.size)
+        z[free] = xy[:, 0]
+        bad = np.where(free, z < 0.0, M @ z < e)
+        count = int(bad.sum())
+        if count == 0:
+            break
+        if count < fewest:
+            fewest, tries = count, 3
+        elif tries:
+            tries -= 1
+        else:
+            bad[:np.flatnonzero(bad)[-1]] = False
+        free ^= bad
+    else:
+        return None
+    S = np.zeros(g.n, dtype=bool)
+    S[H[free]] = True
+    x = np.zeros(g.n)
+    x[S] = xy[:, 0]
+    y = np.zeros(g.n)
+    y[S] = xy[:, 1]
+    rows = (deg * x + A @ x - (deg - D))[high]  # >= 0, tight in S
+    reduced = 1.0 - deg * y - A @ y  # >= 0, 0 in S
+    certified = (x.min() >= 0.0 and rows.min() >= -FEAS_TOL
+                 and np.abs(rows[free]).max() <= FEAS_TOL
+                 and y[S].min() > _THRESH_TOL
+                 and np.abs(reduced[S]).max() <= _THRESH_TOL
+                 and reduced[~S].min(initial=1.0) > _THRESH_TOL)
+    return x if certified and not _bipartite_component_inside(g, S) else None
+
+
+def _bipartite_component_inside(g: Graph, S: np.ndarray) -> bool:
+    """Whether some connected component of g lies inside S and is bipartite.
+    A component is bipartite when its two copies in the bipartite double
+    cover of g are not joined. Few graphs get past the first test, so
+    scipy's csgraph (about 1 MB of a process) is imported only after it."""
+    if g.adj[np.ix_(S, ~S)].any(axis=1).all():  # every node of S has a neighbour off S
+        return False
+    from scipy.sparse.csgraph import connected_components
+    A = sparse.csr_matrix(g.adj)
+    _, label = connected_components(sparse.bmat([[None, A], [A, None]]), directed=False)
+    n = g.n
+    leaves_S = np.zeros(label.max() + 1, dtype=bool)
+    leaves_S[label[:n][~S]] = leaves_S[label[n:][~S]] = True
+    return bool(np.any((label[:n] != label[n:]) & ~leaves_S[label[:n]]))
 
 
 def weighted_degree_truncate(g: WeightedGraph, D: int) -> tuple[WeightedGraph, float]:

@@ -179,13 +179,16 @@ def test_perfbench_trace_patches_resolve(monkeypatch):
     assert (nodedp.estimators, "sample_sphere_exp") in plan
     assert (nodedp.truncation, "solve_lp") in plan
     assert (nodedp.lp, "linprog") in plan
-    # lp.rows and lp.nnz are read from linprog's keyword A_ub: a star with its
-    # hub above D reaches the LP, solved in one round over the 5 node
-    # variables, with the hub's row the only one (5 nonzeros).
+    # lp.rows and lp.nnz are read from linprog's keyword A_ub. K_{3,3} at
+    # D = 2 reaches HiGHS (its high-node M is singular, so round one is not
+    # certified), solved in one round over the 6 node variables, with one row
+    # per node (its own x and its 3 neighbours': 4 nonzeros).
+    k33 = np.zeros((6, 6), dtype=np.uint8)
+    k33[:3, 3:] = k33[3:, :3] = 1
     with spans.installed(patches):
-        nodedp.truncation.degree_truncate(star(5), 2)
+        nodedp.truncation.degree_truncate(Graph(6, k33), 2)
     assert (tracer.counts["lp.vars"], tracer.counts["lp.rows"],
-            tracer.counts["lp.nnz"]) == (5, 1, 5)
+            tracer.counts["lp.nnz"]) == (6, 6, 24)
 
 
 # ---------------------------------------------------------------------------

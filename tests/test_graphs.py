@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -255,6 +259,60 @@ def test_memo_computes_once_per_key_on_success_only():
         with pytest.raises(RuntimeError):
             memo(g, "failing", fail)
     assert len(calls) == 5
+
+
+def test_memo_computes_once_across_threads():
+    # The first caller holds the compute on an event while a second thread
+    # asks for the same key: it waits, then gets the first value. After a
+    # failing first compute, the waiting caller computes the key itself.
+    for first_fails in (False, True):
+        g = complete_graph(4)
+        started, release = threading.Event(), threading.Event()
+        calls, got = [], {}
+
+        def compute():
+            calls.append(threading.current_thread().name)
+            if len(calls) == 1:
+                started.set()
+                assert release.wait(10)
+                if first_fails:
+                    raise RuntimeError("first compute fails")
+            return np.arange(3.0)
+
+        def call(name):
+            try:
+                got[name] = memo(g, "key", compute)
+            except RuntimeError as err:
+                got[name] = err
+
+        first = threading.Thread(target=call, args=("first",), name="first")
+        first.start()
+        assert started.wait(10)
+        second = threading.Thread(target=call, args=("second",), name="second")
+        second.start()
+        second.join(0.2)
+        assert second.is_alive()  # waiting on the key, not computing
+        release.set()
+        first.join(10)
+        second.join(10)
+        if first_fails:
+            assert calls == ["first", "second"]
+            assert isinstance(got["first"], RuntimeError)
+            assert np.array_equal(got["second"], np.arange(3.0))
+        else:
+            assert calls == ["first"]
+            assert got["second"] is got["first"]
+    # More threads than cores, switching often: still one compute.
+    g, calls = complete_graph(4), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(
+                lambda _: memo(g, "key", lambda: calls.append(1) or np.arange(3.0)), range(64)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1 and all(value is got[0] for value in got)
 
 
 def test_adjacency_squared_exact_read_only_and_memoised():

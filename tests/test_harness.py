@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -303,12 +304,32 @@ def counting_solve_lp(monkeypatch, result=None):
     return calls
 
 
+def counting_round_one(monkeypatch):
+    calls = []
+    real = nodedp.truncation._certified_round_one
+
+    def spy(g, D, high):
+        calls.append(D)
+        return real(g, D, high)
+
+    monkeypatch.setattr(nodedp.truncation, "_certified_round_one", spy)
+    return calls
+
+
+def uncertified_round_one(monkeypatch):
+    """Send every round one to HiGHS, as when its certificate fails; the
+    SBM graphs here all pass it."""
+    monkeypatch.setattr(nodedp.truncation, "_certified_round_one", lambda g, D, high: None)
+
+
 def test_sweep_solves_one_truncation_lp_per_seed(monkeypatch):
     calls = counting_solve_lp(monkeypatch)
+    round_ones = counting_round_one(monkeypatch)
     records = run_sweep(truncating_config())
     assert len(records) == 6 and all(r.status == "ok" for r in records)
     assert all(r.diagnostics["d_T"] > 0 for r in records)
-    assert len(calls) == 2
+    # One round one per seed, certified and cutting nothing: no HiGHS call.
+    assert len(round_ones) == 2 and calls == []
     # Same graph and D, so the same d_T at every grid point; own L_hat noise.
     for seed in (0, 1):
         rows = [r for r in records if r.seed == seed]
@@ -375,6 +396,7 @@ def test_sweep_matches_trials_run_one_at_a_time(tmp_path):
 
 def test_lp_failure_is_a_typed_row_at_every_grid_point(monkeypatch, tmp_path):
     failed = LpSolution("failed", None, None, message="forced")
+    uncertified_round_one(monkeypatch)
     calls = counting_solve_lp(monkeypatch, result=failed)
     records = run_sweep(truncating_config())
     assert [r.error for r in records] == ["LpFailure"] * 6
@@ -386,6 +408,7 @@ def test_lp_failure_is_a_typed_row_at_every_grid_point(monkeypatch, tmp_path):
 
 def test_failure_traceback_has_no_absolute_paths(monkeypatch):
     failed = LpSolution("failed", None, None, message="forced")
+    uncertified_round_one(monkeypatch)
     counting_solve_lp(monkeypatch, result=failed)
     rec = run_sweep(truncating_config(eps_grid=[500.0], seeds=[0]))[0]
     tb = rec.diagnostics["traceback"]
@@ -544,6 +567,43 @@ def test_blas_counts_restored_after_two_concurrent_sweeps(monkeypatch, openblas_
     n_libs = len(openblas_at_three())
     assert seen == {"a": [1] * n_libs, "b": [1] * n_libs}
     assert openblas_at_three() == [3] * n_libs
+
+
+HEAP_PROBE = """
+import resource, sys
+import numpy as np
+from nodedp import harness
+if sys.argv[1] == "floor":
+    harness._raise_heap_trim_floor()
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    blocks = [np.ones(40_000) for _ in range(3)]  # three touched 320 KB blocks
+    del blocks
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(sum(faults[1:]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+def test_heap_floor_stops_refaulting_between_trials(monkeypatch):
+    # In a fresh process the first free of a 320 KB block sets glibc's trim
+    # point to 640 KB, so each later round of ~1 MB is trimmed and faulted
+    # back in (~240 faults). After the floor the heap keeps those pages.
+    src = str(Path(nodedp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    faults = {mode: int(subprocess.run([sys.executable, "-c", HEAP_PROBE, mode], env=env,
+                                       check=True, capture_output=True, text=True,
+                                       timeout=120).stdout)
+              for mode in ("none", "floor")}
+    assert faults["none"] > 500
+    assert faults["floor"] < 50
+
+    calls = []
+    monkeypatch.setattr(nodedp.harness, "_raise_heap_trim_floor", lambda: calls.append(1))
+    run_sweep(base_config())
+    assert calls == [1]
 
 
 def test_records_do_not_depend_on_blas_threads(tmp_path):

@@ -10,6 +10,7 @@ from scipy import sparse
 from scipy.optimize import OptimizeResult
 
 import nodedp.lp
+import nodedp.truncation
 from nodedp import Graph, degree_truncate
 from nodedp.harness import ExperimentConfig, run_sweep, write_records_csv
 from nodedp.lp import FEAS_TOL, solve_lp
@@ -107,13 +108,16 @@ def test_solution_outside_the_rows_is_failed_with_its_residual(monkeypatch):
 
 # Runs in a fresh interpreter: argv is (mode, argument, output path). Mode
 # "trials" loads every config in the directory given, runs one trial of an
-# unwrapped and one of a wrapped config, then truncates a 5-node star at D = 2;
-# a thread count runs the JSON config given as a sweep on that many threads.
-# Either way the output says whether scipy.optimize was loaded before and after.
+# unwrapped and one of a wrapped config, truncates a 5-node star at D = 2
+# (certified round one), then K_{3,3} at D = 2 (HiGHS); a thread count runs
+# the JSON config given as a sweep on that many threads, with every round one
+# declined so that its truncations reach HiGHS. Either way the output says
+# whether scipy.optimize was loaded before and after the last step.
 _FRESH_PROCESS = """
 import json, sys
 from pathlib import Path
 import numpy as np
+import nodedp.truncation
 from nodedp import Graph, degree_truncate
 from nodedp.harness import ExperimentConfig, run_sweep, write_records_csv
 
@@ -127,12 +131,16 @@ if mode == "trials":
     for name in ("pca_lipschitz_sweep", "ef_spectral_sweep"):
         cfg = dict(configs[name], eps_grid=configs[name]["eps_grid"][:1], seeds=[0])
         result[name] = run_sweep(ExperimentConfig(**cfg))[0].status
+    star = np.zeros((5, 5), dtype=np.uint8)
+    star[0, 1:] = star[1:, 0] = 1
+    degree_truncate(Graph(5, star), 2)
     result["before"] = "scipy.optimize" in sys.modules
-    adj = np.zeros((5, 5), dtype=np.uint8)
-    adj[0, 1:] = adj[1:, 0] = 1
-    truncated, d_T = degree_truncate(Graph(5, adj), 2)
+    adj = np.zeros((6, 6), dtype=np.uint8)
+    adj[:3, 3:] = adj[3:, :3] = 1
+    truncated, d_T = degree_truncate(Graph(6, adj), 2)
     result.update(adj=truncated.adj.tolist(), d_T=d_T)
 else:
+    nodedp.truncation._certified_round_one = lambda g, D, high: None
     cfg = ExperimentConfig(**json.loads(arg))
     result["before"] = "scipy.optimize" in sys.modules
     write_records_csv(run_sweep(cfg, threads=int(mode)), out)
@@ -141,7 +149,7 @@ print(json.dumps(result))
 """
 
 
-def test_highs_loads_on_the_first_lp_solve_only(tmp_path):
+def test_highs_loads_on_the_first_lp_solve_only(tmp_path, monkeypatch):
     # This process imported scipy.optimize long ago (oracles does), so only a
     # fresh interpreter shows what importing nodedp loads. The three run at once.
     src = str(Path(nodedp.lp.__file__).resolve().parent.parent)
@@ -168,15 +176,17 @@ def test_highs_loads_on_the_first_lp_solve_only(tmp_path):
     assert trials["configs"] == sorted(p.stem for p in Path(runs["trials"][0]).glob("*.json"))
     assert (trials["pca_lipschitz_sweep"], trials["ef_spectral_sweep"]) == ("ok", "ok")
     assert (trials["before"], trials["after"]) == (False, True)
-    adj = np.zeros((5, 5), dtype=np.uint8)
-    adj[0, 1:] = adj[1:, 0] = 1
-    truncated, d_T = degree_truncate(Graph(5, adj), 2)
+    adj = np.zeros((6, 6), dtype=np.uint8)
+    adj[:3, 3:] = adj[3:, :3] = 1
+    truncated, d_T = degree_truncate(Graph(6, adj), 2)
     assert (trials["adj"], trials["d_T"]) == (truncated.adj.tolist(), d_T)
 
-    # The sweep's D is below its graphs' max degree, so its first LP imports
-    # HiGHS mid-sweep, on one thread or two; neither moves a record.
+    # The sweep's D is below its graphs' max degree and round one is
+    # declined, so its first LP imports HiGHS mid-sweep, on one thread or
+    # two; neither moves a record.
     cfg = ExperimentConfig(**sweep)
     assert all(max(cfg.sample_graph(s).degrees()) > cfg.D for s in sweep["seeds"])
+    monkeypatch.setattr(nodedp.truncation, "_certified_round_one", lambda g, D, high: None)
     write_records_csv(run_sweep(cfg), tmp_path / "here.csv")
     for mode in ("1", "2"):
         assert (results[mode]["before"], results[mode]["after"]) == (False, True)

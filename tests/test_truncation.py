@@ -219,15 +219,26 @@ def truncation_round(n, edges, D, cut):
     return [1.0] * n + [0.0] * len(cut), A, b, [(0.0, None)] * n + [(0.0, 1.0)] * len(cut)
 
 
+def k33(first):
+    """The edges of K_{3,3} on nodes first..first+5, sides of three."""
+    return [(first + a, first + 3 + b) for a in range(3) for b in range(3)]
+
+
 def test_truncation_lp_rows_follow_the_docstring(monkeypatch):
+    # Each graph has a K_{3,3} on nodes 7-12 beside it, every node of degree
+    # 3 > D. The component is bipartite and lies in the support of round one,
+    # so round one is not certified and HiGHS solves every round. Its duals
+    # are all 1/6, so every optimum has its six rows tight: x sums to 3 - D on
+    # it, adding 4 (3 - D) to d_T, and no edge of it is cut.
     calls = lp_inputs(monkeypatch)
     for n, D, edges, cuts, d_T in [
-        # Only the hub (degree 4) is above D = 2: one row, solved in one round.
-        (7, 2, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)], [], 2.0),
+        # Only the hub (degree 4) is above D = 2 outside K_{3,3}: its row and
+        # K_{3,3}'s six, solved in one round.
+        (13, 2, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4), *k33(7)], [], 2.0 + 4.0),
         # Round one puts x_1 = x_2 = 3/5, so (1, 2) is cut and round two
         # solves with its w; nodes 5 and 6 (degree 1) have no row.
-        (7, 1, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (5, 6)],
-         [(1, 2)], 16.0 / 3.0),
+        (13, 1, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (5, 6), *k33(7)],
+         [(1, 2)], 16.0 / 3.0 + 8.0),
     ]:
         calls.clear()
         _, got_d_T = degree_truncate(graph_from_edges(n, edges), D)
@@ -264,19 +275,85 @@ def assert_matches_full_lp(g, D):
     assert abs(d_T - ref_d_T) <= 1e-9 * max(1.0, ref_d_T)
 
 
+def truncation_cases(family):
+    if family == "criterion_3":
+        return criterion_3_graphs_above_D(60)
+    g = sample_sbm(SbmParams(n=200, k=2, B=np.array([[0.3, 0.05], [0.05, 0.3]])),
+                   spawn(19, 0))
+    assert max_degree(g) > 30
+    return [(g, D) for D in (5, 17, 30)]
+
+
 @pytest.mark.parametrize("family", ["criterion_3", "sbm_200"])
 def test_truncation_matches_the_full_lp(family):
     # The rounds reach the full LP's optimum value and, on these graphs, the
     # same truncated graph.
-    if family == "criterion_3":
-        cases = criterion_3_graphs_above_D(60)
-    else:
-        g = sample_sbm(SbmParams(n=200, k=2, B=np.array([[0.3, 0.05], [0.05, 0.3]])),
-                       spawn(19, 0))
-        assert max_degree(g) > 30
-        cases = [(g, D) for D in (5, 17, 30)]
-    for g, D in cases:
+    for g, D in truncation_cases(family):
         assert_matches_full_lp(g, D)
+
+
+def certified_round_one(g, D):
+    return nodedp.truncation._certified_round_one(g, D, g.degrees() > D)
+
+
+def highs_round_one(monkeypatch, g, D):
+    """The x of HiGHS's round one, with the certified round one declined."""
+    solutions = []
+    real = nodedp.truncation.solve_lp
+
+    def keep(*args, **kwargs):
+        solutions.append(real(*args, **kwargs))
+        return solutions[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(nodedp.truncation, "_certified_round_one", lambda g, D, high: None)
+        m.setattr(nodedp.truncation, "solve_lp", keep)
+        degree_truncate(g, D)
+    return solutions[0].x[:g.n]
+
+
+@pytest.mark.parametrize("family, certified", [("criterion_3", 51), ("sbm_200", 3)])
+def test_certified_round_one_is_highs_round_one(monkeypatch, family, certified):
+    # Where the certificate holds, the optimum is unique, so HiGHS's round one
+    # lands on it too. The criterion-3 graphs it declines fail the dual check.
+    cases = truncation_cases(family)
+    got = [(g, D, certified_round_one(g, D)) for g, D in cases]
+    assert sum(x is not None for _, _, x in got) == certified
+    for g, D, x in got:
+        if x is not None:
+            assert np.max(np.abs(x - highs_round_one(monkeypatch, g, D))) <= 1e-9
+    if family == "sbm_200":  # nothing to cut: no HiGHS call at all
+        calls = lp_inputs(monkeypatch)
+        for g, D in cases:
+            degree_truncate(g, D)
+        assert calls == []
+
+
+def test_uncertified_rounds_reach_highs_and_match_the_full_lp(monkeypatch):
+    [*_, (dual_fails, D)] = criterion_3_graphs_above_D(3)
+    sbm, _ = truncation_cases("sbm_200")[1]
+    docstring_example = graph_from_edges(
+        7, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (5, 6)])
+    for g, D, certified, highs_rounds, pivot_solves in [
+        # Some y_S < 0: HiGHS solves round one, then round two with a cut.
+        (dual_fails, D, False, 2, 20),
+        # Certified x_1 = x_2 = 3/5 cuts (1, 2); HiGHS solves round two only.
+        (docstring_example, 1, True, 1, 20),
+        # The high-node M = 3I + A of K_{3,3} is singular: the solve raises.
+        (graph_from_edges(6, k33(0)), 2, False, 1, 20),
+        # M = 2I + A of the 4-cycle is singular too, and the solve ends: the
+        # support is the whole bipartite graph.
+        (graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 1, False, 1, 20),
+        # At D = 17 the SBM takes two solves; with one allowed, pivoting
+        # gives up.
+        (sbm, 17, False, 1, 1),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(nodedp.truncation, "_PIVOT_SOLVES", pivot_solves)
+            assert (certified_round_one(g, D) is not None) == certified
+            calls = lp_inputs(m)
+            assert_matches_full_lp(g, D)
+            assert len(calls) == highs_rounds
 
 
 def test_truncation_needs_a_second_round(monkeypatch):
