@@ -117,15 +117,17 @@ def adaptive_compose_dp(eps: float, delta: float, T: int, slack: float) -> Priva
     return approx_dp(eps_t, delta_t, note=f"adaptive_compose[T={T},slack={slack:g}]")
 
 
-def reduction_total(base_form: str, eps1: float, delta1: float, eps2: float,
-                    delta2: float) -> PrivacyBudget:
+def reduction_total(base: PrivacyBudget, eps1: float, delta1: float) -> PrivacyBudget:
     """The generic reduction's node-DP guarantee, for a sensitivity release at
-    (eps1, delta1 > 0) and a base with budget (eps2, delta2): (eps1 + eps2,
-    e^{eps1} delta1) for a pure base and (eps1 + 2 eps2, e^{eps1}(delta1 +
-    delta2 e^{2 eps2})) for an approximate one, delta capped at 1."""
-    if base_form == "pure":
-        return approx_dp(eps1 + eps2, min(1.0, exp_capped(eps1) * delta1),
+    (eps1, delta1 > 0) and a base run whose guarantee is `base`: (eps1 + eps2,
+    e^{eps1} delta1) for a pure (eps2)-DP base and (eps1 + 2 eps2, e^{eps1}
+    (delta1 + delta2 e^{2 eps2})) for an (eps2, delta2)-DP one, delta capped at 1."""
+    if base.kind == "pure":
+        return approx_dp(eps1 + base.eps, min(1.0, exp_capped(eps1) * delta1),
                          "generic reduction (pure base)")
+    if base.kind != "approx":
+        raise ValueError(f"the reduction takes a DP base, not {base.kind}")
+    eps2, delta2 = base.eps, base.delta
     group_term = 0.0 if delta2 == 0.0 else delta2 * exp_capped(2.0 * eps2)  # not inf * 0
     return approx_dp(eps1 + 2.0 * eps2, min(1.0, exp_capped(eps1) * (delta1 + group_term)),
                      "generic reduction (approx base)")

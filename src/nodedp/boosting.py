@@ -50,16 +50,20 @@ def graph_boost(
     one is drawn uniformly (typed bot-failure if none exists), every estimate
     is aligned to it, and each node takes its majority label, a row tie going
     to the witness's label. The budget is T times one base run's guarantee
-    (base.guarantee(eps, delta)), spent whether or not a vote is taken.
+    (base.guarantee(eps, delta)): T eps and T delta (capped at 1) for a DP
+    run, T rho for a zCDP one, spent whether or not a vote is taken.
     """
     rng = spawn(seed, 0)
     subgraphs = thin_graph(g, cfg.T, rng)
     outputs = base.run_batch(subgraphs, [eps] * cfg.T, [delta] * cfg.T,
                              [spawn(seed, 1, j) for j in range(cfg.T)], noise_off=noise_off)
     run = base.guarantee(eps, delta)
-    note = f"boosting: {cfg.T} x ({run.eps:g}, {run.delta:g}) base runs"
-    budget = [acc.PrivacyBudget(run.kind, eps=cfg.T * run.eps,
-                                delta=min(1.0, cfg.T * run.delta), provenance=(note,))]
+    if run.kind == "zcdp":
+        budget = [acc.zcdp(cfg.T * run.rho, f"boosting: {cfg.T} x {run.rho:g}-zCDP base runs")]
+    else:
+        note = f"boosting: {cfg.T} x ({run.eps:g}, {run.delta:g}) base runs"
+        budget = [acc.PrivacyBudget(run.kind, eps=cfg.T * run.eps,
+                                    delta=min(1.0, cfg.T * run.delta), provenance=(note,))]
 
     def failed(reason):
         return EstimatorOutput(labels=None, budget=budget,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -632,32 +633,22 @@ def subspace_estimation(
 # Generic reduction to node privacy
 
 
+@dataclass(frozen=True)
 class BoundedDegreeEstimator:
-    """An estimator declaring its privacy form on graphs of max degree <= 2D.
+    """An estimator private on graphs of max degree <= 2D.
 
     ``run_batch(graphs, eps, delta, seeds, noise_off)`` takes lists, one
     entry per run, and returns one output per run; each run must satisfy
     (eps, delta)_{2D}-node DP (pure estimators ignore delta). ``run`` is a
-    batch of one. ``guarantee(eps, delta)`` is one run's budget: that pair
-    in the declared form, unless a `guarantee` function says otherwise (the
-    reduced estimator's runs spend the reduction's total).
+    batch of one. ``guarantee(eps, delta)`` is one run's budget.
     """
 
-    def __init__(self, name: str, privacy_form: str, run_batch, guarantee=None):
-        if privacy_form not in ("pure", "approx"):
-            raise ValueError("privacy_form must be 'pure' or 'approx'")
-        self.name = name
-        self.privacy_form = privacy_form
-        self.run_batch = run_batch
-        self._guarantee = guarantee
+    name: str
+    run_batch: Callable
+    guarantee: Callable  # (eps, delta) -> PrivacyBudget
 
     def run(self, graph, eps, delta, seed, noise_off=False) -> EstimatorOutput:
         return self.run_batch([graph], [eps], [delta], [seed], noise_off)[0]
-
-    def guarantee(self, eps, delta) -> PrivacyBudget:
-        if self._guarantee is not None:
-            return self._guarantee(eps, delta)
-        return acc.pure_dp(eps) if self.privacy_form == "pure" else acc.approx_dp(eps, delta)
 
 
 def reduce_to_node_private(
@@ -675,10 +666,8 @@ def reduce_to_node_private(
 
     Truncates to max degree <= 2D, privately bounds the projection's local
     sensitivity by L_hat, and runs the base estimator on the truncated graph
-    with budgets (eps2/L_hat, delta2/L_hat). The released pair is
-    (eps1 + eps2, e^{eps1} delta1)-node DP for pure bases and
-    (eps1 + 2 eps2, e^{eps1}(delta1 + delta2 e^{2 eps2}))-node DP for
-    approximate ones.
+    with budgets (eps2/L_hat, delta2/L_hat). The released guarantee is
+    accounting.reduction_total of the base's guarantee at (eps2, delta2).
 
     A list of graphs is a batch: eps2, delta2 and seed are then lists of the
     same length, each graph's certificate draws from its own seed, the base
@@ -697,7 +686,7 @@ def reduce_to_node_private(
                           [b[1] for b in budgets], rngs, noise_off=noise_off)
     results = []
     for out, cert, (eps2p, delta2p), e2, d2 in zip(outs, certs, budgets, eps2s, delta2s):
-        total = acc.reduction_total(base.privacy_form, eps1, delta1, e2, d2)
+        total = acc.reduction_total(base.guarantee(e2, d2), eps1, delta1)
         chain = [acc.pure_dp(eps1, "private sensitivity bound release")] + out.budget + [total]
         diag = {
             "L_hat": cert.L_hat,

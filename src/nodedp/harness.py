@@ -150,7 +150,8 @@ class TrialRecord:
 
 def _run_trial(cfg: ExperimentConfig, grid_index: int, eps: float, delta: float, seed: int,
                shared: dict) -> TrialRecord:
-    """One trial; `shared` passes the seed's graph from its first trial to the rest."""
+    """One trial; `shared` passes the seed's graph from its first trial to the
+    rest, which wait on the seed's lock while it is sampled."""
     est_id, params = cfg.estimator["id"], cfg.params
     est_params = dict(cfg.estimator.get("params", {}))
     est_params.setdefault("k", params.k)
@@ -158,9 +159,10 @@ def _run_trial(cfg: ExperimentConfig, grid_index: int, eps: float, delta: float,
     start = time.perf_counter()
     D = est_params.get("D") if cfg.wrapper is None else cfg.D
     try:
-        graph = shared.get("graph")
-        if graph is None:  # concurrent trials of a seed may both sample; all keep the first
-            graph = shared.setdefault("graph", cfg.sample_graph(seed))
+        with shared.setdefault("lock", threading.Lock()):
+            if "graph" not in shared:
+                shared["graph"] = cfg.sample_graph(seed)
+        graph = shared["graph"]
         if cfg.wrapper is None:
             out = run_pipeline(est_id, graph, {**est_params, "eps": eps, "delta": delta},
                                spawn(seed, 1, grid_index), noise_off=cfg.noise_off)
@@ -173,8 +175,8 @@ def _run_trial(cfg: ExperimentConfig, grid_index: int, eps: float, delta: float,
                 )
 
             reduced = BoundedDegreeEstimator(
-                f"reduced({est_id})", "approx", reduced_run,
-                lambda e, d: reduction_total(base.privacy_form, cfg.eps1, cfg.delta1, e, d))
+                f"reduced({est_id})", reduced_run,
+                lambda e, d: reduction_total(base.guarantee(e, d), cfg.eps1, cfg.delta1))
             if cfg.boosting is None:
                 out = reduced.run(graph, eps, delta, spawn(seed, 1, grid_index),
                                   noise_off=cfg.noise_off)

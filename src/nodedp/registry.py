@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .accounting import approx_dp, pure_dp
 from .estimators import (
     BoundedDegreeEstimator,
     EstimatorOutput,
@@ -32,7 +33,7 @@ from .estimators import (
 class Pipeline:
     """One pipeline's entry in `PIPELINES`."""
 
-    privacy_form: str  # "pure" | "approx": the form of the bounded base's guarantee
+    guarantee: Callable  # (eps, delta) -> PrivacyBudget of one bounded-base run
     divisor: Callable  # (k, D) -> node-level eps / mechanism eps
     weighted: bool  # samples a WeightedGraph when the SBM has a weight model
     call: Callable  # (graph, p, kw) -> EstimatorOutput; p holds k, eps, delta and D
@@ -50,21 +51,25 @@ def _n_scaled_pair(graph, params):
     return graph.n * float(B[0, 0]), graph.n * float(B[0, 1])
 
 
+def _pure(eps, delta):
+    return pure_dp(eps)
+
+
 # Adapters look their pipeline up in this module's globals at call time, so a
 # function patched onto nodedp.registry is the one that runs.
 PIPELINES = {
-    "ef_spectral": Pipeline("pure", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
+    "ef_spectral": Pipeline(_pure, lambda k, D: 4.0 * D, False, lambda g, p, kw: (
         ef_spectral(g, p["k"], p["eps"], **kw))),
-    "pca_lipschitz": Pipeline("pure", lambda k, D: 2.0, False, lambda g, p, kw: (
+    "pca_lipschitz": Pipeline(_pure, lambda k, D: 2.0, False, lambda g, p, kw: (
         private_pca_lipschitz(g, p["D"], p["eps"], **kw))),
-    "eig_deflation": Pipeline("pure", lambda k, D: 2.0 * k, False, lambda g, p, kw: (
+    "eig_deflation": Pipeline(_pure, lambda k, D: 2.0 * k, False, lambda g, p, kw: (
         eigvec_deflation_cluster(g, p["k"], p["D"], p["eps"], **kw)),
         options=("use_lipschitz",)),
-    "two_community": Pipeline("approx", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
+    "two_community": Pipeline(approx_dp, lambda k, D: 4.0 * D, False, lambda g, p, kw: (
         two_community_convex(g, *_n_scaled_pair(g, p), p["eps"], p["delta"], **kw))),
-    "matrix_estimation": Pipeline("approx", lambda k, D: 4.0 * D, False, lambda g, p, kw: (
+    "matrix_estimation": Pipeline(approx_dp, lambda k, D: 4.0 * D, False, lambda g, p, kw: (
         matrix_estimation(g, p["k"], p["eps"], p["delta"], **kw)), batched=True),
-    "subspace_estimation": Pipeline("approx", lambda k, D: 5.0 * D, True, lambda g, p, kw: (
+    "subspace_estimation": Pipeline(approx_dp, lambda k, D: 5.0 * D, True, lambda g, p, kw: (
         subspace_estimation(g, p["k"], p["eps"], p["delta"], **kw)),
         options=("zeta", "C1", "Cprime")),
 }
@@ -108,4 +113,4 @@ def make_bounded_base(estimator_id, k, D, params) -> BoundedDegreeEstimator:
         return [_call(entry, g, dict(p, eps=e, delta=d), s, noise_off)
                 for g, e, d, s in zip(graphs, p["eps"], p["delta"], seeds)]
 
-    return BoundedDegreeEstimator(estimator_id, entry.privacy_form, run_batch)
+    return BoundedDegreeEstimator(estimator_id, run_batch, entry.guarantee)

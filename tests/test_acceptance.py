@@ -362,7 +362,7 @@ def test_criterion_9_boosting_bound():
 
     class RecordingBase(BoundedDegreeEstimator):
         def __init__(self):
-            super().__init__("synthetic", "pure", batch_of(self._run))
+            super().__init__("synthetic", batch_of(self._run), lambda e, d: pure_dp(e))
 
         def _run(self, graph, eps, delta, seed, noise_off=False):
             rng = as_generator(seed)

@@ -73,12 +73,38 @@ def test_reduction_budgets():
 def test_reduction_total_saturates_without_nan():
     # e^{2 eps2} overflows at the paper's large eps: delta caps at 1, and a
     # zero delta2 contributes nothing instead of inf * 0 = nan.
-    big = reduction_total("approx", 1.0, 1e-6, 1e7, 1e-6)
+    big = reduction_total(approx_dp(1e7, 1e-6), 1.0, 1e-6)
     assert (big.kind, big.eps, big.delta) == ("approx", 1.0 + 2e7, 1.0)
-    zero = reduction_total("approx", 1.0, 1e-6, 1e7, 0.0)
+    zero = reduction_total(approx_dp(1e7, 0.0), 1.0, 1e-6)
     assert (zero.eps, zero.delta) == (1.0 + 2e7, pytest.approx(math.e * 1e-6, rel=1e-12))
-    pure = reduction_total("pure", 800.0, 1e-6, 1e7, 0.0)
+    pure = reduction_total(pure_dp(1e7), 800.0, 1e-6)
     assert (pure.eps, pure.delta) == (800.0 + 1e7, 1.0)
+
+
+def test_reduction_total_matches_closed_forms():
+    # Random pure and approximate base budgets: (eps1 + eps2, e^{eps1} delta1)
+    # and (eps1 + 2 eps2, e^{eps1}(delta1 + delta2 e^{2 eps2})), delta capped at 1.
+    rng = spawn(47, 0)
+    saturated = unsaturated = 0
+    for _ in range(2000):
+        eps1, eps2 = [math.exp(v) for v in rng.uniform(math.log(0.01), math.log(30.0), 2)]
+        delta1 = 10.0 ** rng.uniform(-9.0, -0.5)
+        delta2 = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-12.0, -1.0)
+        if rng.random() < 0.5:
+            got = reduction_total(pure_dp(eps2), eps1, delta1)
+            want = (eps1 + eps2, min(1.0, math.exp(eps1) * delta1))
+        else:
+            got = reduction_total(approx_dp(eps2, delta2), eps1, delta1)
+            want = (eps1 + 2.0 * eps2,
+                    min(1.0, math.exp(eps1) * (delta1 + delta2 * math.exp(2.0 * eps2))))
+        assert got.kind == "approx"
+        assert got.eps == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+        assert got.delta == pytest.approx(want[1], rel=1e-12, abs=1e-12)
+        saturated += got.delta == 1.0
+        unsaturated += got.delta < 1.0
+    assert saturated and unsaturated
+    with pytest.raises(ValueError):
+        reduction_total(zcdp(0.1), 1.0, 1e-6)
 
 
 def test_monotonicity():

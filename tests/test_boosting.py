@@ -14,6 +14,7 @@ from nodedp import (
     loss_overall,
     sample_sbm,
 )
+from nodedp.accounting import approx_dp, pure_dp, zcdp
 from nodedp.boosting import _majority_vote
 from nodedp.graphs import thin_graph
 from nodedp.estimators import EstimatorOutput
@@ -23,11 +24,15 @@ from nodedp.rng import as_generator, spawn
 from oracles import batch_of, boost_select_ref, majority_vote_ref
 
 
-def const_base(labels, form="pure"):
+def pure(eps, delta):
+    return pure_dp(eps)
+
+
+def const_base(labels, guarantee=pure):
     def run(graph, eps, delta, seed, noise_off=False):
         return EstimatorOutput(labels=labels, budget=[], diagnostics={})
 
-    return BoundedDegreeEstimator("const", form, batch_of(run))
+    return BoundedDegreeEstimator("const", batch_of(run), guarantee)
 
 
 def corrupting_base(theta, flips, seen=None):
@@ -44,7 +49,7 @@ def corrupting_base(theta, flips, seen=None):
             seen.append(est)
         return EstimatorOutput(labels=est, budget=[], diagnostics={})
 
-    return BoundedDegreeEstimator("corrupt", "pure", batch_of(run))
+    return BoundedDegreeEstimator("corrupt", batch_of(run), pure)
 
 
 def test_boost_config_validation():
@@ -71,7 +76,7 @@ def test_boost_identical_outputs_pass_through():
     g = sample_sbm(params, 1)
     fixed = LabelAssignment(np.repeat([1, 0], 15), 2)
     cfg = BoostConfig(T=5, xi=0.05, k=2)
-    out = graph_boost(g, cfg, const_base(fixed, form="approx"), eps=0.5,
+    out = graph_boost(g, cfg, const_base(fixed, approx_dp), eps=0.5,
                       delta=1e-7, seed=13)
     assert np.array_equal(out.labels.labels, fixed.labels)
     # Budget multiplies by T for both parameters (basic composition).
@@ -80,6 +85,17 @@ def test_boost_identical_outputs_pass_through():
     pure_out = graph_boost(g, cfg, const_base(fixed), eps=0.5, delta=0.0, seed=13)
     assert pure_out.budget[0].kind == "pure"
     assert pure_out.budget[0].eps == pytest.approx(2.5)
+
+
+def test_boost_composes_a_zcdp_run_to_T_rho():
+    params = SbmParams(n=30, k=2, B=np.full((2, 2), 0.4) + 0.2 * np.eye(2))
+    g = sample_sbm(params, 1)
+    fixed = LabelAssignment(np.repeat([1, 0], 15), 2)
+    out = graph_boost(g, BoostConfig(T=5, xi=0.05, k=2),
+                      const_base(fixed, lambda e, d: zcdp(0.03)), eps=0.5, delta=1e-7, seed=13)
+    assert len(out.budget) == 1
+    assert out.budget[0].kind == "zcdp"
+    assert out.budget[0].rho == pytest.approx(5 * 0.03, rel=1e-12)
 
 
 def test_boost_bot_failure_is_typed():
@@ -96,7 +112,7 @@ def test_boost_bot_failure_is_typed():
         return EstimatorOutput(labels=LabelAssignment(lab, 2), budget=[],
                                diagnostics={})
 
-    base = BoundedDegreeEstimator("adversarial", "pure", batch_of(run))
+    base = BoundedDegreeEstimator("adversarial", batch_of(run), pure)
     cfg = BoostConfig(T=5, xi=0.001, k=2)
     out = graph_boost(g, cfg, base, eps=1.0, delta=0.0, seed=17)
     assert out.failed
@@ -163,7 +179,7 @@ def test_witness_selection_matches_per_pair_reference():
                                        diagnostics={})
 
             out = graph_boost(g, BoostConfig(T=T, xi=xi, k=k),
-                              BoundedDegreeEstimator("noisy", "pure", batch_of(run)),
+                              BoundedDegreeEstimator("noisy", batch_of(run), pure),
                               eps=1.0, delta=0.0, seed=seed)
             rng = spawn(seed, 0)
             thin_graph(g, T, rng)

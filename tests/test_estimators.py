@@ -27,6 +27,7 @@ from nodedp import (
     subspace_estimation,
     two_community_convex,
 )
+from nodedp.accounting import approx_dp, pure_dp
 from nodedp.clustering import approx_kmeans, sym_eigs
 from nodedp.estimators import AssumptionViolation, BoundedDegreeEstimator, _dykstra_psd_diag
 from nodedp.registry import PIPELINES, make_bounded_base, run_pipeline
@@ -633,7 +634,7 @@ def test_reduction_noop_graph_and_budget_passthrough(monkeypatch):
         seen["delta"] = delta
         return ef_spectral(graph, 2, math.inf, seed=seed)
 
-    base = BoundedDegreeEstimator("probe", "pure", batch_of(run))
+    base = BoundedDegreeEstimator("probe", batch_of(run), lambda e, d: pure_dp(e))
     out = reduce_to_node_private(g, base, D, 1.0, 1e-6, eps2=8.0, delta2=0.0, seed=1)
     assert np.array_equal(seen["adj"], g.adj)  # graph passed through unchanged
     assert seen["eps"] == pytest.approx(8.0)  # L_hat = 1: no rescale
@@ -650,7 +651,8 @@ def test_reduction_total_budget_formulas():
         ("pure", 0.7, 1e-7, 11.0, 0.0),
         ("approx", 1.3, 1e-6, 5.0, 1e-8),
     ]:
-        base = BoundedDegreeEstimator("probe", form, batch_of(run))
+        guarantee = (lambda e, d: pure_dp(e)) if form == "pure" else approx_dp
+        base = BoundedDegreeEstimator("probe", batch_of(run), guarantee)
         out = reduce_to_node_private(g, base, 40, eps1, delta1, eps2, delta2, seed=3)
         total = out.budget[-1]
         if form == "pure":
@@ -672,7 +674,7 @@ def test_reduction_rescales_budgets_by_Lhat(monkeypatch):
         seen["eps"], seen["delta"] = eps, delta
         return ef_spectral(graph, 2, math.inf, seed=seed)
 
-    base = BoundedDegreeEstimator("probe", "approx", batch_of(run))
+    base = BoundedDegreeEstimator("probe", batch_of(run), approx_dp)
     out = reduce_to_node_private(g, base, 30, 1.0, 1e-6, 10.0, 1e-6, seed=5)
     assert seen["eps"] == pytest.approx(10.0 / 25.0)
     assert seen["delta"] == pytest.approx(1e-6 / 25.0)
@@ -690,7 +692,7 @@ def test_reduction_degree_bound_composition():
         seen["maxdeg"] = max_degree(graph)
         return ef_spectral(graph, 2, math.inf, seed=seed)
 
-    base = BoundedDegreeEstimator("probe", "pure", batch_of(run))
+    base = BoundedDegreeEstimator("probe", batch_of(run), lambda e, d: pure_dp(e))
     D = 5
     reduce_to_node_private(g, base, D, 1.0, 1e-6, 5.0, 0.0, seed=1)
     assert seen["maxdeg"] <= 2 * D
@@ -726,7 +728,7 @@ def test_registry_bounded_base_is_direct_run_at_divided_eps(estimator_id, diviso
     if estimator_id == "subspace_estimation":
         params["zeta"] = 0.1
     base = make_bounded_base(estimator_id, k, D, params)
-    assert base.privacy_form == form
+    assert base.guarantee(eps, delta).kind == form
     bounded = base.run(g, eps, delta, spawn(278, 0))
     direct = run_pipeline(estimator_id, g,
                           {**params, "k": k, "eps": eps / divisor, "delta": delta, "D": D},

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -392,6 +393,24 @@ def test_sweep_matches_trials_run_one_at_a_time(tmp_path):
         sys.setswitchinterval(interval)
     write_records_csv(parallel, tmp_path / "parallel.csv")
     assert (tmp_path / "parallel.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+
+def test_threads_sample_each_seed_once(monkeypatch, tmp_path):
+    # A slow sampler: both workers reach a seed's first two trials together,
+    # and the second waits for the first one's graph instead of sampling again.
+    overrides = dict(eps_grid=[1.0, 3.0], seeds=[0, 1, 2])
+    write_records_csv(run_sweep(base_config(**overrides)), tmp_path / "serial.csv")
+    real, calls = nodedp.harness.sample_sbm, []
+
+    def slow_sample(params, rng):
+        calls.append(rng)
+        time.sleep(0.05)
+        return real(params, rng)
+
+    monkeypatch.setattr(nodedp.harness, "sample_sbm", slow_sample)
+    write_records_csv(run_sweep(base_config(**overrides), threads=2), tmp_path / "parallel.csv")
+    assert len(calls) == len(overrides["seeds"])
+    assert (tmp_path / "parallel.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 def test_lp_failure_is_a_typed_row_at_every_grid_point(monkeypatch, tmp_path):
