@@ -90,8 +90,8 @@ def lb_pure(q: LowerBoundQuery) -> float:
     """
     if q.k != 2:
         raise ValueError("pure-DP bound applies to k = 2")
-    if q.eta > 0.5:
-        raise ValueError("need eta <= 1/2")
+    if not 0.0 < q.eta <= 0.5:
+        raise ValueError("need 0 < eta <= 1/2")
     if q.xi < 1.0 / q.n:
         raise ValueError("need xi >= 1/n")
     return (

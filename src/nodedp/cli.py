@@ -1,32 +1,21 @@
 """Command-line interface.
 
 Subcommands: generate (write SBM graph files), run (one estimator on one
-graph), sweep (config-driven grid), bounds (lower-bound tables). generate
-and sweep take their seeds from the config's seeds list; run takes --seed,
-which falls back to the NODEDP_SEED environment variable when not given.
+graph), sweep (config-driven grid), bounds (lower-bound tables, one CSV row
+per point of the n x xi x eta x delta grid, blank where a bound does not
+apply). generate and sweep take their seeds from the config's seeds list;
+run takes --seed, 0 when not given.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("NODEDP_SEED")
-    return int(env) if env else 0
-
-
-def _add_seed(p):
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (fallback: NODEDP_SEED, then 0)")
 
 
 def cmd_generate(args) -> int:
@@ -52,12 +41,11 @@ def cmd_run(args) -> int:
 
     graph = read_graph(args.graph)
     params = json.loads(args.params) if args.params else {}
-    seed = _resolve_seed(args)
     with _one_blas_thread:  # as in a sweep, so the output matches on any core count
-        out = run_pipeline(args.estimator, graph, params, seed, noise_off=args.noise_off)
+        out = run_pipeline(args.estimator, graph, params, args.seed, noise_off=args.noise_off)
     record = {
         "estimator": args.estimator,
-        "seed": seed,
+        "seed": args.seed,
         "noise_off": args.noise_off,
         "failed": out.failed,
         "budget_chain": [b.to_dict() for b in out.budget],
@@ -103,34 +91,26 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _or_blank(bound, q):
+    """bound(q), or "" where it raises ValueError or is infinite (vacuous)."""
+    try:
+        value = bound(q)
+    except ValueError:
+        return ""
+    return "" if math.isinf(value) else value
+
+
 def cmd_bounds(args) -> int:
     from .bounds import LowerBoundQuery, lb_packing_solve, lb_pure, lb_stable
 
-    def parse_grid(s):
-        return [float(x) for x in s.split(",")]
-
+    grids = ([float(x) for x in s.split(",")] for s in (args.n, args.xi, args.eta, args.delta))
     rows = []
-    for n in parse_grid(args.n):
-        for xi in parse_grid(args.xi):
-            for eta in parse_grid(args.eta):
-                for delta in parse_grid(args.delta):
-                    q = LowerBoundQuery(n=int(n), k=args.k, xi=xi, eta=eta, delta=delta)
-                    row = {"n": int(n), "k": args.k, "xi": xi, "eta": eta,
-                           "delta": delta}
-                    try:
-                        row["lb_packing"] = lb_packing_solve(q)
-                    except ValueError:
-                        row["lb_packing"] = ""
-                    try:
-                        row["lb_pure"] = lb_pure(q) if delta == 0 else ""
-                    except ValueError:
-                        row["lb_pure"] = ""
-                    try:
-                        v = lb_stable(q)
-                        row["lb_stable"] = "" if math.isinf(v) else v
-                    except ValueError:
-                        row["lb_stable"] = ""
-                    rows.append(row)
+    for n, xi, eta, delta in itertools.product(*grids):
+        q = LowerBoundQuery(n=int(n), k=args.k, xi=xi, eta=eta, delta=delta)
+        rows.append({"n": int(n), "k": args.k, "xi": xi, "eta": eta, "delta": delta,
+                     "lb_packing": _or_blank(lb_packing_solve, q),
+                     "lb_pure": _or_blank(lb_pure, q) if delta == 0 else "",
+                     "lb_stable": _or_blank(lb_stable, q)})
     cols = ["n", "k", "xi", "eta", "delta", "lb_packing", "lb_pure", "lb_stable"]
     with open(args.out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=cols, lineterminator="\n")
@@ -159,7 +139,7 @@ def main(argv=None) -> int:
     p.add_argument("--labels", default="", help="ground-truth labels file")
     p.add_argument("--noise-off", action="store_true",
                    help="test mode: disable all noise (watermarked in output)")
-    _add_seed(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="run a config-driven sweep")

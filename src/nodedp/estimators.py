@@ -373,13 +373,12 @@ def matrix_estimation(
     eps: float,
     delta: float,
     seed: SeedLike = 0,
-    L: int | None = None,
     noise_off: bool = False,
 ) -> EstimatorOutput:
-    """Noisy subspace iteration on n x 2k blocks with per-iteration Gaussian
-    noise N(0, 4 k L log(1/delta)/eps^2), followed by a rank-2k reconstruction,
-    SVD, and k-means on the first k left singular vectors. The iteration is
-    eps^2/(4 log(1/delta))-zCDP at the edge level.
+    """Noisy subspace iteration, L = ceil(12 ln n) steps on n x 2k blocks with
+    per-iteration Gaussian noise N(0, 4 k L log(1/delta)/eps^2), followed by a
+    rank-2k reconstruction, SVD, and k-means on the first k left singular
+    vectors. The iteration is eps^2/(4 log(1/delta))-zCDP at the edge level.
 
     The stream gives, in order: the n x 2k start block, one n x 2k noise
     block per iteration (none when the noise scale is 0), then the k-means
@@ -404,10 +403,7 @@ def matrix_estimation(
     if any(gj.n != n for gj in graphs):
         raise ValueError("a batch needs graphs with one node count")
     rngs = [as_generator(s) for s in seeds]
-    if L is None:
-        L = max(1, math.ceil(12.0 * math.log(n)))
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    L = max(1, math.ceil(12.0 * math.log(n)))
     p = min(2 * k, n)
     sigmas = [0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / d)) / e
               for e, d in zip(epss, deltas)]

@@ -96,12 +96,6 @@ class LabelAssignment:
     def n(self) -> int:
         return self.labels.size
 
-    def to_membership(self) -> np.ndarray:
-        """n x k one-hot membership matrix."""
-        m = np.zeros((self.n, self.k), dtype=np.int8)
-        m[np.arange(self.n), self.labels] = 1
-        return m
-
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)
 
@@ -115,11 +109,7 @@ def balanced_labels(n: int, k: int) -> LabelAssignment:
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Zero-inflated Gaussian weights: present edge (i,j) draws N(means[ti,tj], scale^2).
-
-    Other symmetric sub-Gaussian laws can be plugged in by subclassing and
-    overriding ``draw``.
-    """
+    """Zero-inflated Gaussian weights: present edge (i,j) draws N(means[ti,tj], scale^2)."""
 
     means: np.ndarray
     scale: float
@@ -134,19 +124,16 @@ class WeightModel:
             raise ValueError("scale must be nonnegative")
         object.__setattr__(self, "means", _freeze(m))
 
-    def draw(self, mean_matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return mean_matrix + self.scale * rng.standard_normal(mean_matrix.shape)
-
 
 @dataclass(frozen=True)
 class SbmParams:
-    """Stochastic block model parameters with balanced ground-truth labels."""
+    """Stochastic block model parameters; theta is always balanced_labels(n, k)."""
 
     n: int
     k: int
     B: np.ndarray
-    theta: LabelAssignment = None
     weight_model: WeightModel | None = None
+    theta: LabelAssignment = field(init=False)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=np.float64)
@@ -156,15 +143,8 @@ class SbmParams:
             raise ValueError("B must be symmetric")
         if np.any(B <= 0) or np.any(B > 1):
             raise ValueError("B entries must lie in (0, 1]")
-        if self.n % self.k != 0:
-            raise ValueError("n must be divisible by k")
-        theta = self.theta if self.theta is not None else balanced_labels(self.n, self.k)
-        if theta.n != self.n or theta.k != self.k:
-            raise ValueError("theta has wrong shape")
-        if np.any(theta.counts() != self.n // self.k):
-            raise ValueError("theta must be balanced with n/k nodes per community")
+        object.__setattr__(self, "theta", balanced_labels(self.n, self.k))  # raises unless k | n
         object.__setattr__(self, "B", _freeze(B))
-        object.__setattr__(self, "theta", theta)
         # Validation only: the sparsity assumption min_j B_jj >= 25 k log(n)/n
         # is used by the asymptotic analysis. We warn, never reject.
         floor = 25.0 * self.k * np.log(max(self.n, 2)) / self.n
@@ -217,8 +197,8 @@ def sample_weighted_sbm(params: SbmParams, seed: SeedLike) -> WeightedGraph:
         raise ValueError("B (.) B_w must be invertible")
     rng = as_generator(seed)
     a = sample_sbm(params, rng)
-    w = params.weight_model.draw(params.weight_mean_matrix(), rng)
-    w = np.triu(w, k=1)
+    noise = rng.standard_normal((params.n, params.n))
+    w = np.triu(params.weight_mean_matrix() + params.weight_model.scale * noise, k=1)
     w = w + w.T
     return WeightedGraph(params.n, w * a.adj)
 

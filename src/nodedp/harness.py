@@ -60,34 +60,65 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Validates the config and resolves what every trial reads: `params`
-        (the SbmParams), the wrapper's `D` at the SBM's d and its `eps1` and
-        `delta1` (None without a wrapper), and `boosting` (a BoostConfig or None)."""
-        if self.estimator.get("id") not in PIPELINES:
-            raise ValueError(f"unknown estimator id {self.estimator.get('id')!r}")
+        (the SbmParams), the record's `D`, the wrapper's `eps1` and `delta1`,
+        `boosting` (a BoostConfig), `reduced` (the wrapped pipeline as one
+        BoundedDegreeEstimator), each None where it does not apply, and
+        `run(graph, eps, delta, seed, noise_off)`: the pipeline or `reduced`."""
+        est_id = self.estimator.get("id")
+        if est_id not in PIPELINES:
+            raise ValueError(f"unknown estimator id {est_id!r}")
         if not self.eps_grid or not self.delta_grid or not self.seeds:
             raise ValueError("eps_grid, delta_grid, and seeds must be non-empty")
-        check_params(self.estimator["id"], self.estimator.get("params", {}))
+        given = self.estimator.get("params", {})
+        check_params(est_id, given)
+        if self.wrapper is None and PIPELINES[est_id].reads_D and "D" not in given:
+            raise ValueError(f"{est_id} run directly needs parameter D")
         self.params = self.sbm_params()
-        self.D = self.eps1 = self.delta1 = self.boosting = None
-        if self.wrapper is not None:
+        self.weighted = self.params.weight_model is not None and PIPELINES[est_id].weighted
+        est_params = {"k": self.params.k, "B": np.asarray(self.params.B).tolist(), **given}
+        self.D = est_params.get("D")
+        self.eps1 = self.delta1 = self.boosting = self.reduced = None
+        # run_pipeline and reduce_to_node_private are looked up in this module
+        # at call time, so a function patched onto nodedp.harness is the one that runs.
+        if self.wrapper is None:
+            def run(graph, eps, delta, seed, noise_off=False):
+                return run_pipeline(est_id, graph, {**est_params, "eps": eps, "delta": delta},
+                                    seed, noise_off=noise_off)
+
+            self.run = run
+        else:
             if not set(self.wrapper) <= {"D_rule", "eps1", "delta1"}:
                 raise ValueError(f"wrapper keys {sorted(self.wrapper)}: only D_rule, eps1, delta1")
             rule = self.wrapper.get("D_rule", {"mode": "multiple_of_d", "value": 3.0})
             try:
-                self.D = _D_RULES[rule["mode"]](rule["value"], self.params.d)
-                self.eps1 = float(self.wrapper.get("eps1", 1.0))
-                self.delta1 = float(self.wrapper.get("delta1", 1e-6))
-                valid = self.D >= 1 and self.eps1 > 0.0 and 0.0 < self.delta1 < 1.0
+                D = _D_RULES[rule["mode"]](rule["value"], self.params.d)
+                eps1 = float(self.wrapper.get("eps1", 1.0))
+                delta1 = float(self.wrapper.get("delta1", 1e-6))
+                valid = D >= 1 and eps1 > 0.0 and 0.0 < delta1 < 1.0
             except (KeyError, TypeError, ValueError, OverflowError):
                 valid = False
             if not valid:
                 raise ValueError(f"invalid wrapper {self.wrapper!r}: its D rule must give an "
                                  "integer D >= 1, eps1 must be > 0 and delta1 in (0, 1)")
+            base = make_bounded_base(est_id, self.params.k, D, est_params)
+
+            def reduced_run(graphs, e, d, s, noise_off=False):
+                return reduce_to_node_private(graphs, base, D, eps1, delta1, e, d, s,
+                                              noise_off=noise_off)
+
+            self.D, self.eps1, self.delta1 = D, eps1, delta1
+            self.reduced = BoundedDegreeEstimator(
+                f"reduced({est_id})", reduced_run,
+                lambda e, d: reduction_total(base.guarantee(e, d), eps1, delta1))
+            self.run = self.reduced.run
         if self.boost is not None:
             if self.wrapper is None:
                 raise ValueError("boost needs a wrapper: only the reduced estimator is boosted")
             if set(self.boost) != {"T", "xi"}:
                 raise ValueError(f"boost must set exactly T and xi, got {sorted(self.boost)}")
+            if self.weighted:
+                raise ValueError(f"boost thins unweighted graphs only, and {est_id} "
+                                 "takes the SBM's weights")
             # raises for an even T or xi outside (0, 1/(8k))
             self.boosting = BoostConfig(T=int(self.boost["T"]), xi=float(self.boost["xi"]),
                                         k=self.params.k)
@@ -111,9 +142,8 @@ class ExperimentConfig:
         """Seed's graph as the sweep scores it, from stream spawn(seed, 0): a
         WeightedGraph only when the SBM has a weight model and the pipeline
         takes weights."""
-        weighted = (self.params.weight_model is not None
-                    and PIPELINES[self.estimator["id"]].weighted)
-        return (sample_weighted_sbm if weighted else sample_sbm)(self.params, spawn(int(seed), 0))
+        sample = sample_weighted_sbm if self.weighted else sample_sbm
+        return sample(self.params, spawn(int(seed), 0))
 
 
 @dataclass
@@ -152,51 +182,31 @@ def _run_trial(cfg: ExperimentConfig, grid_index: int, eps: float, delta: float,
                shared: dict) -> TrialRecord:
     """One trial; `shared` passes the seed's graph from its first trial to the
     rest, which wait on the seed's lock while it is sampled."""
-    est_id, params = cfg.estimator["id"], cfg.params
-    est_params = dict(cfg.estimator.get("params", {}))
-    est_params.setdefault("k", params.k)
-    est_params.setdefault("B", np.asarray(params.B).tolist())
     start = time.perf_counter()
-    D = est_params.get("D") if cfg.wrapper is None else cfg.D
     try:
         with shared.setdefault("lock", threading.Lock()):
             if "graph" not in shared:
                 shared["graph"] = cfg.sample_graph(seed)
-        graph = shared["graph"]
-        if cfg.wrapper is None:
-            out = run_pipeline(est_id, graph, {**est_params, "eps": eps, "delta": delta},
-                               spawn(seed, 1, grid_index), noise_off=cfg.noise_off)
+        if cfg.boosting is None:
+            out = cfg.run(shared["graph"], eps, delta, spawn(seed, 1, grid_index),
+                          noise_off=cfg.noise_off)
         else:
-            base = make_bounded_base(est_id, params.k, D, est_params)
-
-            def reduced_run(graphs, e, d, s, noise_off=False):
-                return reduce_to_node_private(
-                    graphs, base, D, cfg.eps1, cfg.delta1, e, d, s, noise_off=noise_off
-                )
-
-            reduced = BoundedDegreeEstimator(
-                f"reduced({est_id})", reduced_run,
-                lambda e, d: reduction_total(base.guarantee(e, d), cfg.eps1, cfg.delta1))
-            if cfg.boosting is None:
-                out = reduced.run(graph, eps, delta, spawn(seed, 1, grid_index),
-                                  noise_off=cfg.noise_off)
-            else:
-                out = graph_boost(graph, cfg.boosting, reduced, eps, delta,
-                                  seed=int(seed), noise_off=cfg.noise_off)
+            out = graph_boost(shared["graph"], cfg.boosting, cfg.reduced, eps, delta,
+                              seed=int(seed), noise_off=cfg.noise_off)
         runtime = 1000.0 * (time.perf_counter() - start)
         losses = (None, None)
         status, error = "failed", out.diagnostics.get("failure", "estimator-failure")
         if out.labels is not None:
             status, error = "ok", ""
-            losses = (loss_overall(out.labels, params.theta),
-                      loss_worst_case(out.labels, params.theta))
+            losses = (loss_overall(out.labels, cfg.params.theta),
+                      loss_worst_case(out.labels, cfg.params.theta))
         diagnostics, chain = out.diagnostics, [b.to_dict() for b in out.budget]
     except Exception as exc:  # crash isolation: typed failure row
         runtime = 1000.0 * (time.perf_counter() - start)
         status, error, losses = "failed", type(exc).__name__, (None, None)
         diagnostics, chain = {"traceback": _failure_traceback(exc)}, []
-    return TrialRecord(cfg.scenario, est_id, grid_index, eps, delta, D, seed, status,
-                       error, *losses, runtime, cfg.noise_off, diagnostics, chain)
+    return TrialRecord(cfg.scenario, cfg.estimator["id"], grid_index, eps, delta, cfg.D, seed,
+                       status, error, *losses, runtime, cfg.noise_off, diagnostics, chain)
 
 
 def _failure_traceback(exc: Exception) -> str:

@@ -57,8 +57,10 @@ def laplace(scale: float, seed: SeedLike) -> float:
     if scale <= 0:
         raise ValueError("scale must be positive")
     rng = as_generator(seed)
-    u = rng.random() - 0.5  # in [-0.5, 0.5)
-    # log1p keeps precision near u = 0; the open endpoint avoids log(0).
+    u = rng.random()
+    while u == 0.0:  # u - 0.5 = -0.5 would give log1p(-1); every other draw is kept
+        u = rng.random()
+    u -= 0.5  # in (-0.5, 0.5); log1p keeps precision near u = 0
     return -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
 
 
@@ -217,6 +219,16 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, 
     return SphereSample(v=draws, accepted_after=counts)
 
 
+def _checked(M, name, concentration) -> np.ndarray:
+    """M as float64; ValueError for a negative concentration or an asymmetric M."""
+    M = np.asarray(M, dtype=np.float64)
+    if concentration < 0:
+        raise ValueError("concentration must be nonnegative")
+    if not is_symmetric(M, atol=1e-10):
+        raise ValueError(f"{name} must be symmetric")
+    return M
+
+
 def sample_sphere_exp(
     M: np.ndarray,
     concentration: float,
@@ -234,11 +246,7 @@ def sample_sphere_exp(
     envelope (see SphereSample), with trial_cap applied to each draw. A
     single draw consumes the random stream exactly as size=1 does.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if concentration < 0:
-        raise ValueError("concentration must be nonnegative")
-    if not is_symmetric(M, atol=1e-10):
-        raise ValueError("M must be symmetric")
+    M = _checked(M, "M", concentration)
     rng = as_generator(seed)
     return _rejection_sample(None, M, 0.0, concentration, rng, trial_cap, batch=256,
                              size=size)
@@ -264,11 +272,7 @@ def sample_lipschitz_exp(
     a draw is accepted, which suits a costly score such as the LP extension.
     size and trial_cap behave as in sample_sphere_exp.
     """
-    Q = np.asarray(upper_bound_quadratic, dtype=np.float64)
-    if concentration < 0:
-        raise ValueError("concentration must be nonnegative")
-    if not is_symmetric(Q, atol=1e-10):
-        raise ValueError("upper_bound_quadratic must be symmetric")
+    Q = _checked(upper_bound_quadratic, "upper_bound_quadratic", concentration)
     rng = as_generator(seed)
     return _rejection_sample(lambda V: map(score, V), Q, upper_bound_constant,
                              concentration, rng, trial_cap, batch=_LIPSCHITZ_BATCH,

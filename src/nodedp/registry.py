@@ -39,6 +39,7 @@ class Pipeline:
     call: Callable  # (graph, p, kw) -> EstimatorOutput; p holds k, eps, delta and D
     options: tuple = ()  # keys of p passed on to the estimator as keywords, when present
     batched: bool = False  # call takes a list of graphs, with lists of eps, delta and seeds
+    reads_D: bool = False  # a direct run reads p["D"]; a bounded base sets it to its own D
 
 
 # Parameters every pipeline accepts; anything else must be one of its options.
@@ -61,10 +62,10 @@ PIPELINES = {
     "ef_spectral": Pipeline(_pure, lambda k, D: 4.0 * D, False, lambda g, p, kw: (
         ef_spectral(g, p["k"], p["eps"], **kw))),
     "pca_lipschitz": Pipeline(_pure, lambda k, D: 2.0, False, lambda g, p, kw: (
-        private_pca_lipschitz(g, p["D"], p["eps"], **kw))),
+        private_pca_lipschitz(g, p["D"], p["eps"], **kw)), reads_D=True),
     "eig_deflation": Pipeline(_pure, lambda k, D: 2.0 * k, False, lambda g, p, kw: (
         eigvec_deflation_cluster(g, p["k"], p["D"], p["eps"], **kw)),
-        options=("use_lipschitz",)),
+        options=("use_lipschitz",), reads_D=True),
     "two_community": Pipeline(approx_dp, lambda k, D: 4.0 * D, False, lambda g, p, kw: (
         two_community_convex(g, *_n_scaled_pair(g, p), p["eps"], p["delta"], **kw))),
     "matrix_estimation": Pipeline(approx_dp, lambda k, D: 4.0 * D, False, lambda g, p, kw: (

@@ -48,7 +48,6 @@ class TruncationCertificate:
     truncated: Graph | WeightedGraph
     d_T: float
     L_hat: float
-    budget_used: tuple[float, float]  # (eps1, delta1)
 
     def __post_init__(self):
         if self.L_hat < 0.5:
@@ -361,5 +360,4 @@ def truncate_with_certificate(
 
     truncated, d_T = project() if max_degree(g) <= D else memo(g, ("projection", D), project)
     L_hat = private_sensitivity_bound(d_T, eps1, delta1, seed, noise_off=noise_off)
-    return TruncationCertificate(truncated=truncated, d_T=d_T, L_hat=L_hat,
-                                 budget_used=(eps1, delta1))
+    return TruncationCertificate(truncated=truncated, d_T=d_T, L_hat=L_hat)

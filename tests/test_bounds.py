@@ -59,6 +59,9 @@ def test_lb_pure_values():
     lb_pure(LowerBoundQuery(n=100, k=2, xi=0.1, eta=0.5))
     with pytest.raises(ValueError):
         lb_pure(LowerBoundQuery(n=100, k=2, xi=0.1, eta=0.6))
+    # eta = 0 is a valid query, but the bound's log(1/(8 eta)) is unbounded.
+    with pytest.raises(ValueError, match="eta"):
+        lb_pure(LowerBoundQuery(n=100, k=2, xi=0.1, eta=0.0))
 
 
 def test_lb_pure_log_growth():

@@ -67,18 +67,29 @@ def test_bounds_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_env_seed_fallback(tmp_path, config_file, monkeypatch, capsys):
+def test_bounds_csv_blanks_the_pure_bound_at_eta_zero(tmp_path):
+    # lb_pure divides by 8 eta; at eta = 0 it raises ValueError and the cell is blank.
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--n", "100", "--xi", "0.05", "--eta", "0.0,0.05",
+                 "--delta", "0.0", "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    pure = header.index("lb_pure")
+    assert [(row[3], row[pure] == "") for row in rows] == [("0.0", True), ("0.05", False)]
+
+
+def test_run_seed_defaults_to_zero(tmp_path, config_file, monkeypatch, capsys):
+    # The environment sets no seed: without --seed, run uses seed 0.
     out = tmp_path / "graphs"
     main(["generate", "--config", str(config_file), "--out", str(out)])
     capsys.readouterr()
     monkeypatch.setenv("NODEDP_SEED", "9")
-    rc = main([
-        "run", "--graph", str(out / "cli_seed0.graph"),
-        "--estimator", "ef_spectral", "--params", json.dumps({"k": 2, "eps": 2.0}),
-    ])
-    assert rc == 0
+    run = ["run", "--graph", str(out / "cli_seed0.graph"),
+           "--estimator", "ef_spectral", "--params", json.dumps({"k": 2, "eps": 2.0})]
+    assert main(run) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["seed"] == 9
+    assert record["seed"] == 0
+    assert main(run + ["--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == record
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep"])

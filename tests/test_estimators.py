@@ -386,23 +386,15 @@ def test_matrix_estimation_noise_free_reconstruction():
     A = g.as_float()
     k = 2
     svals = np.linalg.svd(A, compute_uv=False)
-    out = matrix_estimation(g, k, eps=1.0, delta=1e-6, seed=4, L=200,
-                            noise_off=True)
-    # The pipeline output itself should cluster perfectly here.
+    out = matrix_estimation(g, k, eps=1.0, delta=1e-6, seed=4, noise_off=True)
+    # The pipeline output itself should cluster perfectly here, at its own
+    # iteration count ceil(12 ln n).
+    assert out.diagnostics["iterations"] == math.ceil(12 * math.log(120)) == 58
     assert loss_overall(out.labels, params.theta) == 0.0
     # Direct reconstruction check via the dense SVD oracle.
     U, s, Vt = np.linalg.svd(A)
     A2k = (U[:, : 2 * k] * s[: 2 * k]) @ Vt[: 2 * k]
     assert np.linalg.norm(A - A2k, 2) <= svals[2 * k] + 1e-6 * np.linalg.norm(A, 2)
-
-
-def test_matrix_estimation_rejects_L_below_one():
-    g = sample_sbm(SbmParams(n=40, k=2, B=np.array([[0.6, 0.1], [0.1, 0.6]])), 3)
-    rng = spawn(5, 0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="L must be"):
-        matrix_estimation(g, 2, eps=1.0, delta=1e-6, seed=rng, L=0)
-    assert rng.bit_generator.state == state  # raised before drawing anything
 
 
 def _matrix_estimation_reference(g, k, eps, delta, seed, noise_off=False, restarts=20):

@@ -38,10 +38,10 @@ def test_graph_validation():
 
 def test_label_assignment_membership():
     theta = LabelAssignment(np.array([0, 1, 1, 0]), 2)
-    m = theta.to_membership()
-    assert m.shape == (4, 2)
-    assert np.all(m.sum(axis=1) == 1)
+    assert theta.n == 4
     assert list(theta.counts()) == [2, 2]
+    with pytest.raises(ValueError):
+        LabelAssignment(np.array([0, 2]), 2)  # a label outside range(k)
 
 
 def test_sbm_params_validation():
@@ -49,9 +49,11 @@ def test_sbm_params_validation():
         SbmParams(n=10, k=3, B=np.full((3, 3), 0.5))  # n not divisible
     with pytest.raises(ValueError):
         SbmParams(n=9, k=3, B=np.zeros((3, 3)))  # entries outside (0, 1]
-    unbalanced = LabelAssignment(np.array([0] * 7 + [1] * 3), 2)
-    with pytest.raises(ValueError):
-        SbmParams(n=10, k=2, B=np.full((2, 2), 0.5), theta=unbalanced)
+    # The ground truth is always the balanced assignment; it is not an argument.
+    params = SbmParams(n=10, k=2, B=np.full((2, 2), 0.5))
+    assert np.array_equal(params.theta.labels, balanced_labels(10, 2).labels)
+    with pytest.raises(TypeError):
+        SbmParams(n=10, k=2, B=np.full((2, 2), 0.5), theta=balanced_labels(10, 2))
 
 
 def test_sbm_density_warning():

@@ -112,6 +112,32 @@ def test_config_rejects_a_boost_block_without_a_wrapper():
         base_config(boost={"T": 3, "xi": 0.05})
 
 
+def test_config_rejects_a_boost_block_for_a_pipeline_that_takes_weights():
+    # Boosting thins an unweighted graph: the WeightedGraph that a weighted
+    # pipeline samples would fail every trial in thin_graph.
+    cfg = json.loads((Path(__file__).parent.parent / "configs"
+                      / "subspace_weighted_sweep.json").read_text())
+    wrapper = {"D_rule": {"mode": "multiple_of_d", "value": 3.0}}
+    with pytest.raises(ValueError, match="boost thins unweighted graphs only"):
+        ExperimentConfig(**dict(cfg, wrapper=wrapper, boost={"T": 3, "xi": 0.05}))
+    # Without weights in the SBM the same pipeline samples a Graph and may be boosted.
+    sbm = {key: value for key, value in cfg["sbm"].items() if key != "weight_model"}
+    boosted = ExperimentConfig(**dict(cfg, sbm=sbm, wrapper=wrapper,
+                                      boost={"T": 3, "xi": 0.05}))
+    assert boosted.boosting.T == 3 and not boosted.weighted
+
+
+@pytest.mark.parametrize("estimator_id", ["pca_lipschitz", "eig_deflation"])
+def test_config_rejects_a_direct_run_without_the_D_it_reads(estimator_id):
+    # Otherwise every trial fails with KeyError: 'D'. Behind a wrapper D comes
+    # from the D rule, and params need none.
+    with pytest.raises(ValueError, match=f"{estimator_id} run directly needs parameter D"):
+        base_config(estimator={"id": estimator_id, "params": {}})
+    assert base_config(estimator={"id": estimator_id, "params": {"D": 30}}).D == 30
+    assert base_config(estimator={"id": estimator_id, "params": {}},
+                       wrapper={"D_rule": {"mode": "absolute", "value": 36}}).D == 36
+
+
 def test_config_rejects_an_even_T_or_an_xi_outside_its_range():
     wrapper = {"D_rule": {"mode": "absolute", "value": 36}}
     with pytest.raises(ValueError, match="odd"):
@@ -376,6 +402,30 @@ def test_no_two_random_steps_share_a_stream(monkeypatch, overrides):
         assert len(paths) == len(set(paths)), f"trial {trial} draws a path twice: {paths}"
     every = [path for paths in drawn.values() for path in paths]
     assert len(every) == len(set(every)), f"two trials draw the same path: {drawn}"
+
+
+@pytest.mark.parametrize("overrides, names", [
+    pytest.param({}, ["run_pipeline"], id="direct"),
+    pytest.param({"wrapper": WRAPPER_AT_36}, ["reduce_to_node_private"], id="wrapped"),
+    pytest.param({"wrapper": WRAPPER_AT_36, "boost": {"T": 3, "xi": 0.05}},
+                 ["graph_boost", "reduce_to_node_private"], id="boosted"),
+])
+def test_trials_look_up_harness_names_at_call_time(monkeypatch, overrides, names):
+    # The config builds its estimator at load; perfbench/spans.py patches these
+    # names on nodedp.harness after that, and every trial must still reach them.
+    cfg = base_config(eps_grid=[500.0], **overrides)
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(nodedp.harness, name, wrapped)
+
+    for name in names:
+        spy(name, getattr(nodedp.harness, name))
+    assert len(run_sweep(cfg)) == 1
+    assert sorted(set(calls)) == sorted(names)
 
 
 def test_sweep_matches_trials_run_one_at_a_time(tmp_path):

@@ -46,6 +46,23 @@ def test_laplace_mean_and_tail():
         laplace(0.0, 0)
 
 
+def test_laplace_redraws_a_zero_uniform():
+    # u = 0.0 would give log1p(-1); laplace draws again, and keeps every other u.
+    class ZeroFirst(np.random.Generator):
+        def __init__(self, seed):
+            super().__init__(np.random.PCG64(seed))
+            self.calls = 0
+
+        def random(self, *args, **kwargs):
+            self.calls += 1
+            return 0.0 if self.calls == 1 else super().random(*args, **kwargs)
+
+    rng, ref = ZeroFirst(3), np.random.Generator(np.random.PCG64(3))
+    x = laplace(2.0, rng)
+    assert math.isfinite(x) and rng.calls == 2
+    assert x == laplace(2.0, ref)  # the second draw is the first of an unmodified stream
+
+
 def test_edge_flip_identity_at_infinity():
     g = random_graph(30, 0.4, 1)
     assert np.array_equal(edge_flip(g, math.inf, 0).adj, g.adj)

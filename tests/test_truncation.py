@@ -522,7 +522,6 @@ def test_truncation_certificate():
                                      noise_off=True)
     assert max_degree(cert.truncated) <= 4
     assert cert.L_hat == pytest.approx(5.0 + 2.0 * cert.d_T + 8.0 * math.log(1e6))
-    assert cert.budget_used == (1.0, 1e-6)
     # Bounded-degree input: identity projection with zero distance.
     small = graph_from_edges(5, [(0, 1), (2, 3)])
     cert2 = truncate_with_certificate(small, 2, eps1=1.0, delta1=1e-6, seed=0,
@@ -530,5 +529,4 @@ def test_truncation_certificate():
     assert cert2.d_T == 0.0
     assert np.array_equal(cert2.truncated.adj, small.adj)
     with pytest.raises(ValueError):
-        TruncationCertificate(truncated=small, d_T=0.0, L_hat=0.2,
-                              budget_used=(1.0, 1e-6))
+        TruncationCertificate(truncated=small, d_T=0.0, L_hat=0.2)
