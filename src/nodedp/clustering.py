@@ -1,6 +1,6 @@
-"""Partial symmetric eigendecomposition (ARPACK, with a dense branch),
-spectral embeddings, and approximate k-means (k-means++ seeding plus Lloyd
-iterations, best of several restarts).
+"""Partial symmetric eigendecomposition (Lanczos in numpy, with a dense
+branch), spectral embeddings, and approximate k-means (k-means++ seeding plus
+Lloyd iterations, best of several restarts).
 
 Multi-restart k-means++ stands in for the paper's (1 + gamma)-approximate
 k-means solver; its guarantee here is empirical.
@@ -8,50 +8,84 @@ k-means solver; its guarantee here is empirical.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .graphs import LabelAssignment, is_symmetric
 from .rng import SeedLike, as_generator
 
 
-# Every eigsh call, here and in mechanisms, draws its random vectors from this
-# fixed seed, never from the caller's stream or np.random's. sym_eigs starts
-# from such a vector. mechanisms._envelope starts from the all-ones vector
-# instead, which overlaps the Perron vector of an entrywise nonnegative A^2; a
-# Krylov space grown from it never leaves the vectors that the symmetries of
-# the matrix fix, so a top eigenvector outside them (e0 - e1 when rows 0 and 1
-# mirror each other) goes unseen, which only slows the sampler down.
-ARPACK_SEED = 0
+def _top(vals, k, by_abs):  # indices of the k largest (|vals| when by_abs), largest first
+    return (np.argsort(-np.abs(vals)) if by_abs else np.argsort(-vals))[:k]
+
+
+def _lanczos(M, k, by_abs):
+    """Top-k Ritz pairs of the symmetric M, or None if no Krylov space
+    smaller than the whole space certifies them.
+
+    Lanczos with full reorthogonalisation (Golub & Van Loan, Matrix
+    Computations, 4th ed., ch. 10): M q_j is orthogonalised against the basis
+    by classical Gram-Schmidt, twice, giving alpha_j; beta_j is the norm of
+    what is left. At checkpoints (after 2k + 6 steps, then each a quarter
+    further, at least 3) the wanted Ritz pairs (theta, Q s) of the
+    tridiagonal T are accepted once each has residual |beta_j s_j| <= 1e-10
+    max |theta|. If what is left is below 1e-12 of |M q_j| (a breakdown: the
+    Krylov space is invariant), the basis goes on from a fresh random vector
+    orthogonal to it, with beta_j = 0 and no check, so a repeated eigenvalue
+    is found with its multiplicity. Random vectors come from
+    np.random.default_rng(0), not the caller's stream: two calls agree.
+    """
+    n = M.shape[0]
+    rng = np.random.default_rng(0)
+    Q = np.empty((n, n))  # basis vectors as rows
+    alpha, beta = np.zeros(n), np.zeros(n)
+    w = rng.standard_normal(n)
+    Q[0] = w / math.sqrt(w @ w)
+    check = min(2 * k + 6, n - 1)
+    for j in range(n - 1):
+        B, w = Q[:j + 1], M @ Q[j]
+        scale = w @ w
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            c = B @ w
+            w -= c @ B
+            alpha[j] += c[j]
+        if (bb := w @ w) <= 1e-24 * scale:  # breakdown
+            w = rng.standard_normal(n)
+            for _ in range(2):
+                w -= (B @ w) @ B
+            bb = w @ w
+        else:
+            beta[j] = math.sqrt(bb)
+            if j + 1 >= check:
+                T = np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+                theta, S = np.linalg.eigh(T)
+                sel = _top(theta, k, by_abs)
+                if np.all(beta[j] * np.abs(S[j, sel]) <= 1e-10 * np.abs(theta).max()):
+                    return theta[sel], B.T @ S[:, sel]
+                check = j + 1 + max(3, (j + 1) // 4)
+        Q[j + 1] = w / math.sqrt(bb)
+    return None
 
 
 def sym_eigs(M: np.ndarray, k: int, by_abs: bool = True):
     """Top-k eigenpairs of a symmetric matrix, sorted by |lambda| (or by
-    lambda when by_abs is False), largest first.
-
-    The pairs come from ARPACK's implicitly restarted Lanczos (eigsh, to
-    machine precision) started from a vector drawn from ARPACK_SEED, so two
-    calls agree bit for bit. A full dense eigh runs instead at k = n, which
-    ARPACK cannot solve, and when eigsh raises (a zero matrix, say, or no
-    convergence).
+    lambda when by_abs is False), largest first: _lanczos's, or a full dense
+    eigh's at k = n and where Lanczos certifies nothing short of the whole
+    space (a zero matrix, say, breaks down at every step).
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
-    if not is_symmetric(M, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
+    if not (np.array_equal(M, M.T)  # the common case, without the scale of M
+            or is_symmetric(M, atol=1e-10 * max(1.0, float(np.abs(M).max())))):
         raise ValueError("M must be symmetric")
-
-    def top(vals, vecs):
-        sel = (np.argsort(-np.abs(vals)) if by_abs else np.argsort(-vals))[:k]
-        return vals[sel], vecs[:, sel]
-
-    if k < n:
-        try:
-            return top(*eigsh(M, k, which="LM" if by_abs else "LA", rng=ARPACK_SEED))
-        except ArpackError:
-            pass
-    return top(*np.linalg.eigh(M))
+    if k < n and (pairs := _lanczos(M, k, by_abs)) is not None:
+        return pairs
+    vals, vecs = np.linalg.eigh(M)
+    sel = _top(vals, k, by_abs)
+    return vals[sel], vecs[:, sel]
 
 
 def _sq_dist(pT, centers):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import importlib.util
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from .boosting import BoostConfig, graph_boost
 from .estimators import BoundedDegreeEstimator, reduce_to_node_private
 from .graphs import SbmParams, WeightModel, sample_sbm, sample_weighted_sbm
 from .metrics import loss_overall, loss_worst_case
-from .registry import PIPELINES, check_params, make_bounded_base, run_pipeline
+from .registry import PIPELINES, check_direct_params, check_params, make_bounded_base, run_pipeline
 from .rng import spawn
 
 # wrapper.D_rule mode -> (value, average degree d) -> D
@@ -70,9 +71,7 @@ class ExperimentConfig:
         if not self.eps_grid or not self.delta_grid or not self.seeds:
             raise ValueError("eps_grid, delta_grid, and seeds must be non-empty")
         given = self.estimator.get("params", {})
-        check_params(est_id, given)
-        if self.wrapper is None and PIPELINES[est_id].reads_D and "D" not in given:
-            raise ValueError(f"{est_id} run directly needs parameter D")
+        (check_direct_params if self.wrapper is None else check_params)(est_id, given)
         self.params = self.sbm_params()
         self.weighted = self.params.weight_model is not None and PIPELINES[est_id].weighted
         est_params = {"k": self.params.k, "B": np.asarray(self.params.B).tolist(), **given}
@@ -220,15 +219,17 @@ def _failure_traceback(exc: Exception) -> str:
 
 
 class _OneBlasThread:
-    """Context manager: every loaded OpenBLAS runs one thread inside it.
+    """Context manager: numpy's and scipy's OpenBLAS run one thread inside it.
 
     OpenBLAS's thread count changes the floating-point bits of its results, and
     numpy and scipy each load their own copy, which by default starts one
     thread per core under every sweep thread. The first caller to enter saves
     each library's count and sets it to 1; the last to leave restores them, so
-    concurrent and nested sweeps are safe. Libraries are found in
-    /proc/self/maps; where there is none (no OpenBLAS, or not Linux) it does
-    nothing.
+    concurrent and nested sweeps are safe. Loaded libraries are found in
+    /proc/self/maps. scipy's, which the sampler's first scipy.linalg import
+    would load inside a sweep, is loaded on entry from scipy's wheel directory
+    (found without importing scipy), and that import reuses it. Where there is
+    no OpenBLAS (or not Linux) it does nothing.
     """
 
     def __init__(self):
@@ -238,12 +239,15 @@ class _OneBlasThread:
 
     @staticmethod
     def _controls():
+        spec = importlib.util.find_spec("scipy")
+        libs = Path(spec.origin).parent.parent / "scipy.libs" if spec else None
+        paths = {str(p.resolve()) for p in libs.glob("*openblas*.so*")} if libs else set()
         try:
             with open("/proc/self/maps") as fh:
-                paths = {line.split(maxsplit=5)[-1].strip()
-                         for line in fh if "openblas" in line}
+                paths |= {line.split(maxsplit=5)[-1].strip()
+                          for line in fh if "openblas" in line}
         except OSError:
-            return []
+            pass
         controls = []
         for path in sorted(paths):
             try:

@@ -5,10 +5,11 @@ matrices, and exact rejection sampling from exponential-mechanism densities
 on the unit sphere (Bingham-type laws) using an angular central Gaussian
 envelope (Kent, Ganeiber & Mardia 2018, "A new unified approach for the
 simulation of a wide class of directional distributions", JCGS 27(2)). One
-envelope serves every concentration: it is shifted by one Ritz value of the
-quadratic form rather than its exact top eigenvalue, and its scale b is set
-from the trace; any shift that keeps the envelope's inverse covariance
-positive definite gives the same law at any b in (0, n] (see _envelope).
+envelope serves every concentration: it is shifted by the top eigenvalue of
+the quadratic form from clustering.sym_eigs, and its scale b is set from the
+trace; any shift that keeps the envelope's inverse covariance positive
+definite gives the same law at any b in (0, n] (see _envelope). Its Cholesky
+and triangular solves import scipy.linalg on the first sampler call.
 
 The Laplace sampler uses a plain inverse-CDF transform of a 64-bit uniform;
 it is a research artifact and carries no floating-point side-channel
@@ -21,11 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .accounting import exp_capped
-from .clustering import ARPACK_SEED
+from .clustering import sym_eigs
 from .graphs import Graph, is_symmetric
 from .rng import SeedLike, as_generator
 
@@ -46,10 +45,18 @@ class RejectionCapExceeded(RuntimeError):
 DEFAULT_TRIAL_CAP = 10_000_000
 _LIPSCHITZ_BATCH = 64  # candidates per batch in sample_lipschitz_exp
 _CHUNK = 32  # candidates solved and scored at a time within a batch
-# _envelope's eigsh (started as clustering.ARPACK_SEED says) converges in one
-# iteration on the shipped configs; five failed ones cost less than an eigvalsh
-# at n = 300 and 400.
-_RITZ_MAXITER = 5
+
+
+def cholesky(a, **kwargs):
+    """scipy.linalg.cholesky, imported on its first call; patch this name to intercept it."""
+    import scipy.linalg
+    return scipy.linalg.cholesky(a, **kwargs)
+
+
+def solve_triangular(a, b, **kwargs):
+    """scipy.linalg.solve_triangular, imported on its first call (patchable, as cholesky)."""
+    import scipy.linalg
+    return scipy.linalg.solve_triangular(a, b, **kwargs)
 
 
 def laplace(scale: float, seed: SeedLike) -> float:
@@ -93,8 +100,9 @@ def debias_flip(m: np.ndarray, eps: float) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if math.isinf(eps):
         return m.copy()
-    n = m.shape[0]
-    return m - (np.ones((n, n)) - np.eye(n)) / (exp_capped(eps) + 1.0)
+    out = m - 1.0 / (exp_capped(eps) + 1.0)
+    np.fill_diagonal(out, m.diagonal())
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,11 +129,11 @@ def _envelope(Q: np.ndarray, concentration: float):
     over a > -b/2 is log_bound = -(n - b)/2 + (n/2) log(n/b). So the law is
     exact for any b in (0, n] and any theta at which Omega is positive
     definite (the Cholesky succeeds); theta and b set only the acceptance
-    rate. theta is one Ritz value of Q from eigsh, and b solves Kent et al.'s
-    equation sum_i 1/(b + 2 a_i) = 1 with every eigenvalue a_i of
-    c (theta I - Q) replaced by their mean: b = n - 2c (theta - tr Q/n),
-    clipped to [1, n]. If eigsh raises or does not converge in _RITZ_MAXITER
-    iterations, the Cholesky fails, or n = 1, theta is the top eigenvalue
+    rate. theta is the top eigenvalue of Q from sym_eigs (a certified Ritz
+    value), and b solves Kent et al.'s equation sum_i 1/(b + 2 a_i) = 1 with
+    every eigenvalue a_i of c (theta I - Q) replaced by their mean:
+    b = n - 2c (theta - tr Q/n), clipped to [1, n]. If sym_eigs raises
+    LinAlgError, the Cholesky fails, or n = 1, theta is the top eigenvalue
     from eigvalsh instead, through the same formula. At c = 0 the envelope
     is uniform: Omega = I.
     """
@@ -144,9 +152,8 @@ def _envelope(Q: np.ndarray, concentration: float):
 
     if n >= 2:
         try:
-            return at(float(eigsh(Q, k=1, which="LA", v0=np.ones(n), maxiter=_RITZ_MAXITER,
-                                  rng=ARPACK_SEED, return_eigenvectors=False)[0]))
-        except (ArpackError, LinAlgError):
+            return at(float(sym_eigs(Q, 1, by_abs=False)[0][0]))
+        except np.linalg.LinAlgError:
             pass
     return at(float(np.linalg.eigvalsh(Q)[-1]))
 

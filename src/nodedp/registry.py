@@ -83,6 +83,13 @@ def check_params(estimator_id, params) -> None:
         raise ValueError(f"unknown {estimator_id} parameter(s): {', '.join(sorted(unknown))}")
 
 
+def check_direct_params(estimator_id, params) -> None:
+    """check_params, then ValueError if a direct run would read a D not given."""
+    check_params(estimator_id, params)
+    if PIPELINES[estimator_id].reads_D and "D" not in params:
+        raise ValueError(f"{estimator_id} run directly needs parameter D")
+
+
 def _call(entry, graph, p, seed, noise_off) -> EstimatorOutput:
     kw = {key: p[key] for key in entry.options if key in p}
     return entry.call(graph, p, dict(kw, seed=seed, noise_off=noise_off))
@@ -91,7 +98,7 @@ def _call(entry, graph, p, seed, noise_off) -> EstimatorOutput:
 def run_pipeline(estimator_id, graph, params, seed, noise_off=False) -> EstimatorOutput:
     """Run one pipeline directly with explicit mechanism-level parameters."""
     entry, p = PIPELINES[estimator_id], dict(params)
-    check_params(estimator_id, p)
+    check_direct_params(estimator_id, p)
     p.update(k=int(p.get("k", 2)), eps=float(p.get("eps", 1.0)),
              delta=float(p.get("delta", 1e-6)))
     if "D" in p:

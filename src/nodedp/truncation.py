@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .graphs import Graph, WeightedGraph, adjacency_squared, max_degree, memo
 from .lp import FEAS_TOL, solve_lp
@@ -135,6 +134,7 @@ def lipschitz_extension_score(
     iu, ju = np.nonzero(np.triu(A2 > 0))
     if iu.size == 0:
         return 0.0
+    from scipy import sparse  # with HiGHS, only where an LP is solved
     # One variable per pair i <= j with (A^2)_ij > 0; C is symmetric.
     coef = np.where(iu == ju, Wobj[iu, ju], 2.0 * Wobj[iu, ju])
     bounds = [(0.0, hi) for hi in A2[iu, ju].tolist()]
@@ -226,6 +226,7 @@ def degree_truncate(g: Graph, D: int) -> tuple[Graph, float]:
             if not over.any():
                 break
             cut |= over
+        from scipy import sparse  # with HiGHS, only where an LP is solved
         uncut = ~cut[edge]  # per row entry
         cut_ends = ends[cut]
         k = cut_ends.shape[0]
@@ -298,18 +299,25 @@ def _certified_round_one(g: Graph, D: int, high: np.ndarray) -> np.ndarray | Non
 
 def _bipartite_component_inside(g: Graph, S: np.ndarray) -> bool:
     """Whether some connected component of g lies inside S and is bipartite.
-    A component is bipartite when its two copies in the bipartite double
-    cover of g are not joined. Few graphs get past the first test, so
-    scipy's csgraph (about 1 MB of a process) is imported only after it."""
-    if g.adj[np.ix_(S, ~S)].any(axis=1).all():  # every node of S has a neighbour off S
-        return False
-    from scipy.sparse.csgraph import connected_components
-    A = sparse.csr_matrix(g.adj)
-    _, label = connected_components(sparse.bmat([[None, A], [A, None]]), directed=False)
-    n = g.n
-    leaves_S = np.zeros(label.max() + 1, dtype=bool)
-    leaves_S[label[:n][~S]] = leaves_S[label[n:][~S]] = True
-    return bool(np.any((label[:n] != label[n:]) & ~leaves_S[label[:n]]))
+    Dropping from S, until none is left, each node with a neighbour off S
+    leaves the union of those components; a breadth-first search, a level at
+    a time, finds each one bipartite unless an edge joins two of one level."""
+    adj = g.adj.astype(bool)
+    inside = S.copy()
+    while (leaving := inside & adj[:, ~inside].any(axis=1)).any():
+        inside &= ~leaving
+    colour = np.full(g.n, -1)
+    while (todo := np.flatnonzero(inside & (colour < 0))).size:
+        colour[todo[0]], level, odd = 0, todo[:1], False
+        while level.size:
+            c = colour[level[0]]
+            reached = adj[level].any(axis=0)
+            odd |= bool((colour[reached] == c).any())
+            level = np.flatnonzero(reached & (colour < 0))
+            colour[level] = 1 - c
+        if not odd:
+            return True
+    return False
 
 
 def weighted_degree_truncate(g: WeightedGraph, D: int) -> tuple[WeightedGraph, float]:

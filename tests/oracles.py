@@ -3,11 +3,12 @@
 Everything here is deliberately written from scratch against the definitions,
 not by calling the package: brute-force loss enumeration, a dense-tableau
 simplex solver and a vertex-enumeration LP oracle, degree truncation from the
-full node-removal LP, a shifted power-iteration eigensolver, top-k eigenpairs
-from a full dense eigh, sequential k-means restarts, a per-node majority
-vote, boosting's witness selection pair by pair, a batch made of single runs,
-exact minimum vertex cover (for node distance), sphere quadrature helpers,
-and the sphere rejection sampler as it was before it worked chunk by chunk.
+full node-removal LP, bipartite components from scipy's csgraph, a shifted
+power-iteration eigensolver, top-k eigenpairs from a full dense eigh,
+sequential k-means restarts, a per-node majority vote, boosting's witness
+selection pair by pair, a batch made of single runs, exact minimum vertex
+cover (for node distance), sphere quadrature helpers, and the sphere
+rejection sampler as it was before it worked chunk by chunk.
 """
 
 from __future__ import annotations
@@ -171,6 +172,23 @@ def degree_truncate_full_lp_ref(adj, D):
     out = np.zeros((n, n), dtype=np.uint8)
     out[iu[keep], ju[keep]] = 1
     return out | out.T, 4.0 * float(np.sum(x))
+
+
+def bipartite_component_inside_ref(adj, S):
+    """Whether some connected component of the graph lies inside the node
+    mask S and is bipartite, from scipy's connected components of the
+    bipartite double cover: a component is bipartite when its two copies are
+    not joined, and lies inside S when no node off S shares a label with it."""
+    from scipy.sparse.csgraph import connected_components
+
+    A = np.asarray(adj)
+    n = A.shape[0]
+    Z = np.zeros_like(A)
+    _, label = connected_components(sparse.csr_matrix(np.block([[Z, A], [A, Z]])),
+                                    directed=False)
+    leaves_S = np.zeros(label.max() + 1, dtype=bool)
+    leaves_S[label[:n][~S]] = leaves_S[label[n:][~S]] = True
+    return bool(np.any((label[:n] != label[n:]) & ~leaves_S[label[:n]]))
 
 
 # ---------------------------------------------------------------------------

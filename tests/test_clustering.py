@@ -2,8 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
-
 import nodedp.clustering
 from nodedp import (
     LabelAssignment,
@@ -15,7 +13,7 @@ from nodedp import (
     sample_sbm,
     sym_eigs,
 )
-from nodedp.clustering import ARPACK_SEED, _kmeans_pp_seed, _lloyd_restarts
+from nodedp.clustering import _kmeans_pp_seed, _lanczos, _lloyd_restarts
 from nodedp.rng import spawn
 
 from oracles import (
@@ -28,7 +26,7 @@ from oracles import (
 
 
 def test_sym_eigs_diag_by_abs():
-    # ARPACK's Ritz values sit within a few ulps of the diagonal, in order.
+    # The eigenvalues sit within a few ulps of the diagonal, in order.
     vals, vecs = sym_eigs(np.diag([3.0, -5.0, 1.0]), 2, by_abs=True)
     assert vals.tolist() == pytest.approx([-5.0, 3.0], rel=1e-14)
     assert np.abs(vecs) == pytest.approx(np.eye(3)[:, [1, 0]], abs=1e-14)
@@ -100,12 +98,13 @@ def test_sym_eigs_top_vector_orthogonal_to_ones():
     # Rows 0 and 1 mirror each other, so the top eigenvector (e0 - e1)/sqrt(2),
     # eigenvalue 4, is orthogonal to every vector with equal entries 0 and 1,
     # and a Krylov space grown from the all-ones vector holds only such
-    # vectors: started there, eigsh returns the next eigenvalue, 3.
+    # vectors. Lanczos starts from a random vector instead, and certifies 4
+    # itself, without the dense branch.
     n = 40
     M = np.diag(np.linspace(0.0, 3.0, n))
     M[0, 0] = M[1, 1] = 2.0
     M[0, 1] = M[1, 0] = -2.0
-    assert eigsh(M, 1, which="LA", v0=np.ones(n), rng=ARPACK_SEED)[0] == pytest.approx([3.0])
+    assert _lanczos(M, 1, by_abs=False)[0] == pytest.approx([4.0], rel=1e-12)
     for k in (1, 2):
         for by_abs in (False, True):
             vals, vecs = _assert_matches_eigh(M, k, by_abs)
@@ -114,9 +113,10 @@ def test_sym_eigs_top_vector_orthogonal_to_ones():
 
 
 def test_sym_eigs_zero_matrix_takes_the_dense_branch():
-    # eigsh raises ARPACK error -9 (its start vector maps to zero).
-    with pytest.raises(ArpackError):
-        eigsh(np.zeros((6, 6)), 2, rng=ARPACK_SEED)
+    # Every Lanczos step breaks down (each vector maps to zero), so no Krylov
+    # space short of the whole space is checked, and Lanczos certifies nothing.
+    for by_abs in (False, True):
+        assert _lanczos(np.zeros((6, 6)), 2, by_abs) is None
     for by_abs in (False, True):
         got, ref = sym_eigs(np.zeros((6, 6)), 2, by_abs), sym_eigs_ref(np.zeros((6, 6)), 2, by_abs)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
@@ -128,8 +128,8 @@ def test_sym_eigs_dense_branch_only_at_k_equal_n(monkeypatch):
     M = (Q * np.arange(1.0, 13.0)) @ Q.T
     M = (M + M.T) / 2.0
     calls = []
-    monkeypatch.setattr(nodedp.clustering, "eigsh",
-                        lambda *args, **kwargs: calls.append(args[1]) or eigsh(*args, **kwargs))
+    monkeypatch.setattr(nodedp.clustering, "_lanczos",
+                        lambda M, k, by_abs: calls.append(k) or _lanczos(M, k, by_abs))
     got = _assert_matches_eigh(M, 12)
     assert calls == []
     assert all(np.array_equal(a, b) for a, b in zip(got, sym_eigs_ref(M, 12)))
@@ -138,10 +138,7 @@ def test_sym_eigs_dense_branch_only_at_k_equal_n(monkeypatch):
 
 
 def test_sym_eigs_falls_back_to_eigh_without_convergence(monkeypatch):
-    def fail(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(nodedp.clustering, "eigsh", fail)
+    monkeypatch.setattr(nodedp.clustering, "_lanczos", lambda M, k, by_abs: None)  # uncertified
     M = sample_sbm(SbmParams(n=60, k=2, B=np.array([[0.5, 0.1], [0.1, 0.5]])),
                    spawn(214, 0)).as_float()
     for by_abs in (False, True):

@@ -774,7 +774,10 @@ def test_registry_options_are_keywords_of_the_estimators():
 
 
 @pytest.mark.parametrize("estimator_id", ["pca_lipschitz", "eig_deflation"])
-def test_registry_direct_run_without_D_raises_key_error(estimator_id):
+def test_registry_direct_run_without_D_raises_value_error(estimator_id):
+    # The error a sweep config without D gets at load, from the same check,
+    # where the pipeline would fail reading p["D"]; with D the run goes ahead.
     g = Graph(4, np.zeros((4, 4), dtype=np.uint8))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=f"{estimator_id} run directly needs parameter D"):
         run_pipeline(estimator_id, g, {"eps": 1.0}, 0)
+    assert run_pipeline(estimator_id, g, {"eps": 1.0, "D": 2}, 0, noise_off=True).labels.n == 4

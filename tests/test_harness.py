@@ -29,6 +29,8 @@ from nodedp.harness import (
 )
 from nodedp.lp import LpSolution
 
+from oracles import openblas_thread_controls
+
 
 def base_config(**overrides):
     cfg = dict(
@@ -673,6 +675,100 @@ def test_heap_floor_stops_refaulting_between_trials(monkeypatch):
     monkeypatch.setattr(nodedp.harness, "_raise_heap_trim_floor", lambda: calls.append(1))
     run_sweep(base_config())
     assert calls == [1]
+
+
+# Runs in a fresh interpreter with OPENBLAS_NUM_THREADS=3 and the tests
+# directory on the path: one sampler trial, whose first Cholesky imports
+# scipy.linalg inside the sweep. Prints whether scipy.linalg was loaded before
+# the sweep, the bundled OpenBLAS thread counts read right after that first
+# Cholesky, and the counts after the sweep.
+_SCIPY_BLAS_PROBE = """
+import json, sys
+from pathlib import Path
+import nodedp.mechanisms
+from nodedp.harness import ExperimentConfig, run_sweep
+
+cfg = json.loads(Path(sys.argv[1]).read_text())
+cfg.update(seeds=[0], eps_grid=cfg["eps_grid"][:1])
+result = {"before": "scipy.linalg" in sys.modules}
+real = nodedp.mechanisms.cholesky
+
+
+def spy(a, **kwargs):
+    L = real(a, **kwargs)
+    if "inside" not in result:
+        from oracles import openblas_thread_controls
+        result["inside"] = [get() for get, _ in openblas_thread_controls()]
+    return L
+
+
+nodedp.mechanisms.cholesky = spy
+run_sweep(ExperimentConfig(**cfg))
+from oracles import openblas_thread_controls
+result["after"] = [get() for get, _ in openblas_thread_controls()]
+print(json.dumps(result))
+"""
+
+
+def test_scipy_blas_loaded_inside_a_sweep_runs_one_thread():
+    # scipy's own OpenBLAS is loaded by the sampler's first Cholesky, after
+    # the sweep has pinned the libraries already loaded; the sweep pins it too.
+    if not openblas_thread_controls():
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    src = str(Path(nodedp.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="3", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+    config = Path(__file__).parent.parent / "configs" / "eig_deflation_sweep.json"
+    result = json.loads(subprocess.run([sys.executable, "-c", _SCIPY_BLAS_PROBE, str(config)],
+                                       env=env, check=True, capture_output=True, text=True,
+                                       timeout=300).stdout)
+    assert result["before"] is False
+    assert result["inside"] == [1, 1]
+    # Both back at the count OpenBLAS takes from the environment, capped at
+    # the number of cores it may run on.
+    assert result["after"] == [min(3, len(os.sched_getaffinity(0)))] * 2
+
+
+# Runs in a fresh interpreter: sweeps the truncation benchmark's config (wrapped
+# ef_spectral at n = 200, D = 0.5 d, so every graph is projected) and the
+# two-community config, and prints the scipy modules loaded, the statuses and
+# the number of projections above D.
+_NO_SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+import nodedp, nodedp.harness
+from nodedp.harness import ExperimentConfig, run_sweep
+
+configs = Path(sys.argv[1])
+ef = json.loads((configs / "ef_spectral_sweep.json").read_text())
+ef.update(scenario="ef-truncation-lp", sbm=dict(ef["sbm"], n=200), eps_grid=[3e4, 1e5, 1e6],
+          wrapper=dict(ef["wrapper"], D_rule={"mode": "multiple_of_d", "value": 0.5}),
+          seeds=[0, 1, 2])
+two = json.loads((configs / "two_community_sweep.json").read_text())
+two.update(seeds=[0, 1])
+projected = []
+real = nodedp.truncation.degree_truncate
+nodedp.truncation.degree_truncate = lambda g, D: projected.append(D) or real(g, D)
+statuses = [r.status for cfg in (ef, two) for r in run_sweep(ExperimentConfig(**cfg))]
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "statuses": statuses, "projected": len(projected)}))
+"""
+
+
+def test_truncation_and_edge_flip_sweeps_load_no_scipy():
+    # Lanczos gives the eigenpairs, round one of the truncation LP is
+    # certified in numpy, and its bipartite check needs no csgraph: neither
+    # sweep imports any part of scipy.
+    src = str(Path(nodedp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = json.loads(subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE, str(Path(__file__).parent.parent / "configs")],
+        env=env, check=True, capture_output=True, text=True, timeout=300).stdout)
+    assert result["scipy"] == []
+    assert result["statuses"] == ["ok"] * (9 + 6)
+    assert result["projected"] == 3
 
 
 def test_records_do_not_depend_on_blas_threads(tmp_path):

@@ -12,9 +12,9 @@ from nodedp import (
     sample_lipschitz_exp,
     sample_sphere_exp,
 )
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import nodedp.mechanisms
+from nodedp.accounting import exp_capped
 from nodedp.clustering import sym_eigs
 from nodedp.mechanisms import (_CHUNK, DEFAULT_TRIAL_CAP, _LIPSCHITZ_BATCH, _envelope,
                                _rejection_sample)
@@ -111,6 +111,18 @@ def test_debias_flip():
     assert np.allclose(out, expected)
     g = random_graph(5, 0.5, 3)
     assert np.array_equal(debias_flip(g.as_float(), math.inf), g.as_float())
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 200, 400])
+def test_debias_flip_matches_the_matrix_formula_bit_for_bit(n):
+    # The offset is subtracted from every entry and the diagonal copied back,
+    # in place of forming 11^T - I: the same bits as the formula, including
+    # its -0.0 entries and a saturated e^eps.
+    m = random_graph(n, 0.3, n).as_float() - 0.5
+    m[0, 0] = -0.0
+    for eps in (0.0, 0.3, 1.0, 5.0, 30.0, 700.0, 800.0, math.inf):
+        formula = m - (np.ones((n, n)) - np.eye(n)) / (exp_capped(eps) + 1.0)
+        assert debias_flip(m, eps).tobytes() == formula.tobytes()
 
 
 def test_debias_flip_unbiasedness():
@@ -271,14 +283,14 @@ def eigvalsh_calls(monkeypatch):
     return calls
 
 
-def fail_arpack(*args, **kwargs):
-    raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
+def fail_eigensolver(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def test_samplers_run_eigvalsh_only_on_the_exact_path(monkeypatch, eigvalsh_calls):
     # No concentration has a path of its own: at high and low concentration,
-    # single and batched, neither sampler runs an eigvalsh. When eigsh fails,
-    # each sampler call runs exactly one, and only for theta.
+    # single and batched, neither sampler runs an eigvalsh. When sym_eigs
+    # raises, each sampler call runs exactly one, and only for theta.
     M = np.diag([2.0, 0.5, -0.5, 0.0])
 
     def calls(conc):
@@ -290,7 +302,7 @@ def test_samplers_run_eigvalsh_only_on_the_exact_path(monkeypatch, eigvalsh_call
         return len(eigvalsh_calls)
 
     assert calls(3.0) == calls(0.1) == 0
-    monkeypatch.setattr(nodedp.mechanisms, "eigsh", fail_arpack)
+    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs", fail_eigensolver)
     assert calls(3.0) == calls(0.1) == 4
 
 
@@ -648,8 +660,8 @@ def test_law_is_exact_at_an_off_shift(monkeypatch, eigvalsh_calls, offset):
     ]
     for ci, (M, conc) in enumerate(cases):
         theta = float(np.linalg.eigvalsh(M)[-1]) + offset / conc
-        monkeypatch.setattr(nodedp.mechanisms, "eigsh",
-                            lambda *args, theta=theta, **kwargs: np.array([theta]))
+        monkeypatch.setattr(nodedp.mechanisms, "sym_eigs",
+                            lambda *args, theta=theta, **kwargs: (np.array([theta]), None))
         eigvalsh_calls.clear()
         assert _envelope(M, conc)[:2] == (theta, 1.0)
         draws = sample_sphere_exp(M, conc, spawn(1007, ci), size=100_000).v
@@ -671,20 +683,23 @@ def test_law_at_the_smallest_scale(eigvalsh_calls):
 def test_exact_path_when_the_top_eigenvector_is_orthogonal_to_the_start(monkeypatch,
                                                                           eigvalsh_calls):
     # The top eigenvector (e0 - e1)/sqrt(2), eigenvalue 4, is orthogonal to
-    # ARPACK's all-ones start vector, and every Krylov vector keeps equal
-    # entries 0 and 1 exactly, so the Ritz value is the next eigenvalue, 3.
-    # At c = 20, b = 1 and Omega = I + 2c (3 I - Q) is indefinite, so its
-    # Cholesky fails and the one eigvalsh supplies theta = lmax.
+    # the all-ones vector, and a Krylov space grown from it keeps equal
+    # entries 0 and 1 exactly, so its Ritz value is the next eigenvalue, 3.
+    # sym_eigs starts from a random vector and finds 4, with no eigvalsh.
+    # Given 3 in its place, at c = 20, b = 1 and Omega = I + 2c (3 I - Q) is
+    # indefinite, so its Cholesky fails and the one eigvalsh supplies
+    # theta = lmax.
     n = 40
     M = np.diag(np.linspace(0.0, 3.0, n))
     M[0, 0] = M[1, 1] = 2.0
     M[0, 1] = M[1, 0] = -2.0
     lmax = float(np.linalg.eigvalsh(M)[-1])
-    ritz = []
-    real = nodedp.mechanisms.eigsh
-    monkeypatch.setattr(nodedp.mechanisms, "eigsh",
-                        lambda *args, **kwargs: ritz.append(real(*args, **kwargs)) or ritz[-1])
     eigvalsh_calls.clear()
+    assert _envelope(M, 20.0)[0] == pytest.approx(4.0, rel=1e-12)
+    assert eigvalsh_calls == []
+    ritz = []
+    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs",
+                        lambda *args, **kwargs: ritz.append(np.array([3.0])) or (ritz[-1], None))
     assert _envelope(M, 20.0)[:2] == (lmax, trace_scale(M, 20.0, lmax))
     assert eigvalsh_calls == [(n, n)]
     eigvalsh_calls.clear()
@@ -693,6 +708,7 @@ def test_exact_path_when_the_top_eigenvector_is_orthogonal_to_the_start(monkeypa
     assert ritz and all(r == pytest.approx([3.0], abs=1e-12) for r in ritz)
     # The same law rotated so that the top eigenvector is e0, which the Ritz
     # shift finds: the squared top coordinate has the same mean.
+    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs", sym_eigs)
     rotated = np.diag(np.concatenate([[4.0, 0.0], np.linspace(0.0, 3.0, n)[2:]]))
     eigvalsh_calls.clear()
     fast = sample_sphere_exp(rotated, 20.0, spawn(95, 1), size=4000).v
@@ -713,7 +729,7 @@ def test_exact_path_at_low_concentration(eigvalsh_calls):
 
 
 def test_exact_path_in_one_dimension(eigvalsh_calls):
-    # The sphere is {-1, 1} and every law on it is uniform. eigsh does not
+    # The sphere is {-1, 1} and every law on it is uniform. sym_eigs does not
     # run at n = 1; the one eigvalsh supplies theta, and b = 1, Omega = 1.
     M = np.array([[2.0]])
     theta, b, L, log_bound = _envelope(M, 5.0)
@@ -725,10 +741,10 @@ def test_exact_path_in_one_dimension(eigvalsh_calls):
     assert abs(draws.mean()) < 4.0 / math.sqrt(4000)
 
 
-def test_exact_path_when_arpack_does_not_converge(monkeypatch, eigvalsh_calls):
+def test_exact_path_when_the_eigensolver_raises(monkeypatch, eigvalsh_calls):
     # The one eigvalsh supplies theta = lmax, which goes through the same
     # formula.
-    monkeypatch.setattr(nodedp.mechanisms, "eigsh", fail_arpack)
+    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs", fail_eigensolver)
     M = np.diag([2.0, 0.5, -1.0])
     assert _envelope(M, 2.0)[:2] == (2.0, 1.0)
     eigvalsh_calls.clear()
@@ -766,7 +782,7 @@ def test_ritz_shift_in_two_dimensions(eigvalsh_calls):
 
 
 def test_zero_concentration_needs_no_spectrum(monkeypatch, eigvalsh_calls):
-    monkeypatch.setattr(nodedp.mechanisms, "eigsh", None)  # any call would raise
+    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs", None)  # any call would raise
     M = np.diag([1.0, 2.0, 3.0, 4.0])
     theta, b, L, log_bound = _envelope(M, 0.0)
     assert (theta, b, log_bound) == (0.0, 4.0, 0.0) and np.array_equal(L, np.eye(4))

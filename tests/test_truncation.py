@@ -20,7 +20,8 @@ from nodedp import (
 from nodedp.rng import spawn
 from nodedp.truncation import extension_is_quadratic
 
-from oracles import degree_truncate_full_lp_ref, dense_simplex_max, node_distance
+from oracles import (bipartite_component_inside_ref, degree_truncate_full_lp_ref,
+                     dense_simplex_max, node_distance)
 
 
 def graph_from_edges(n, edges):
@@ -354,6 +355,24 @@ def test_uncertified_rounds_reach_highs_and_match_the_full_lp(monkeypatch):
             calls = lp_inputs(m)
             assert_matches_full_lp(g, D)
             assert len(calls) == highs_rounds
+
+
+def test_bipartite_component_inside_matches_the_double_cover_oracle():
+    # Random graphs on at most 10 nodes and random node masks S. Most cases
+    # get past the first step (some node of S has no neighbour off S), and
+    # most of those hold a bipartite component inside S.
+    rng = spawn(233, 0)
+    past = found = 0
+    for _ in range(10_000):
+        n = int(rng.integers(1, 11))
+        adj = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.6), 1).astype(np.uint8)
+        adj |= adj.T
+        S = rng.random(n) < rng.uniform(0.3, 1.0)
+        got = nodedp.truncation._bipartite_component_inside(Graph(n, adj), S)
+        assert got == bipartite_component_inside_ref(adj, S)
+        past += not adj[np.ix_(S, ~S)].any(axis=1).all()
+        found += got
+    assert (past, found) == (7474, 5582)
 
 
 def test_truncation_needs_a_second_round(monkeypatch):
