@@ -1,4 +1,4 @@
-"""Partial symmetric eigendecomposition (Lanczos in numpy, with a dense
+"""Partial symmetric eigendecomposition (block Lanczos in numpy, with a dense
 branch), spectral embeddings, and approximate k-means (k-means++ seeding plus
 Lloyd iterations, best of several restarts).
 
@@ -24,47 +24,51 @@ def _lanczos(M, k, by_abs):
     """Top-k Ritz pairs of the symmetric M, or None if no Krylov space
     smaller than the whole space certifies them.
 
-    Lanczos with full reorthogonalisation (Golub & Van Loan, Matrix
-    Computations, 4th ed., ch. 10): M q_j is orthogonalised against the basis
-    by classical Gram-Schmidt, twice, giving alpha_j; beta_j is the norm of
-    what is left. At checkpoints (after 2k + 6 steps, then each a quarter
-    further, at least 3) the wanted Ritz pairs (theta, Q s) of the
-    tridiagonal T are accepted once each has residual |beta_j s_j| <= 1e-10
-    max |theta|. If what is left is below 1e-12 of |M q_j| (a breakdown: the
-    Krylov space is invariant), the basis goes on from a fresh random vector
-    orthogonal to it, with beta_j = 0 and no check, so a repeated eigenvalue
-    is found with its multiplicity. Random vectors come from
-    np.random.default_rng(0), not the caller's stream: two calls agree.
+    Block Lanczos (Golub & Van Loan, Matrix Computations, 4th ed., ch. 10) from
+    k random vectors, so an eigenvalue repeated among the top k shows all its
+    copies. Each step multiplies the newest k basis vectors by M and
+    orthogonalises the products against the basis by classical Gram-Schmidt,
+    twice; the coefficients fill H = Q M Q^T, and what is left, orthonormal, is
+    the next block. The wanted Ritz pairs (theta, Q^T s) of H are accepted once
+    each residual |what is left @ s| <= 1e-10 max |theta|, checked at 2k + 6
+    vectors, then where the residual's fall since the last check, extrapolated,
+    meets that bound (3 to m/2 further; else a quarter further). A breakdown (a
+    vector left below 1e-12 of its |M q|) draws a fresh random vector
+    orthogonal to the basis, with no check. Random vectors come from
+    np.random.default_rng(0): two calls agree.
     """
-    n = M.shape[0]
-    rng = np.random.default_rng(0)
-    Q = np.empty((n, n))  # basis vectors as rows
-    alpha, beta = np.zeros(n), np.zeros(n)
-    w = rng.standard_normal(n)
-    Q[0] = w / math.sqrt(w @ w)
-    check = min(2 * k + 6, n - 1)
-    for j in range(n - 1):
-        B, w = Q[:j + 1], M @ Q[j]
-        scale = w @ w
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            c = B @ w
-            w -= c @ B
-            alpha[j] += c[j]
-        if (bb := w @ w) <= 1e-24 * scale:  # breakdown
-            w = rng.standard_normal(n)
-            for _ in range(2):
-                w -= (B @ w) @ B
-            bb = w @ w
-        else:
-            beta[j] = math.sqrt(bb)
-            if j + 1 >= check:
-                T = np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
-                theta, S = np.linalg.eigh(T)
-                sel = _top(theta, k, by_abs)
-                if np.all(beta[j] * np.abs(S[j, sel]) <= 1e-10 * np.abs(theta).max()):
-                    return theta[sel], B.T @ S[:, sel]
-                check = j + 1 + max(3, (j + 1) // 4)
-        Q[j + 1] = w / math.sqrt(bb)
+    n, rng = M.shape[0], np.random.default_rng(0)
+    Q, H = np.empty((n, n)), np.empty((n, n))  # basis vectors as rows; upper triangle of Q M Q^T
+    W, scale = rng.standard_normal((n, k)), np.zeros(k)  # the next block, not yet orthonormal
+    check, last = min(2 * k + 6, n - k), None
+    for m in range(0, n - k + 1, k):  # W becomes Q[m:m + k]
+        broke = False
+        for i in range(k):
+            w, C = W[:, i].copy(), Q[m:m + i]  # W is already orthogonal to Q[:m]
+            for _ in range(2 if i else 0):
+                w -= (C @ w) @ C
+            if w @ w <= 1e-24 * scale[i]:  # breakdown
+                broke, w, C = True, rng.standard_normal(n), Q[:m + i]
+                for _ in range(2):
+                    w -= (C @ w) @ C
+            Q[m + i] = w / math.sqrt(w @ w)
+        if m >= check and not broke:
+            theta, S = np.linalg.eigh(H[:m, :m], UPLO="U")
+            sel = _top(theta, k, by_abs)
+            res, tol = np.linalg.norm(W @ S[m - k:, sel], axis=0).max(), 1e-10 * np.abs(theta).max()
+            if res <= tol:
+                return theta[sel], Q[:m].T @ S[:, sel]
+            step = max(3, m // 4)
+            if last and 0 < tol < res < last[1]:
+                step = min(max(3, int((m - last[0]) * math.log(tol / res) / math.log(res / last[1]))), m // 2)
+            last, check = (m, res), m + step
+        B, W = Q[:m + k], M @ Q[m:m + k].T
+        scale = np.einsum("ij,ij->j", W, W)
+        c = B @ W
+        W -= B.T @ c
+        d = B @ W
+        W -= B.T @ d
+        H[:m + k, m:m + k] = c + d
     return None
 
 
@@ -78,8 +82,7 @@ def sym_eigs(M: np.ndarray, k: int, by_abs: bool = True):
     n = M.shape[0]
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
-    if not (np.array_equal(M, M.T)  # the common case, without the scale of M
-            or is_symmetric(M, atol=1e-10 * max(1.0, float(np.abs(M).max())))):
+    if not is_symmetric(M, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
         raise ValueError("M must be symmetric")
     if k < n and (pairs := _lanczos(M, k, by_abs)) is not None:
         return pairs

@@ -226,10 +226,9 @@ class _OneBlasThread:
     thread per core under every sweep thread. The first caller to enter saves
     each library's count and sets it to 1; the last to leave restores them, so
     concurrent and nested sweeps are safe. Loaded libraries are found in
-    /proc/self/maps. scipy's, which the sampler's first scipy.linalg import
-    would load inside a sweep, is loaded on entry from scipy's wheel directory
-    (found without importing scipy), and that import reuses it. Where there is
-    no OpenBLAS (or not Linux) it does nothing.
+    /proc/self/maps; scipy's, which the sampler's lazy scipy.linalg import
+    would load inside a sweep, is loaded on entry from scipy.libs (found
+    without importing scipy). Without OpenBLAS (or Linux) it does nothing.
     """
 
     def __init__(self):

@@ -47,14 +47,12 @@ _LIPSCHITZ_BATCH = 64  # candidates per batch in sample_lipschitz_exp
 _CHUNK = 32  # candidates solved and scored at a time within a batch
 
 
-def cholesky(a, **kwargs):
-    """scipy.linalg.cholesky, imported on its first call; patch this name to intercept it."""
+def cholesky(a, **kwargs):  # scipy.linalg's, imported on the first call; tests patch this name
     import scipy.linalg
     return scipy.linalg.cholesky(a, **kwargs)
 
 
-def solve_triangular(a, b, **kwargs):
-    """scipy.linalg.solve_triangular, imported on its first call (patchable, as cholesky)."""
+def solve_triangular(a, b, **kwargs):  # as cholesky
     import scipy.linalg
     return scipy.linalg.solve_triangular(a, b, **kwargs)
 

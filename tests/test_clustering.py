@@ -112,6 +112,39 @@ def test_sym_eigs_top_vector_orthogonal_to_ones():
             assert abs(vecs[0, 0] + vecs[1, 0]) < 1e-12
 
 
+def test_sym_eigs_keeps_a_repeated_eigenvalue_among_the_top_k():
+    # Disjoint copies of one G(20, 0.3) graph: every eigenvalue is repeated.
+    # A single start vector sees one copy of each, so its Krylov space would
+    # certify the top eigenvalue once and then the next distinct one; a block
+    # of k start vectors sees every copy among the top k. The eigenvectors of
+    # a repeated eigenvalue are not unique, so they are checked by residual.
+    rng = np.random.default_rng(3)
+    a = np.triu(rng.random((20, 20)) < 0.3, 1).astype(float)
+    a = a + a.T
+    for copies, k in ((2, 2), (4, 2), (3, 3)):
+        M = np.kron(np.eye(copies), a)
+        for by_abs in (False, True):
+            ref_vals, _ = sym_eigs_ref(M, k, by_abs)
+            assert ref_vals[0] == pytest.approx(ref_vals[1], rel=1e-12)
+            for vals, vecs in (_lanczos(M, k, by_abs), sym_eigs(M, k, by_abs)):
+                assert np.all(np.abs(vals - ref_vals) <= 1e-10 * np.abs(ref_vals))
+                assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-12
+                assert np.abs(M @ vecs - vecs * vals).max() < 1e-9 * np.abs(vals).max()
+
+
+def test_sym_eigs_certifies_every_wanted_pair():
+    # The top eigenvalue, 10, stands far off and its pair converges in a few
+    # steps; the second, 1, sits 0.1 from the third and the bulk, so its pair
+    # takes many more. Lanczos must not stop when the first pair is certified.
+    n = 120
+    Q = np.linalg.qr(spawn(216, 0).standard_normal((n, n)))[0]
+    M = (Q * np.concatenate(([10.0, 1.0, 0.9], np.linspace(-0.9, 0.9, n - 3)))) @ Q.T
+    M = (M + M.T) / 2.0
+    for by_abs in (False, True):
+        assert _lanczos(M, 2, by_abs) is not None
+        _assert_matches_eigh(M, 2, by_abs)
+
+
 def test_sym_eigs_zero_matrix_takes_the_dense_branch():
     # Every Lanczos step breaks down (each vector maps to zero), so no Krylov
     # space short of the whole space is checked, and Lanczos certifies nothing.
