@@ -149,7 +149,7 @@ def private_pca_lipschitz(
     noise = 0.0 if noise_off else laplace(2.0 / eps, rng)
     sigma_hat = min(max(mean_deg + noise, 0.0), float(n))
 
-    M = adjacency_squared(g) - (sigma_hat**2 / n) * np.ones((n, n))
+    M = adjacency_squared(g) - sigma_hat**2 / n
     u20, accepted, fast = _top_vector(g, M, D, eps, rng, noise_off)
     diagnostics = {"noise_off": noise_off, "sigma_hat": sigma_hat, "fast_path": fast}
     if not noise_off:
@@ -214,10 +214,9 @@ def eigvec_deflation(
     A2 = adjacency_squared(g)
     D2 = float(D) * float(D)
 
-    deflation = np.zeros((n, n))
+    deflation, Ai = 0.0, A2
     vectors, sigmas, accepts = [], [], []
     for i in range(k):
-        Ai = A2 - deflation
         v, accepted, _ = _top_vector(g, Ai, D, eps, rng, noise_off, extension=use_lipschitz)
         accepts.append(accepted)
         rayleigh = float(v @ Ai @ v)
@@ -229,6 +228,7 @@ def eigvec_deflation(
         sigmas.append(sigma)
         if i < k - 1:
             deflation = deflation + sigma * np.outer(v, v)
+            Ai = A2 - deflation
     if diagnostics is not None:
         diagnostics.update(
             {
@@ -332,7 +332,7 @@ def two_community_convex(
 
     def project():
         A = g.as_float()
-        Y = (2.0 / (n * (B11 - B12))) * (A - ((B11 + B12) / n) * np.ones((n, n)))
+        Y = (2.0 / (n * (B11 - B12))) * (A - (B11 + B12) / n)
         return _dykstra_psd_diag(Y, 1.0 / n, _DYKSTRA_TOL, _DYKSTRA_MAX_ITER)
 
     # The projection does not depend on eps: one solve per graph.
