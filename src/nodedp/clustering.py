@@ -84,7 +84,12 @@ def sym_eigs(M: np.ndarray, k: int, by_abs: bool = True):
         raise ValueError("need 1 <= k <= n")
     if not is_symmetric(M, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
         raise ValueError("M must be symmetric")
-    if k < n and (pairs := _lanczos(M, k, by_abs)) is not None:
+    return sym_eigs_unchecked(M, k, by_abs)
+
+
+def sym_eigs_unchecked(M: np.ndarray, k: int, by_abs: bool):
+    """sym_eigs without its checks: M float64 and symmetric, 1 <= k <= n."""
+    if k < M.shape[0] and (pairs := _lanczos(M, k, by_abs)) is not None:
         return pairs
     vals, vecs = np.linalg.eigh(M)
     sel = _top(vals, k, by_abs)

@@ -6,10 +6,12 @@ on the unit sphere (Bingham-type laws) using an angular central Gaussian
 envelope (Kent, Ganeiber & Mardia 2018, "A new unified approach for the
 simulation of a wide class of directional distributions", JCGS 27(2)). One
 envelope serves every concentration: it is shifted by the top eigenvalue of
-the quadratic form from clustering.sym_eigs, and its scale b is set from the
-trace; any shift that keeps the envelope's inverse covariance positive
-definite gives the same law at any b in (0, n] (see _envelope). Its Cholesky
-and triangular solves import scipy.linalg on the first sampler call.
+the quadratic form from sym_eigs' eigensolver (the quadratic form is checked
+once, on entry), and its scale b is set from the trace; any shift that keeps
+the envelope's inverse covariance positive definite gives the same law at any
+b in (0, n] (see _envelope). Candidates are drawn _CHUNK at a time, a batch
+size that does not change the law. The Cholesky and triangular solves import
+scipy.linalg on the first sampler call.
 
 The Laplace sampler uses a plain inverse-CDF transform of a 64-bit uniform;
 it is a research artifact and carries no floating-point side-channel
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import exp_capped
-from .clustering import sym_eigs
+from .clustering import sym_eigs_unchecked
 from .graphs import Graph, is_symmetric
 from .rng import SeedLike, as_generator
 
@@ -43,8 +45,7 @@ class RejectionCapExceeded(RuntimeError):
 
 
 DEFAULT_TRIAL_CAP = 10_000_000
-_LIPSCHITZ_BATCH = 64  # candidates per batch in sample_lipschitz_exp
-_CHUNK = 32  # candidates solved and scored at a time within a batch
+_CHUNK = 32  # candidates drawn, solved and scored at a time
 
 
 def cholesky(a, **kwargs):  # scipy.linalg's, imported on the first call; tests patch this name
@@ -127,12 +128,13 @@ def _envelope(Q: np.ndarray, concentration: float):
     over a > -b/2 is log_bound = -(n - b)/2 + (n/2) log(n/b). So the law is
     exact for any b in (0, n] and any theta at which Omega is positive
     definite (the Cholesky succeeds); theta and b set only the acceptance
-    rate. theta is the top eigenvalue of Q from sym_eigs (a certified Ritz
-    value), and b solves Kent et al.'s equation sum_i 1/(b + 2 a_i) = 1 with
-    every eigenvalue a_i of c (theta I - Q) replaced by their mean:
-    b = n - 2c (theta - tr Q/n), clipped to [1, n]. If sym_eigs raises
-    LinAlgError, the Cholesky fails, or n = 1, theta is the top eigenvalue
-    from eigvalsh instead, through the same formula. At c = 0 the envelope
+    rate. theta is the top eigenvalue of Q from sym_eigs_unchecked (a
+    certified Ritz value; the caller has checked Q), and b solves Kent et
+    al.'s equation sum_i 1/(b + 2 a_i) = 1 with every eigenvalue a_i of
+    c (theta I - Q) replaced by their mean: b = n - 2c (theta - tr Q/n),
+    clipped to [1, n]. If the solver raises LinAlgError, the Cholesky fails,
+    or n = 1, theta is the top eigenvalue from eigvalsh instead, through the
+    same formula. At c = 0 the envelope
     is uniform: Omega = I.
     """
     n = Q.shape[0]
@@ -150,13 +152,13 @@ def _envelope(Q: np.ndarray, concentration: float):
 
     if n >= 2:
         try:
-            return at(float(sym_eigs(Q, 1, by_abs=False)[0][0]))
+            return at(float(sym_eigs_unchecked(Q, 1, by_abs=False)[0][0]))
         except np.linalg.LinAlgError:
             pass
     return at(float(np.linalg.eigvalsh(Q)[-1]))
 
 
-def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, size):
+def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, size):
     """Core rejection loop for density exp(concentration * score(v)).
 
     score is the unshifted score; the caller guarantees score(v) <= v'Qv +
@@ -165,15 +167,14 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, 
     where w = v'Omega v - 1 = |z|^2 / |x|^2 - 1 for the normal z and its
     solve x. score None stands for v'Qv itself (sample_sphere_exp), whose
     shifted log-target is exactly -(b/2) w: it needs no product with Q.
-    Candidates come in batches of `batch`: a batch's normals and then its
-    uniforms are drawn whole, and its candidates are then solved and scored
-    _CHUNK at a time, in stream order, only until the last draw is accepted.
-    score maps a chunk, an (m, n) array, to an iterable of its m scores and
-    is read lazily, so a score that maps one vector at a time is called on no
-    candidate past the last accepted one. size=None returns one draw; size=k
-    returns k i.i.d. draws from the one envelope, carrying the unused
-    candidates of a batch over to the next draw. trial_cap bounds the
-    candidates of each draw.
+    Candidates come in batches of m = min(_CHUNK, what the draw's cap leaves):
+    a batch's m x n normals and then its m uniforms are drawn, and the batch
+    is solved in one triangular solve. score maps a batch, an (m, n) array,
+    to an iterable of its m scores and is read lazily, in stream order, so a
+    score that maps one vector at a time is called on no candidate past the
+    last accepted one. size=None returns one draw; size=k returns k i.i.d.
+    draws from the one envelope, carrying the unused candidates of a batch
+    over to the next draw. trial_cap bounds the candidates of each draw.
     """
     if size is not None and size < 1:
         raise ValueError("size must be None or positive")
@@ -185,25 +186,18 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, 
         """(v, accepted) for the m candidates of one batch, in stream order."""
         z = rng.standard_normal((m, n))
         logu = np.log(rng.random(m))
-        start = 0
-        # A triangular solve gives each column the same bits in any chunk of
-        # two or more columns, but one column runs another kernel: a batch's
-        # last single row joins the chunk before it.
-        for stop in [*range(_CHUNK, m - 1, _CHUNK), m]:
-            zz = np.einsum("ij,ij->i", z[start:stop], z[start:stop])
-            # x ~ N(0, Omega^{-1}): solve L^T x = z^T in place of z (both are
-            # finite by construction), then project onto the sphere in place.
-            v = solve_triangular(L.T, z[start:stop].T, lower=False, overwrite_b=True,
-                                 check_finite=False).T
-            norms = np.linalg.norm(v, axis=1)
-            v /= norms[:, None]
-            w = zz / norms**2 - 1.0
-            log_env = 0.5 * n * np.log1p(w)
-            gains = -0.5 * b * w if score is None else (concentration * (s - shift)
-                                                        for s in score(v))
-            for vi, g, lu, le in zip(v, gains, logu[start:stop], log_env):
-                yield vi, lu < g + le - log_bound
-            start = stop
+        zz = np.einsum("ij,ij->i", z, z)
+        # x ~ N(0, Omega^{-1}): solve L^T x = z^T in place of z (both are
+        # finite by construction), then project onto the sphere in place.
+        v = solve_triangular(L.T, z.T, lower=False, overwrite_b=True, check_finite=False).T
+        norms = np.linalg.norm(v, axis=1)
+        v /= norms[:, None]
+        w = zz / norms**2 - 1.0
+        log_env = 0.5 * n * np.log1p(w)
+        gains = -0.5 * b * w if score is None else (concentration * (s - shift)
+                                                    for s in score(v))
+        for vi, g, lu, le in zip(v, gains, logu, log_env):
+            yield vi, lu < g + le - log_bound
 
     count = 1 if size is None else size
     draws = np.empty((count, n))
@@ -212,7 +206,7 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, 
     while k < count:
         if trials >= trial_cap:
             raise RejectionCapExceeded(trials, trial_cap)
-        for v, accepted in candidates(min(batch, trial_cap - trials)):
+        for v, accepted in candidates(min(_CHUNK, trial_cap - trials)):
             trials += 1
             if accepted:
                 draws[k], counts[k] = v, trials
@@ -225,10 +219,11 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, batch, 
 
 
 def _checked(M, name, concentration) -> np.ndarray:
-    """M as float64; ValueError for a negative concentration or an asymmetric M."""
+    """M as float64; ValueError for a concentration outside [0, inf) (NaN or
+    inf would accept no candidate) or an asymmetric M: the samplers' one check."""
     M = np.asarray(M, dtype=np.float64)
-    if concentration < 0:
-        raise ValueError("concentration must be nonnegative")
+    if not 0.0 <= concentration < math.inf:
+        raise ValueError("concentration must be finite and nonnegative")
     if not is_symmetric(M, atol=1e-10):
         raise ValueError(f"{name} must be symmetric")
     return M
@@ -253,8 +248,7 @@ def sample_sphere_exp(
     """
     M = _checked(M, "M", concentration)
     rng = as_generator(seed)
-    return _rejection_sample(None, M, 0.0, concentration, rng, trial_cap, batch=256,
-                             size=size)
+    return _rejection_sample(None, M, 0.0, concentration, rng, trial_cap, size)
 
 
 def sample_lipschitz_exp(
@@ -280,5 +274,4 @@ def sample_lipschitz_exp(
     Q = _checked(upper_bound_quadratic, "upper_bound_quadratic", concentration)
     rng = as_generator(seed)
     return _rejection_sample(lambda V: map(score, V), Q, upper_bound_constant,
-                             concentration, rng, trial_cap, batch=_LIPSCHITZ_BATCH,
-                             size=size)
+                             concentration, rng, trial_cap, size)

@@ -436,14 +436,16 @@ class RejectionCapRef(RuntimeError):
 
 
 def rejection_sample_ref(score, vectorized, Q, constant, concentration, rng, trial_cap,
-                         batch, size):
+                         size):
     """Returns (v, accepted_after) as sample_sphere_exp (score None), a
     vectorized score of an (m, n) batch, or sample_lipschitz_exp (score of one
     vector) would; raises RejectionCapRef where they raise
-    RejectionCapExceeded."""
+    RejectionCapExceeded. Each batch is min(_CHUNK, what the cap leaves)
+    candidates, solved and scored whole, and acceptances are read from the
+    whole batch at once."""
     from scipy.linalg import solve_triangular
 
-    from nodedp.mechanisms import _envelope
+    from nodedp.mechanisms import _CHUNK, _envelope
 
     n = Q.shape[0]
     theta, b, L, log_bound = _envelope(Q, concentration)
@@ -455,7 +457,7 @@ def rejection_sample_ref(score, vectorized, Q, constant, concentration, rng, tri
     while k < count:
         if trials >= trial_cap:
             raise RejectionCapRef(trials, trial_cap)
-        m = min(batch, trial_cap - trials)
+        m = min(_CHUNK, trial_cap - trials)
         z = rng.standard_normal((m, n))
         zz = np.einsum("ij,ij->i", z, z)
         v = solve_triangular(L.T, z.T, lower=False, overwrite_b=True).T

@@ -357,6 +357,8 @@ def test_two_community_dykstra_failure_raises_at_every_call(dykstra_calls, monke
 def test_adjacency_square_is_computed_once_per_graph(monkeypatch):
     # Above D every candidate of the PCA draw scores by the extension LP;
     # A @ A is formed once for all of them and for later calls on the graph.
+    # A draw takes about four candidates here; of four draws, at least one
+    # takes more than one.
     calls = []
     real = Graph.as_float
 
@@ -366,12 +368,12 @@ def test_adjacency_square_is_computed_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(Graph, "as_float", spy)
     g = star(8)
-    out = private_pca_lipschitz(g, D=2, eps=1.0, seed=spawn(231, 0))
-    assert out.diagnostics["fast_path"] is False
-    assert out.diagnostics["accepted_after"] > 1
-    assert len(calls) == 2  # the mean degree, then A @ A
-    eigvec_deflation(g, 2, 2, 1.0, use_lipschitz=True, seed=spawn(231, 1))
-    assert len(calls) == 2
+    outs = [private_pca_lipschitz(g, D=2, eps=1.0, seed=spawn(231, s)) for s in range(4)]
+    assert not any(out.diagnostics["fast_path"] for out in outs)
+    assert max(out.diagnostics["accepted_after"] for out in outs) > 1
+    assert len(calls) == 4 + 1  # the mean degree at each call, and A @ A once
+    eigvec_deflation(g, 2, 2, 1.0, use_lipschitz=True, seed=spawn(231, 4))
+    assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -661,13 +661,18 @@ def test_heap_floor_stops_refaulting_between_trials(monkeypatch):
     # In a fresh process the first free of a 320 KB block sets glibc's trim
     # point to 640 KB, so each later round of ~1 MB is trimmed and faulted
     # back in (~240 faults). After the floor the heap keeps those pages.
+    # Other processes' memory pressure can only add faults, so each mode
+    # counts the fewest over three probes.
     src = str(Path(nodedp.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    faults = {mode: int(subprocess.run([sys.executable, "-c", HEAP_PROBE, mode], env=env,
-                                       check=True, capture_output=True, text=True,
-                                       timeout=120).stdout)
-              for mode in ("none", "floor")}
+
+    def probe(mode):
+        return int(subprocess.run([sys.executable, "-c", HEAP_PROBE, mode], env=env,
+                                  check=True, capture_output=True, text=True,
+                                  timeout=120).stdout)
+
+    faults = {mode: min(probe(mode) for _ in range(3)) for mode in ("none", "floor")}
     assert faults["none"] > 500
     assert faults["floor"] < 50
 

@@ -13,11 +13,12 @@ from nodedp import (
     sample_sphere_exp,
 )
 
+import nodedp.clustering
 import nodedp.mechanisms
 from nodedp.accounting import exp_capped
-from nodedp.clustering import sym_eigs
-from nodedp.mechanisms import (_CHUNK, DEFAULT_TRIAL_CAP, _LIPSCHITZ_BATCH, _envelope,
-                               _rejection_sample)
+from nodedp.harness import ExperimentConfig, run_sweep
+from nodedp.clustering import sym_eigs, sym_eigs_unchecked
+from nodedp.mechanisms import _CHUNK, DEFAULT_TRIAL_CAP, _envelope, _rejection_sample
 from nodedp.rng import spawn
 
 from oracles import (RejectionCapRef, quadrature_masses, rejection_sample_ref,
@@ -232,10 +233,11 @@ def test_rejection_cap():
         sample_sphere_exp(M, 200.0, 0, trial_cap=1)
 
 
-def _reference_single_draw(M, conc, rng, batch=256):
+def _reference_single_draw(M, conc, rng):
     # Plain single-draw ACG rejection loop, written out independently of the
     # library: the reference for how one draw consumes the random stream. The
-    # envelope is shifted by the top eigenvalue, at the scale b from the trace.
+    # envelope is shifted by the top eigenvalue, at the scale b from the trace,
+    # and candidates come _CHUNK at a time.
     n = M.shape[0]
     lmax = np.linalg.eigvalsh(M)[-1]
     b = min(max(n - 2 * conc * (lmax - np.trace(M) / n), 1.0), n)
@@ -244,11 +246,11 @@ def _reference_single_draw(M, conc, rng, batch=256):
     log_bound = -(n - b) / 2 + n / 2 * math.log(n / b)
     trials = 0
     while True:
-        z = rng.standard_normal((batch, n))
+        z = rng.standard_normal((_CHUNK, n))
         x = np.linalg.solve(L.T, z.T).T
         v = x / np.linalg.norm(x, axis=1, keepdims=True)
-        logu = np.log(rng.random(batch))
-        for i in range(batch):
+        logu = np.log(rng.random(_CHUNK))
+        for i in range(_CHUNK):
             trials += 1
             w = v[i] @ Abar @ v[i]
             log_accept = conc * (v[i] @ M @ v[i] - lmax) + 0.5 * n * math.log1p(w) - log_bound
@@ -289,7 +291,7 @@ def fail_eigensolver(*args, **kwargs):
 
 def test_samplers_run_eigvalsh_only_on_the_exact_path(monkeypatch, eigvalsh_calls):
     # No concentration has a path of its own: at high and low concentration,
-    # single and batched, neither sampler runs an eigvalsh. When sym_eigs
+    # single and batched, neither sampler runs an eigvalsh. When the solver
     # raises, each sampler call runs exactly one, and only for theta.
     M = np.diag([2.0, 0.5, -0.5, 0.0])
 
@@ -302,7 +304,7 @@ def test_samplers_run_eigvalsh_only_on_the_exact_path(monkeypatch, eigvalsh_call
         return len(eigvalsh_calls)
 
     assert calls(3.0) == calls(0.1) == 0
-    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs", fail_eigensolver)
+    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs_unchecked", fail_eigensolver)
     assert calls(3.0) == calls(0.1) == 4
 
 
@@ -345,8 +347,7 @@ def test_vectorized_score_matches_per_vector_score():
     lazy = sample_lipschitz_exp(lambda v: float(v @ M @ v), M, 3.0, spawn(91, 0),
                                 upper_bound_constant=0.5, size=200)
     batched = _rejection_sample(lambda V: np.einsum("ij,ij->i", V @ M, V), M, 0.5,
-                                3.0, spawn(91, 0), DEFAULT_TRIAL_CAP,
-                                batch=_LIPSCHITZ_BATCH, size=200)
+                                3.0, spawn(91, 0), DEFAULT_TRIAL_CAP, size=200)
     assert np.array_equal(lazy.accepted_after, batched.accepted_after)
     np.testing.assert_allclose(lazy.v, batched.v, atol=1e-12)
 
@@ -431,12 +432,11 @@ def test_lipschitz_sampler_extension_law_quadrature():
     # Drive the sampler with the (LP-equal, verified above) oracle score so
     # the 6000-sample law comparison does not pay ~200 LP solves per draw;
     # the LP-in-the-loop path is exercised once below and in the pipeline
-    # tests. The oracle scores a chunk of candidates per call, so it drives
-    # the rejection core directly, with sample_lipschitz_exp's batch.
+    # tests. The oracle scores a batch of candidates per call, so it drives
+    # the rejection core directly.
     const = float(A2.sum())
     rng2 = spawn(79, 1)
-    ext = _rejection_sample(shat_oracle, A2, const, kappa, rng2, DEFAULT_TRIAL_CAP,
-                            batch=_LIPSCHITZ_BATCH, size=6000)
+    ext = _rejection_sample(shat_oracle, A2, const, kappa, rng2, DEFAULT_TRIAL_CAP, size=6000)
     draws = ext.v
     trials_ext = int(ext.accepted_after.sum())
     trials_quad = int(sample_sphere_exp(A2, kappa, rng2, size=6000).accepted_after.sum())
@@ -459,7 +459,9 @@ def test_lipschitz_sampler_extension_law_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# Chunked candidates against the whole-batch reference sampler.
+# The sampler against the whole-batch reference: both draw _CHUNK candidates
+# at a time (fewer where the cap leaves fewer); the reference reads a batch's
+# acceptances at once, the sampler one candidate at a time.
 
 def squared_graph(n, p):
     """A^2 of a random graph and its top eigenvalue."""
@@ -474,18 +476,20 @@ def assert_same_as_reference(M, conc, seed, size, trial_cap=DEFAULT_TRIAL_CAP,
     candidate counts (or the cap error, at the same candidate) and the next
     variate of the stream. Returns the reference's candidate count."""
     rng, rng_ref = spawn(seed, 0), spawn(seed, 0)
+
+    def ref_score(v):
+        return float(v @ M @ v)
+
     if per_vector:
         def call():
-            return sample_lipschitz_exp(lambda v: float(v @ M @ v), M, conc, rng,
-                                        trial_cap=trial_cap, size=size)
-        ref_score, batch = (lambda v: float(v @ M @ v)), _LIPSCHITZ_BATCH
+            return sample_lipschitz_exp(ref_score, M, conc, rng, trial_cap=trial_cap, size=size)
     else:
         def call():
             return sample_sphere_exp(M, conc, rng, trial_cap=trial_cap, size=size)
-        ref_score, batch = None, 256
+        ref_score = None
     try:
         v_ref, counts_ref = rejection_sample_ref(ref_score, not per_vector, M, 0.0, conc,
-                                                 rng_ref, trial_cap, batch, size)
+                                                 rng_ref, trial_cap, size)
     except RejectionCapRef as err:
         with pytest.raises(RejectionCapExceeded) as got:
             call()
@@ -533,10 +537,10 @@ def test_per_vector_score_matches_whole_batch_reference():
 
 @pytest.mark.parametrize("per_vector", [False, True])
 def test_partial_batches_and_caps_match_whole_batch_reference(per_vector):
-    # trial_cap < batch makes partial batches: a lone row (1), remainders of
-    # one (33, 65, 97) and others (2, 50) of the chunk. Acceptance is about
-    # 14%, so some draws carry over, some batches start mid-draw and some
-    # draws exhaust their cap.
+    # A cap that is not a multiple of _CHUNK makes partial batches where it
+    # runs out: a lone row (1, 33, 65, 97) and others (2, 50). Acceptance is
+    # about 14%, so some draws carry over, some batches start mid-draw and
+    # some draws exhaust their cap.
     assert _CHUNK == 32
     M, lmax = squared_graph(50, 0.1)
     outcomes = []
@@ -548,16 +552,18 @@ def test_partial_batches_and_caps_match_whole_batch_reference(per_vector):
     assert any(outcomes) and not all(outcomes)
 
 
-def test_last_row_of_a_batch_of_32q_plus_1_matches_whole_batch_reference():
-    # A score of +inf accepts every candidate, so the batch's last row, which
-    # joins the chunk before it, is a draw too.
+def test_32q_plus_1_draws_match_whole_batch_reference():
+    # A score of +inf accepts every candidate, so 32q + 1 draws take q whole
+    # batches and the first row of one more, whose other 31 candidates are
+    # drawn and go unused.
+    assert _CHUNK == 32
     M, lmax = squared_graph(50, 0.1)
-    for m in (33, 65, 97):
+    for m in (1, 33, 65, 97):
         rng, rng_ref = spawn(400, m), spawn(400, m)
         got = _rejection_sample(lambda V: np.full(len(V), math.inf), M, 0.0, 1.0 / lmax,
-                                rng, DEFAULT_TRIAL_CAP, batch=m, size=m)
+                                rng, DEFAULT_TRIAL_CAP, size=m)
         v_ref, _ = rejection_sample_ref(lambda V: np.full(len(V), math.inf), True, M, 0.0,
-                                        1.0 / lmax, rng_ref, DEFAULT_TRIAL_CAP, m, m)
+                                        1.0 / lmax, rng_ref, DEFAULT_TRIAL_CAP, m)
         assert np.array_equal(got.v, v_ref)
         assert rng.random() == rng_ref.random()
 
@@ -577,22 +583,24 @@ def solved_columns(monkeypatch):
 
 
 @pytest.mark.parametrize("m, chunks", [
-    (1, [1]), (2, [2]), (31, [31]), (32, [32]), (33, [33]), (34, [32, 2]),
-    (64, [32, 32]), (65, [32, 33]), (97, [32, 32, 33]), (256, [32] * 8),
+    (1, [1]), (2, [2]), (31, [31]), (32, [32]), (33, [32, 1]), (34, [32, 2]),
+    (64, [32, 32]), (65, [32, 32, 1]), (97, [32, 32, 32, 1]), (256, [32] * 8),
 ])
 def test_no_chunk_has_one_row_unless_the_batch_has(solved_columns, m, chunks):
-    # A score that never accepts makes the sampler solve all m candidates of
-    # one batch capped at m; the spy records each solve's column count.
+    # A score that never accepts makes the sampler draw all m candidates of a
+    # draw capped at m, each batch solved whole; the spy records each solve's
+    # column count. A batch is _CHUNK candidates, or what the cap leaves, so
+    # a one-row solve is a batch of one row.
     assert _CHUNK == 32
     with pytest.raises(RejectionCapExceeded):
         _rejection_sample(lambda V: np.full(len(V), -math.inf), np.diag([1.0, 0.5, 0.0]),
-                          0.0, 1.0, spawn(93, 0), m, batch=256, size=None)
+                          0.0, 1.0, spawn(93, 0), m, size=None)
     assert solved_columns == chunks
 
 
 def test_draw_accepted_in_first_chunk_solves_only_that_chunk(solved_columns):
-    # Concentration 0 accepts every candidate: a draw takes the first one,
-    # and 40 draws take the first two chunks of their 256-candidate batch.
+    # Concentration 0 accepts every candidate: a draw takes the first of one
+    # batch, and 40 draws take two batches.
     M = squared_graph(300, 0.05)[0]
     assert sample_sphere_exp(M, 0.0, 0).accepted_after == 1
     assert solved_columns == [_CHUNK]
@@ -660,7 +668,7 @@ def test_law_is_exact_at_an_off_shift(monkeypatch, eigvalsh_calls, offset):
     ]
     for ci, (M, conc) in enumerate(cases):
         theta = float(np.linalg.eigvalsh(M)[-1]) + offset / conc
-        monkeypatch.setattr(nodedp.mechanisms, "sym_eigs",
+        monkeypatch.setattr(nodedp.mechanisms, "sym_eigs_unchecked",
                             lambda *args, theta=theta, **kwargs: (np.array([theta]), None))
         eigvalsh_calls.clear()
         assert _envelope(M, conc)[:2] == (theta, 1.0)
@@ -685,7 +693,7 @@ def test_exact_path_when_the_top_eigenvector_is_orthogonal_to_the_start(monkeypa
     # The top eigenvector (e0 - e1)/sqrt(2), eigenvalue 4, is orthogonal to
     # the all-ones vector, and a Krylov space grown from it keeps equal
     # entries 0 and 1 exactly, so its Ritz value is the next eigenvalue, 3.
-    # sym_eigs starts from a random vector and finds 4, with no eigvalsh.
+    # The eigensolver starts from a random vector and finds 4, with no eigvalsh.
     # Given 3 in its place, at c = 20, b = 1 and Omega = I + 2c (3 I - Q) is
     # indefinite, so its Cholesky fails and the one eigvalsh supplies
     # theta = lmax.
@@ -698,7 +706,7 @@ def test_exact_path_when_the_top_eigenvector_is_orthogonal_to_the_start(monkeypa
     assert _envelope(M, 20.0)[0] == pytest.approx(4.0, rel=1e-12)
     assert eigvalsh_calls == []
     ritz = []
-    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs",
+    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs_unchecked",
                         lambda *args, **kwargs: ritz.append(np.array([3.0])) or (ritz[-1], None))
     assert _envelope(M, 20.0)[:2] == (lmax, trace_scale(M, 20.0, lmax))
     assert eigvalsh_calls == [(n, n)]
@@ -708,7 +716,7 @@ def test_exact_path_when_the_top_eigenvector_is_orthogonal_to_the_start(monkeypa
     assert ritz and all(r == pytest.approx([3.0], abs=1e-12) for r in ritz)
     # The same law rotated so that the top eigenvector is e0, which the Ritz
     # shift finds: the squared top coordinate has the same mean.
-    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs", sym_eigs)
+    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs_unchecked", sym_eigs_unchecked)
     rotated = np.diag(np.concatenate([[4.0, 0.0], np.linspace(0.0, 3.0, n)[2:]]))
     eigvalsh_calls.clear()
     fast = sample_sphere_exp(rotated, 20.0, spawn(95, 1), size=4000).v
@@ -729,7 +737,7 @@ def test_exact_path_at_low_concentration(eigvalsh_calls):
 
 
 def test_exact_path_in_one_dimension(eigvalsh_calls):
-    # The sphere is {-1, 1} and every law on it is uniform. sym_eigs does not
+    # The sphere is {-1, 1} and every law on it is uniform. The solver does not
     # run at n = 1; the one eigvalsh supplies theta, and b = 1, Omega = 1.
     M = np.array([[2.0]])
     theta, b, L, log_bound = _envelope(M, 5.0)
@@ -744,7 +752,7 @@ def test_exact_path_in_one_dimension(eigvalsh_calls):
 def test_exact_path_when_the_eigensolver_raises(monkeypatch, eigvalsh_calls):
     # The one eigvalsh supplies theta = lmax, which goes through the same
     # formula.
-    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs", fail_eigensolver)
+    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs_unchecked", fail_eigensolver)
     M = np.diag([2.0, 0.5, -1.0])
     assert _envelope(M, 2.0)[:2] == (2.0, 1.0)
     eigvalsh_calls.clear()
@@ -782,7 +790,7 @@ def test_ritz_shift_in_two_dimensions(eigvalsh_calls):
 
 
 def test_zero_concentration_needs_no_spectrum(monkeypatch, eigvalsh_calls):
-    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs", None)  # any call would raise
+    monkeypatch.setattr(nodedp.mechanisms, "sym_eigs_unchecked", None)  # any call would raise
     M = np.diag([1.0, 2.0, 3.0, 4.0])
     theta, b, L, log_bound = _envelope(M, 0.0)
     assert (theta, b, log_bound) == (0.0, 4.0, 0.0) and np.array_equal(L, np.eye(4))
@@ -816,3 +824,55 @@ def test_symmetry_check_verdicts(caller, case):
     else:
         with pytest.raises(ValueError, match="symmetric"):
             run()
+
+
+def test_one_symmetry_check_per_sampler_call(monkeypatch):
+    # Q is checked once, on entry; the envelope's eigensolver runs unchecked.
+    # An asymmetric Q raises before the stream is touched.
+    checks = []
+    real = nodedp.mechanisms.is_symmetric
+
+    def spy(M, atol):
+        checks.append(M.shape)
+        return real(M, atol)
+
+    monkeypatch.setattr(nodedp.mechanisms, "is_symmetric", spy)
+    monkeypatch.setattr(nodedp.clustering, "is_symmetric", spy)
+    M, lmax = squared_graph(50, 0.1)
+    asym = M.copy()
+    asym[0, 1] += 1e-3
+    for size in (None, 20):
+        for sample in (
+            lambda Q, rng: sample_sphere_exp(Q, 1.0 / lmax, rng, size=size),
+            lambda Q, rng: sample_lipschitz_exp(lambda v: float(v @ Q @ v), Q, 1.0 / lmax,
+                                                rng, size=size),
+        ):
+            checks.clear()
+            sample(M, spawn(101, 0))
+            assert checks == [(50, 50)]
+            rng = spawn(101, 1)
+            with pytest.raises(ValueError, match="symmetric"):
+                sample(asym, rng)
+            assert rng.random() == spawn(101, 1).random()
+
+
+def test_nan_or_infinite_concentration_raises_before_drawing():
+    # No candidate is ever accepted at such a concentration: the sampler would
+    # run to its 10M-candidate cap. Each raises with the stream untouched, and
+    # a deflation sweep at eps = inf or NaN (concentration eps / (6 D^2))
+    # gets a typed row at once.
+    M = np.diag([2.0, 0.5, -1.0])
+    for conc in (math.nan, math.inf, -math.inf, -1.0):
+        for sample in (lambda rng: sample_sphere_exp(M, conc, rng),
+                       lambda rng: sample_lipschitz_exp(lambda v: 0.0, M, conc, rng)):
+            rng = spawn(103, 0)
+            with pytest.raises(ValueError, match="concentration"):
+                sample(rng)
+            assert rng.random() == spawn(103, 0).random()
+    cfg = ExperimentConfig(
+        scenario="unit", sbm={"n": 40, "k": 2, "B": [[0.6, 0.1], [0.1, 0.6]]},
+        estimator={"id": "eig_deflation", "params": {"D": 30, "use_lipschitz": False}},
+        eps_grid=[math.inf, math.nan], delta_grid=[0.0], seeds=[0])
+    rows = run_sweep(cfg)
+    assert [(r.status, r.error) for r in rows] == [("failed", "ValueError")] * 2
+    assert all("concentration must be finite" in r.diagnostics["traceback"] for r in rows)
