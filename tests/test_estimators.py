@@ -357,8 +357,8 @@ def test_two_community_dykstra_failure_raises_at_every_call(dykstra_calls, monke
 def test_adjacency_square_is_computed_once_per_graph(monkeypatch):
     # Above D every candidate of the PCA draw scores by the extension LP;
     # A @ A is formed once for all of them and for later calls on the graph.
-    # A draw takes about four candidates here; of four draws, at least one
-    # takes more than one.
+    # A draw here takes a few candidates on average, so of four draws at
+    # least one takes more than one.
     calls = []
     real = Graph.as_float
 

@@ -16,8 +16,8 @@ from nodedp import (
 import nodedp.clustering
 import nodedp.mechanisms
 from nodedp.accounting import exp_capped
-from nodedp.harness import ExperimentConfig, run_sweep
 from nodedp.clustering import sym_eigs, sym_eigs_unchecked
+from nodedp.harness import ExperimentConfig, run_sweep
 from nodedp.mechanisms import _CHUNK, DEFAULT_TRIAL_CAP, _envelope, _rejection_sample
 from nodedp.rng import spawn
 
