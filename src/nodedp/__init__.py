@@ -4,7 +4,7 @@ Library layout:
 
 - graphs: Graph/WeightedGraph/SbmParams types, SBM sampling, thinning
 - metrics: misclassification losses and label alignment
-- accounting: privacy budget algebra (DP and zCDP)
+- accounting: privacy budget algebra (DP and zCDP) and the noise-constant table
 - mechanisms: Laplace noise, edge flipping, sphere samplers
 - lp: solve_lp, one HiGHS call for the truncation LPs
 - truncation: degree truncation T_D, extension score, sensitivity bound L_hat
@@ -77,7 +77,6 @@ from .metrics import align, loss_overall, loss_worst_case, relabel
 from .truncation import (
     TruncationCertificate,
     degree_truncate,
-    extension_score_sensitivity,
     lipschitz_extension_score,
     private_sensitivity_bound,
     weighted_degree_truncate,

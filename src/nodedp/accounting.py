@@ -1,5 +1,6 @@
 """Privacy budget algebra: zCDP/DP conversions, composition, group privacy,
-and the sensitivity-driven rescaling used by the generic reductions.
+the sensitivity-driven rescaling used by the generic reductions, and
+CALIBRATION, the table of every noise constant the pipelines use.
 
 Budgets are immutable values carrying a provenance trail (which rule produced
 them) so that a pipeline's budget chain can be audited and serialized.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable
 
 
@@ -138,3 +140,61 @@ def reduction_budgets(eps2: float, delta2: float, Lhat: float) -> tuple[float, f
     if Lhat < 0.5:
         raise ValueError("Lhat must be at least 1/2")
     return eps2 / Lhat, delta2 / Lhat
+
+
+# CALIBRATION: every noise constant of the pipelines, one row per release: the norm
+# and adjacent inputs its sensitivity is proven on, the sensitivity, the noise
+# parameter derived from it, and why. Split rows give the mechanism's eps as eps /
+# sensitivity, Laplace rows draw at scale sensitivity / eps, and Gaussian rows at
+# sigma with rho >= sensitivity^2 / (2 sigma^2) per draw (zCDP; Bun & Steinke, TCC
+# 2016). tests/test_acceptance.py audits each row. Not here: subspace_estimation's
+# and good_center's constants, which hold per row chunk by construction (its clip
+# radius r and counts) and depend on the run's t and q.
+_NODE_D, _NODE_2D = "node-adjacent, both max degree <= D", "node-adjacent, both max degree <= 2D"
+
+
+def _split(inputs, count, why, norm="releases at eps"):
+    return SimpleNamespace(norm=norm, inputs=inputs, sensitivity=count, why=why,
+                           noise=lambda eps, k, D: eps / count(k, D))
+
+
+def _laplace(sensitivity, why, inputs="node-adjacent", **more):
+    return SimpleNamespace(norm="l1", inputs=inputs, sensitivity=sensitivity, why=why,
+                           noise=lambda eps, *args: sensitivity(*args) / eps, **more)
+
+
+def _gaussian(sensitivity, sigma, why):
+    return SimpleNamespace(norm="l2", inputs="edge-adjacent", sensitivity=sensitivity, why=why,
+                           noise=sigma, rho=lambda e, d: e * e / (4.0 * math.log(1.0 / d)))
+
+
+CALIBRATION = {
+    "edge_slots": _split(_NODE_2D, lambda k, D: 4.0 * D, "a rewired node loses <= 2D edges "
+                         "and gains <= 2D", norm="edges changed"),
+    "subspace_chunks": _split(_NODE_2D, lambda k, D: 5.0 * D, "its own row and the <= 4D rows "
+                              "of its changed edges: 1 + 4D <= 5D", norm="row chunks changed"),
+    "pca_split": _split(_NODE_D, lambda k, D: 2.0, "mean degree (eps), one draw (<= eps / 3)"),
+    "deflation_split": _split(_NODE_D, lambda k, D: 2.0 * k, "k draws (<= eps / 3 each) and k "
+                              "Rayleigh quotients (eps each)"),
+    "mean_degree": _laplace(lambda: 2.0, "sum(A) / n moves by <= 2 (n - 1) / n"),
+    "rayleigh": _laplace(lambda D: 2.0 * D * D, "the quotient is clamped to [-D^2, D^2]"),
+    "lhat": _laplace(lambda: 8.0, "L_hat adds 2 d_T, and d_T moves by <= 4; the shift covers "
+                     "the noise with probability >= 1 - delta1",
+                     shift=lambda eps1, delta1: 8.0 * math.log(1.0 / delta1) / eps1),
+    # pointwise: ||Av||^2 + sum_i d_i^2 moves by <= D^2 + 3 D^2 - D (not 3 D^2; criterion 2).
+    "extension": SimpleNamespace(
+        norm="spread of v'(A^2 - A'^2)v over unit v", inputs=_NODE_D,
+        sensitivity=lambda D: 2.0 * D * D, pointwise=lambda D: 4.0 * D * D - D,
+        noise=lambda eps, D: eps / (6.0 * D * D), why="A^2, A'^2 are PSD with top "
+        "eigenvalue <= D^2, and the score's v-free part cancels: a draw costs <= eps / 3"),
+    "two_community": _gaussian(
+        lambda n, gap: 2.0 * math.sqrt(2.0) / (n * gap),
+        lambda e, d, n, gap: math.sqrt(96.0 * math.log(1.0 / d) / (n * n * e * e * gap)),
+        "a toggle moves 2 entries of the rescaled A by 2 / (n gap), and the projection is "
+        "non-expansive; rho holds for gap = n (p - q) >= 1/6"),
+    "power_method": _gaussian(
+        lambda: math.sqrt(2.0),
+        lambda eps, delta, k, L: math.sqrt(4.0 * k * L * math.log(1.0 / delta)) / eps,
+        "(A - A')X is 2 rows of the orthonormal X; L steps cost eps^2 / (4 k log(1/delta)), "
+        "so rho is k-fold conservative"),
+}

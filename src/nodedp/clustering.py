@@ -82,8 +82,8 @@ def sym_eigs(M: np.ndarray, k: int, by_abs: bool = True):
     n = M.shape[0]
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
-    if not is_symmetric(M, atol=1e-10 * max(1.0, float(np.abs(M).max()))):
-        raise ValueError("M must be symmetric")
+    if not is_symmetric(M):
+        raise ValueError("M must be finite and symmetric")
     return sym_eigs_unchecked(M, k, by_abs)
 
 
@@ -112,8 +112,7 @@ def _sq_dist(pT, centers):
 def _kmeans_pp_seed(sets, k, rngs, restarts):
     """k-means++ seedings of every restart of every point set: centers
     (S, R, k, d) drawn from the rows of sets (S, n, d), restart r of set s
-    from rngs[s] after restarts 0..r-1 of that set, and the state each
-    stream was left in after each restart, [r][s].
+    from rngs[s] after restarts 0..r-1 of that set.
 
     Each stream draws what a lone seeding does: integers(n) for the first
     center, then for each further center the one uniform that
@@ -132,7 +131,6 @@ def _kmeans_pp_seed(sets, k, rngs, restarts):
     S, n, d = sets.shape
     pT = np.ascontiguousarray(sets.transpose(0, 2, 1))
     centers = np.empty((S, restarts, k, d))
-    states = []
     for r in range(restarts):
         live = np.arange(S)
         centers[:, r, 0] = sets[live, [rng.integers(n) for rng in rngs]]
@@ -152,8 +150,7 @@ def _kmeans_pp_seed(sets, k, rngs, restarts):
             centers[live, r, c] = sets[live, (cdf <= u[:, None]).sum(axis=1)]
             if c + 1 < k:
                 np.minimum(d2, _sq_dist(pT[live], centers[live, r, c]), out=d2)
-        states.append([rng.bit_generator.state for rng in rngs])
-    return centers, states
+    return centers
 
 
 def _assign(pT, centers):
@@ -233,8 +230,8 @@ def approx_kmeans(
     from `seed`.
 
     The seedings draw from the stream one restart after another; the Lloyd
-    runs then go together. The first restart of cost 0 ends the search: the
-    result is that restart, and the stream is left where its seeding left it.
+    runs then go together. The result is the first restart of least cost,
+    and the stream is left where the last seeding left it.
 
     A stack of S point sets, (S, n, d), with a sequence of S seeds is a
     batch: each set's seedings draw from its own stream, in the order above,
@@ -259,13 +256,7 @@ def approx_kmeans(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rngs = [as_generator(s) for s in seeds]
-    inits, states = _kmeans_pp_seed(sets, k, rngs, restarts)
-    labels, centers, costs = _lloyd_restarts(sets, inits)
-    out = []
-    for s, rng in enumerate(rngs):
-        best = costs[s].argmin()
-        if costs[s, best] == 0.0:
-            rng.bit_generator.state = states[best][s]
-        out.append((LabelAssignment(labels[s, best], k), centers[s, best],
-                    float(costs[s, best])))
+    labels, centers, costs = _lloyd_restarts(sets, _kmeans_pp_seed(sets, k, rngs, restarts))
+    out = [(LabelAssignment(labels[s, b], k), centers[s, b], float(costs[s, b]))
+           for s, b in enumerate(costs.argmin(axis=1))]
     return out if batch else out[0]

@@ -17,19 +17,15 @@ from typing import Callable
 import numpy as np
 
 from . import accounting as acc
-from .accounting import PrivacyBudget
+from .accounting import CALIBRATION, PrivacyBudget
 from .clustering import approx_kmeans, sym_eigs
 from .graphs import Graph, LabelAssignment, WeightedGraph, adjacency_squared, memo
 from .mechanisms import laplace, sample_lipschitz_exp, sample_sphere_exp
 from .mechanisms import edge_flip as _edge_flip
 from .mechanisms import debias_flip as _debias_flip
 from .rng import SeedLike, as_generator
-from .truncation import (
-    extension_is_quadratic,
-    extension_score_concentration,
-    lipschitz_extension_score,
-    truncate_with_certificate,
-)
+from .truncation import (extension_is_quadratic, lipschitz_extension_score,
+                         truncate_with_certificate)
 
 
 @dataclass
@@ -64,7 +60,7 @@ def _top_vector(g, Q, D, eps, rng, noise_off, extension=True):
     Q is A^2 minus a term R = A^2 - Q that the caller subtracts from the score
     (the PCA recentering, or deflation). noise_off gives Q's top eigenvector.
     Otherwise v has density proportional to exp(c * (shat(v) - v'Rv)), with
-    c = extension_score_concentration(eps, D) and shat the extension score:
+    c from CALIBRATION["extension"] and shat the extension score:
     when extension_is_quadratic(g, D) (or extension is False, which scores
     the raw quadratic), shat(v) - v'Rv is v'Qv plus a constant, so the draw is
     the Bingham law of Q (fast); else every candidate solves the extension LP.
@@ -72,7 +68,7 @@ def _top_vector(g, Q, D, eps, rng, noise_off, extension=True):
     if noise_off:
         _, top = sym_eigs(Q, 1, by_abs=False)
         return top[:, 0], 0, True
-    conc = extension_score_concentration(eps, D)
+    conc = CALIBRATION["extension"].noise(eps, D)
     if not extension or extension_is_quadratic(g, D):
         sample = sample_sphere_exp(Q, conc, rng)
         return sample.v, sample.accepted_after, True
@@ -132,11 +128,9 @@ def private_pca_lipschitz(
     """Two-community pipeline: private average degree, one exponential-mechanism
     eigenvector of the recentered squared adjacency matrix, then k-means.
 
-    The clamped noisy average degree costs eps; the sphere sample is drawn
-    from exp(eps/(6 D^2) * shat'(v)) with shat the extension score
-    (extension_score_concentration), which costs at most eps/3 <= eps on
-    inputs of max degree <= D. Designed budget: (2 eps, 0) at the node level,
-    proven on inputs of max degree <= D.
+    Its noise and its pure node-level budget, proven on inputs of max degree
+    <= D, come from the mean_degree, extension and pca_split rows of
+    CALIBRATION.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
@@ -146,7 +140,7 @@ def private_pca_lipschitz(
     n = g.n
     A = g.as_float()
     mean_deg = float(A.sum()) / n
-    noise = 0.0 if noise_off else laplace(2.0 / eps, rng)
+    noise = 0.0 if noise_off else laplace(CALIBRATION["mean_degree"].noise(eps), rng)
     sigma_hat = min(max(mean_deg + noise, 0.0), float(n))
 
     M = adjacency_squared(g) - sigma_hat**2 / n
@@ -169,9 +163,8 @@ def private_pca_lipschitz(
     diagnostics["kmeans_cost"] = cost
     return EstimatorOutput(
         labels=labels,
-        budget=[
-            acc.pure_dp(2.0 * eps, "noisy degree + extension-score exponential mechanism (node level)")
-        ],
+        budget=[acc.pure_dp(CALIBRATION["pca_split"].sensitivity(2, D) * eps, "noisy degree + "
+                            "extension-score exponential mechanism (node level)")],
         diagnostics=diagnostics,
     )
 
@@ -193,15 +186,13 @@ def eigvec_deflation(
     """Iteratively sample near-top eigenvectors of A^2, deflating by noisy
     Rayleigh quotients in between. Returns the k sampled unit vectors.
 
-    Each draw has concentration eps/(6 D^2) (extension_score_concentration),
-    which costs at most eps/3 <= eps on inputs of max degree <= D; each
-    clamped Rayleigh quotient is released with Laplace(2 D^2/eps) noise and
-    costs eps. With use_lipschitz the score is the extension shat_{A^2}
-    minus the accumulated deflation, intended to be (2 k eps, 0)-node DP on
-    all graphs (proven for max degree <= D); without it the raw quadratic
-    score is used, which is private only on bounded-degree inputs. The
-    variant with the extension additionally caps the noisy Rayleigh quotient
-    at n^2.
+    Each draw and each clamped Rayleigh quotient costs at most eps on inputs
+    of max degree <= D (CALIBRATION's extension and rayleigh rows; the total
+    is its deflation_split row). With use_lipschitz the score is the extension
+    shat_{A^2} minus the accumulated deflation, intended to be node DP on all
+    graphs (proven for max degree <= D), and the noisy Rayleigh quotient is
+    capped at n^2; without it the raw quadratic score is used, which is
+    private only on bounded-degree inputs.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -220,7 +211,7 @@ def eigvec_deflation(
         v, accepted, _ = _top_vector(g, Ai, D, eps, rng, noise_off, extension=use_lipschitz)
         accepts.append(accepted)
         rayleigh = float(v @ Ai @ v)
-        noise = 0.0 if noise_off else laplace(2.0 * D2 / eps, rng)
+        noise = 0.0 if noise_off else laplace(CALIBRATION["rayleigh"].noise(eps, D), rng)
         sigma = min(max(rayleigh, -D2), D2) + noise
         if use_lipschitz:
             sigma = min(sigma, float(n) ** 2)
@@ -262,7 +253,8 @@ def eigvec_deflation_cluster(
     scope = "node level" if use_lipschitz else "bounded-degree node level"
     return EstimatorOutput(
         labels=labels,
-        budget=[acc.pure_dp(2.0 * k * eps, f"eigenvector deflation ({scope})")],
+        budget=[acc.pure_dp(CALIBRATION["deflation_split"].sensitivity(k, D) * eps,
+                            f"eigenvector deflation ({scope})")],
         diagnostics=diag,
     )
 
@@ -319,7 +311,7 @@ def two_community_convex(
     B11 and B12 follow the n-scaled convention of the method's source: they
     are n times the within/between edge probabilities (so B11 - B12 = n(p-q)
     and the recentering (B11+B12)/n equals p+q). The Gaussian release is
-    eps^2 / (4 log(1/delta))-zCDP at the edge level.
+    calibrated by CALIBRATION["two_community"], at the edge level.
     """
     if not B11 > B12:
         raise AssumptionViolation("need B11 > B12")
@@ -337,16 +329,16 @@ def two_community_convex(
 
     # The projection does not depend on eps: one solve per graph.
     Xhat, iters, resid = memo(g, ("dykstra", B11, B12), project)
+    row = CALIBRATION["two_community"]
     if noise_off:
         noisy = Xhat
     else:
-        var = 96.0 * math.log(1.0 / delta) / (n * n * eps * eps * (B11 - B12))
-        N = math.sqrt(var) * rng.standard_normal((n, n))
+        N = row.noise(eps, delta, n, B11 - B12) * rng.standard_normal((n, n))
         N = np.triu(N) + np.triu(N, k=1).T
         noisy = Xhat + N
     _, top = sym_eigs(noisy, 1, by_abs=False)
     labels = LabelAssignment((top[:, 0] >= 0).astype(np.int64), 2)
-    rho = 0.0 if noise_off else eps * eps / (4.0 * math.log(1.0 / delta))
+    rho = 0.0 if noise_off else row.rho(eps, delta)
     return EstimatorOutput(
         labels=labels,
         budget=[acc.zcdp(rho, "Gaussian release of projected matrix (edge level)")],
@@ -376,9 +368,9 @@ def matrix_estimation(
     noise_off: bool = False,
 ) -> EstimatorOutput:
     """Noisy subspace iteration, L = ceil(12 ln n) steps on n x 2k blocks with
-    per-iteration Gaussian noise N(0, 4 k L log(1/delta)/eps^2), followed by a
-    rank-2k reconstruction, SVD, and k-means on the first k left singular
-    vectors. The iteration is eps^2/(4 log(1/delta))-zCDP at the edge level.
+    per-iteration Gaussian noise calibrated by CALIBRATION["power_method"] at
+    the edge level, followed by a rank-2k reconstruction, SVD, and k-means on
+    the first k left singular vectors.
 
     The stream gives, in order: the n x 2k start block, one n x 2k noise
     block per iteration (none when the noise scale is 0), then the k-means
@@ -405,8 +397,8 @@ def matrix_estimation(
     rngs = [as_generator(s) for s in seeds]
     L = max(1, math.ceil(12.0 * math.log(n)))
     p = min(2 * k, n)
-    sigmas = [0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / d)) / e
-              for e, d in zip(epss, deltas)]
+    row = CALIBRATION["power_method"]
+    sigmas = [0.0 if noise_off else row.noise(e, d, k, L) for e, d in zip(epss, deltas)]
     A = np.empty((len(graphs), n, n))
     X = np.empty((len(graphs), n, p))
     for Aj, Xj, gj, rng in zip(A, X, graphs, rngs):
@@ -436,7 +428,7 @@ def matrix_estimation(
     Uk = X_prev @ np.linalg.svd(R.transpose(0, 2, 1))[0][..., :k]
     outs = []
     for (labels, _, cost), e, d in zip(approx_kmeans(Uk, k, seed=rngs), epss, deltas):
-        rho = 0.0 if noise_off else e * e / (4.0 * math.log(1.0 / d))
+        rho = 0.0 if noise_off else row.rho(e, d)
         outs.append(EstimatorOutput(
             labels=labels,
             budget=[acc.zcdp(rho, "noisy power method (edge level)")],

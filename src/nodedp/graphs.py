@@ -226,10 +226,13 @@ def max_degree(g: Graph | WeightedGraph) -> int:
     return int(deg.max()) if deg.size else 0
 
 
-def is_symmetric(M: np.ndarray, atol: float) -> bool:
-    """M equals M.T exactly, or within np.allclose(M, M.T, atol=atol). The
-    exact test is the cheap one and decides the common case; NaN fails both."""
-    return np.array_equal(M, M.T) or np.allclose(M, M.T, atol=atol)
+def is_symmetric(M: np.ndarray) -> bool:
+    """M is finite and equals M.T exactly (the cheap test, and the common case)
+    or within np.allclose at atol 1e-10 max(1, max|M|): sym_eigs' and the samplers' check."""
+    if np.array_equal(M, M.T):
+        return bool(np.isfinite(M).all())
+    big = float(np.abs(M).max())
+    return bool(np.isfinite(big)) and np.allclose(M, M.T, atol=1e-10 * max(1.0, big))
 
 
 def memo(g: Graph | WeightedGraph, key, compute):

@@ -219,13 +219,13 @@ def _rejection_sample(score, Q, constant, concentration, rng, trial_cap, size):
 
 
 def _checked(M, name, concentration) -> np.ndarray:
-    """M as float64; ValueError for a concentration outside [0, inf) (NaN or
-    inf would accept no candidate) or an asymmetric M: the samplers' one check."""
+    """M as float64; ValueError for a concentration outside [0, inf) (NaN or inf
+    would accept no candidate) or an M is_symmetric rejects: the samplers' one check."""
     M = np.asarray(M, dtype=np.float64)
     if not 0.0 <= concentration < math.inf:
         raise ValueError("concentration must be finite and nonnegative")
-    if not is_symmetric(M, atol=1e-10):
-        raise ValueError(f"{name} must be symmetric")
+    if not is_symmetric(M):
+        raise ValueError(f"{name} must be finite and symmetric")
     return M
 
 

@@ -2,11 +2,9 @@
 bounded-degree bases.
 
 A direct run takes mechanism-level parameters. A bounded base reads (eps, delta)
-as a node-DP budget on graphs of max degree <= 2D and divides eps down to the
-mechanism's own parameter: a rewired node in that class touches at most 4D edge
-slots, so edge-level mechanisms run at eps/(4D) (5D for the chunked subspace
-method, matching its analysis), private PCA at eps/2, and the deflation
-pipeline splits its budget over 2k releases.
+as a node-DP budget on graphs of max degree <= 2D and converts eps to the
+mechanism's own parameter by the pipeline's split row of
+accounting.CALIBRATION.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .accounting import approx_dp, pure_dp
+from .accounting import CALIBRATION, approx_dp, pure_dp
 from .estimators import (
     BoundedDegreeEstimator,
     EstimatorOutput,
@@ -34,7 +32,7 @@ class Pipeline:
     """One pipeline's entry in `PIPELINES`."""
 
     guarantee: Callable  # (eps, delta) -> PrivacyBudget of one bounded-base run
-    divisor: Callable  # (k, D) -> node-level eps / mechanism eps
+    split: str  # the CALIBRATION row that turns a node-level eps into the mechanism's
     weighted: bool  # samples a WeightedGraph when the SBM has a weight model
     call: Callable  # (graph, p, kw) -> EstimatorOutput; p holds k, eps, delta and D
     options: tuple = ()  # keys of p passed on to the estimator as keywords, when present
@@ -59,18 +57,18 @@ def _pure(eps, delta):
 # Adapters look their pipeline up in this module's globals at call time, so a
 # function patched onto nodedp.registry is the one that runs.
 PIPELINES = {
-    "ef_spectral": Pipeline(_pure, lambda k, D: 4.0 * D, False, lambda g, p, kw: (
+    "ef_spectral": Pipeline(_pure, "edge_slots", False, lambda g, p, kw: (
         ef_spectral(g, p["k"], p["eps"], **kw))),
-    "pca_lipschitz": Pipeline(_pure, lambda k, D: 2.0, False, lambda g, p, kw: (
+    "pca_lipschitz": Pipeline(_pure, "pca_split", False, lambda g, p, kw: (
         private_pca_lipschitz(g, p["D"], p["eps"], **kw)), reads_D=True),
-    "eig_deflation": Pipeline(_pure, lambda k, D: 2.0 * k, False, lambda g, p, kw: (
+    "eig_deflation": Pipeline(_pure, "deflation_split", False, lambda g, p, kw: (
         eigvec_deflation_cluster(g, p["k"], p["D"], p["eps"], **kw)),
         options=("use_lipschitz",), reads_D=True),
-    "two_community": Pipeline(approx_dp, lambda k, D: 4.0 * D, False, lambda g, p, kw: (
+    "two_community": Pipeline(approx_dp, "edge_slots", False, lambda g, p, kw: (
         two_community_convex(g, *_n_scaled_pair(g, p), p["eps"], p["delta"], **kw))),
-    "matrix_estimation": Pipeline(approx_dp, lambda k, D: 4.0 * D, False, lambda g, p, kw: (
+    "matrix_estimation": Pipeline(approx_dp, "edge_slots", False, lambda g, p, kw: (
         matrix_estimation(g, p["k"], p["eps"], p["delta"], **kw)), batched=True),
-    "subspace_estimation": Pipeline(approx_dp, lambda k, D: 5.0 * D, True, lambda g, p, kw: (
+    "subspace_estimation": Pipeline(approx_dp, "subspace_chunks", True, lambda g, p, kw: (
         subspace_estimation(g, p["k"], p["eps"], p["delta"], **kw)),
         options=("zeta", "C1", "Cprime")),
 }
@@ -114,8 +112,8 @@ def make_bounded_base(estimator_id, k, D, params) -> BoundedDegreeEstimator:
     check_params(estimator_id, params)
 
     def run_batch(graphs, eps, delta, seeds, noise_off=False):
-        p = {**params, "k": k, "D": D, "eps": [e / entry.divisor(k, D) for e in eps],
-             "delta": list(delta)}
+        p = {**params, "k": k, "D": D, "delta": list(delta),
+             "eps": [CALIBRATION[entry.split].noise(e, k, D) for e in eps]}
         if entry.batched:
             return _call(entry, list(graphs), p, list(seeds), noise_off)
         return [_call(entry, g, dict(p, eps=e, delta=d), s, noise_off)

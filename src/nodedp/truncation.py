@@ -13,17 +13,17 @@ Its docstring states the LPs, why the last round's optimum is the full LP's,
 and why a certified first round is the optimum HiGHS would return.
 
 The extension score generalizes the PCA score Tr(V' A^2 V) + Tr(A^2 J) to
-unbounded-degree graphs; its sensitivity constant is
-extension_score_sensitivity.
+unbounded-degree graphs. The noise constants of L_hat and of the extension
+draws are rows of accounting.CALIBRATION.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .accounting import CALIBRATION
 from .graphs import Graph, WeightedGraph, adjacency_squared, max_degree, memo
 from .lp import FEAS_TOL, solve_lp
 from .mechanisms import laplace
@@ -53,48 +53,6 @@ class TruncationCertificate:
             raise ValueError("L_hat is clamped at 1/2")
         if self.d_T < 0:
             raise ValueError("d_T is nonnegative")
-
-
-def extension_score_sensitivity(D: float) -> float:
-    """Pointwise node sensitivity Delta(D) = 4 D^2 - D of the extension score:
-    the most |shat_A(v) - shat_A'(v)| can be for one unit vector v.
-
-    Proven for node-adjacent pairs where both graphs have max degree <= D:
-    there the score is ||A v||^2 + sum_i d_i^2. The quadratic part lies in
-    [0, D^2], so it moves by at most D^2; the two-walk part moves by at most
-    3 D^2 - D (the rewired node goes from degree 0 to D and each of its D new
-    neighbours from D - 1 to D). The often-quoted 3 D^2 is exceeded by
-    5-node examples.
-
-    This is not the quantity that bounds the exponential mechanism's privacy
-    loss on such pairs; see extension_score_concentration.
-
-    Not proven: pairs where either graph exceeds max degree D. There the
-    bound rests on the claim that the extension does not inflate the
-    sensitivity of the bounded-degree score; this module does not settle it.
-    """
-    D = float(D)
-    return 4.0 * D * D - D
-
-
-def extension_score_concentration(eps: float, D: float) -> float:
-    """Concentration c = eps / (6 D^2) of the exponential mechanisms that draw
-    a unit vector v with density proportional to exp(c * shat(v)).
-
-    On node-adjacent pairs where both graphs have max degree <= D, shat(v) is
-    v'A^2 v plus Tr(A^2 J), which does not depend on v and so cancels in the
-    mechanism's normalisation. The privacy loss of one draw is therefore at
-    most c times the spread over the sphere of v'(A^2 - A'^2)v, and that
-    spread is at most 2 D^2 because A^2 and A'^2 are PSD with top eigenvalue
-    <= D^2. At this c a draw costs at most eps / 3, within the eps the
-    pipelines charge for it. The pointwise change extension_score_sensitivity
-    (4 D^2 - D) is larger only through the v-independent term.
-
-    Not proven: pairs where either graph exceeds max degree D, where the
-    score is the LP extension and is not quadratic in v.
-    """
-    D = float(D)
-    return eps / (6.0 * D * D)
 
 
 def extension_is_quadratic(g: Graph, D: float) -> bool:
@@ -334,16 +292,14 @@ def private_sensitivity_bound(
     seed: SeedLike,
     noise_off: bool = False,
 ) -> float:
-    """Private high-probability bound on the local sensitivity of T_D:
-
-        L_hat = max{1/2, 5 + 2 d_T + Lap(8/eps1) + 8 log(1/delta1)/eps1}.
-    """
+    """Private high-probability bound on the local sensitivity of T_D,
+    L_hat = max{1/2, 5 + 2 d_T + noise + shift}, noise and shift as CALIBRATION["lhat"]."""
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
     if not (0.0 < delta1 < 1.0):
         raise ValueError("delta1 must lie in (0, 1)")
-    noise = 0.0 if noise_off else laplace(8.0 / eps1, seed)
-    return max(0.5, 5.0 + 2.0 * d_T + noise + 8.0 * math.log(1.0 / delta1) / eps1)
+    noise = 0.0 if noise_off else laplace(CALIBRATION["lhat"].noise(eps1), seed)
+    return max(0.5, 5.0 + 2.0 * d_T + noise + CALIBRATION["lhat"].shift(eps1, delta1))
 
 
 def truncate_with_certificate(

@@ -274,8 +274,9 @@ def lloyd_ref(points, centers, max_iter=100):
 
 
 def approx_kmeans_ref(points, k, rng, restarts=20, max_iter=100):
-    """Best of `restarts` seeded Lloyd runs, stopping at the first of cost 0.
-    Returns (labels, centers, cost); advances `rng` (a numpy Generator)."""
+    """Best of `restarts` seeded Lloyd runs, the first of least cost. Returns
+    (labels, centers, cost); advances `rng` (a numpy Generator) past every
+    restart's seeding."""
     points = np.asarray(points, dtype=np.float64)
     best = None
     for _ in range(restarts):
@@ -283,8 +284,6 @@ def approx_kmeans_ref(points, k, rng, restarts=20, max_iter=100):
         labels, centers, cost = lloyd_ref(points, centers, max_iter)
         if best is None or cost < best[2]:
             best = (labels, centers, cost)
-        if best[2] == 0.0:
-            break
     return best
 
 

@@ -21,7 +21,6 @@ from nodedp import (
     compose_zcdp,
     degree_truncate,
     edge_flip,
-    extension_score_sensitivity,
     graph_boost,
     group_dp,
     group_zcdp,
@@ -43,9 +42,11 @@ from nodedp import (
     zcdp,
     zcdp_to_dp,
 )
+from nodedp.accounting import CALIBRATION
 from nodedp.boosting import BoostConfig
 from nodedp.bounds import LowerBoundQuery
-from nodedp.estimators import BoundedDegreeEstimator, EstimatorOutput
+from nodedp.estimators import (_DYKSTRA_MAX_ITER, _DYKSTRA_TOL, BoundedDegreeEstimator,
+                               EstimatorOutput, _dykstra_psd_diag)
 from nodedp.registry import make_bounded_base, run_pipeline
 from nodedp.rng import as_generator, spawn
 
@@ -127,8 +128,8 @@ def test_criterion_2_sensitivity_suite():
     """Pointwise node sensitivity of the extension score on bounded-degree
     pairs. Node-adjacent pairs with max degree <= D in {2, 3} on n <= 7
     (sampled bases x exhaustive single-node rewirings), 50 shared unit
-    vectors: |shat_A(v) - shat_A'(v)| <= extension_score_sensitivity(D) =
-    4 D^2 - D with zero violations. A subsample is re-verified through the
+    vectors: |shat_A(v) - shat_A'(v)| <= CALIBRATION["extension"].pointwise(D)
+    = 4 D^2 - D with zero violations. A subsample is re-verified through the
     extension LP itself (no shortcut). Some pair must also exceed the
     often-quoted 3 D^2, which this family refutes, so the check tells the two
     constants apart.
@@ -136,7 +137,7 @@ def test_criterion_2_sensitivity_suite():
     This is not a privacy certificate for the exponential mechanism: the
     difference includes the v-independent term Tr(A^2 J), which cancels in
     the mechanism's normalisation. Its loss is governed by the spread of
-    v'(A^2 - A'^2)v, at most 2 D^2 (see extension_score_concentration)."""
+    v'(A^2 - A'^2)v, at most 2 D^2 (CALIBRATION["extension"].sensitivity)."""
     combos = [(5, 2), (6, 2), (7, 2), (6, 3), (7, 3)]
     violations = 0
     pairs_checked = 0
@@ -144,7 +145,7 @@ def test_criterion_2_sensitivity_suite():
     max_diff = {}
     exceeds_3D2 = 0
     for n, D in combos:
-        bound = extension_score_sensitivity(D)
+        bound = CALIBRATION["extension"].pointwise(D)
         rng = spawn(1002, n, D)
         vs = rng.standard_normal((50, n))
         vs /= np.linalg.norm(vs, axis=1, keepdims=True)
@@ -172,7 +173,8 @@ def test_criterion_2_sensitivity_suite():
                     violations += int(abs(a - bb) > bound + 1e-6)
     ok = violations == 0 and pairs_checked > 500 and exceeds_3D2 > 0
     maxima = ", ".join(
-        f"D={D}: max {m:.2f} vs bound {extension_score_sensitivity(D):g} (3D^2={3 * D * D})"
+        f"D={D}: max {m:.2f} vs bound {CALIBRATION['extension'].pointwise(D):g} "
+        f"(3D^2={3 * D * D})"
         for D, m in sorted(max_diff.items())
     )
     assert report(
@@ -488,3 +490,201 @@ def test_criterion_11_privacy_utility_trend():
     ok = good_pairs >= math.ceil(0.8 * (len(eps_grid) - 1))
     detail = "medians " + ", ".join(f"{m:.3f}" for m in medians)
     assert report("11 privacy-utility-trend", ok, detail)
+
+
+# ---------------------------------------------------------------------------
+# The noise-constant table (accounting.CALIBRATION), audited row by row.
+
+
+def _bounded_pairs(n, D, path, bases=2):
+    """Node-adjacent (A, A') pairs, both of max degree <= D: `bases` random
+    graphs of max degree <= D, each with every rewiring that stays there."""
+    out = []
+    for b in range(bases):
+        base = random_bounded_graph(n, D, spawn(*path, b))
+        out += [(base.as_float(), g2.as_float()) for g2 in rewirings(base, D=D)]
+    return out
+
+
+def _gnp(n, p, rng):
+    adj = np.triu((rng.random((n, n)) < p).astype(np.uint8), 1)
+    return Graph(n, adj | adj.T)
+
+
+def _node_pairs(n, p, path, bases=2):
+    """Node-adjacent pairs of any degree: every rewiring of G(n, p) graphs."""
+    out = []
+    for b in range(bases):
+        base = _gnp(n, p, spawn(*path, b))
+        out += [(base, g2) for g2 in rewirings(base)]
+    return out
+
+
+def _edge_pairs(n, p, path, bases=2):
+    """Edge-adjacent (A, A') pairs: every single-edge toggle of G(n, p) graphs."""
+    out = []
+    for b in range(bases):
+        A = _gnp(n, p, spawn(*path, b)).as_float()
+        for i, j in itertools.combinations(range(n), 2):
+            A2 = A.copy()
+            A2[i, j] = A2[j, i] = 1.0 - A[i, j]
+            out.append((A, A2))
+    return out
+
+
+def _spectrum(A, B):
+    """Ascending eigenvalues of A^2 - B^2."""
+    return np.linalg.eigvalsh(A @ A - B @ B)
+
+
+def _unit_vectors(n, path, count=30):
+    v = spawn(*path).standard_normal((count, n))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _rayleigh_change(A, B, D, vs):
+    """Largest change of the clamped quotient clamp(v'A^2v - s) over the unit
+    vectors vs and the deflation shifts s in {0, D^2}."""
+    D2 = float(D) * D
+    qa, qb = (np.einsum("ij,jk,ik->i", vs, M @ M, vs) for M in (A, B))
+    return max(float(np.max(np.abs(np.clip(qa - s, -D2, D2) - np.clip(qb - s, -D2, D2))))
+               for s in (0.0, D2))
+
+
+def _audit_edge_slots(row):
+    return [(np.abs(A - B).sum() / 2.0, row.sensitivity(2, D))
+            for D in (1, 2) for A, B in _bounded_pairs(8, 2 * D, (1012, 0, D))]
+
+
+def _audit_subspace_chunks(row):
+    # Each changed row lies in one chunk.
+    return [(float((A != B).any(axis=1).sum()), row.sensitivity(2, D))
+            for D in (1, 2) for A, B in _bounded_pairs(8, 2 * D, (1012, 0, D))]
+
+
+def _audit_pca_split(row):
+    # Privacy loss in units of eps: the mean degree's Laplace draw plus one
+    # extension draw, at their CALIBRATION scales.
+    out = []
+    for D in (2, 3):
+        conc = CALIBRATION["extension"].noise(1.0, D)
+        for A, B in _bounded_pairs(7, D, (1012, 1, D)):
+            w = _spectrum(A, B)
+            loss = (abs(A.sum() - B.sum()) / len(A) / CALIBRATION["mean_degree"].noise(1.0)
+                    + conc * (w[-1] - w[0]))
+            out.append((loss, row.sensitivity(2, D)))
+    return out
+
+
+def _audit_deflation_split(row):
+    # k extension draws and k Rayleigh quotients, each at its CALIBRATION scale.
+    out, k = [], 2
+    for D in (2, 3):
+        conc = CALIBRATION["extension"].noise(1.0, D)
+        scale = CALIBRATION["rayleigh"].noise(1.0, D)
+        vs = _unit_vectors(7, (1012, 2, D))
+        for A, B in _bounded_pairs(7, D, (1012, 1, D)):
+            w = _spectrum(A, B)
+            loss = k * (conc * (w[-1] - w[0]) + _rayleigh_change(A, B, D, vs) / scale)
+            out.append((loss, row.sensitivity(k, D)))
+    return out
+
+
+def _audit_mean_degree(row):
+    return [(abs(float(g.adj.sum()) - float(g2.adj.sum())) / g.n, row.sensitivity())
+            for g, g2 in _node_pairs(7, 0.5, (1012, 3))]
+
+
+def _audit_rayleigh(row):
+    vs = _unit_vectors(7, (1012, 4))
+    return [(_rayleigh_change(g.as_float(), g2.as_float(), D, vs), row.sensitivity(D))
+            for D in (1, 2) for g, g2 in _node_pairs(7, 0.5, (1012, 3))]
+
+
+def _audit_lhat(row):
+    out = []
+    for D in (1, 2):
+        for g, g2 in _node_pairs(6, 0.5, (1012, 5, D)):
+            change = 2.0 * abs(degree_truncate(g, D)[1] - degree_truncate(g2, D)[1])
+            out.append((change, row.sensitivity()))
+    return out
+
+
+def _audit_extension(row):
+    # The spread of v'(A^2 - A'^2)v over the sphere, and the pointwise change
+    # of the score, max over unit v of |v'(A^2 - A'^2)v + sum(A^2 - A'^2)|:
+    # both exact, from the extreme eigenvalues.
+    out = []
+    for n, D in ((7, 2), (8, 2), (7, 3), (8, 3)):
+        for A, B in _bounded_pairs(n, D, (1012, 6, n, D)):
+            w = _spectrum(A, B)
+            c = float((A @ A).sum() - (B @ B).sum())
+            out += [(w[-1] - w[0], row.sensitivity(D)),
+                    (max(abs(w[-1] + c), abs(w[0] + c)), row.pointwise(D))]
+    return out
+
+
+def _audit_two_community(row):
+    # The Dykstra projection of 2 (A - (B11 + B12) / n) / (n gap), in the
+    # n-scaled convention, solved as the pipeline solves it.
+    out = []
+    for n, (B11, B12) in ((6, (4.0, 1.0)), (7, (1.4, 0.7))):
+        gap = B11 - B12
+        # The declared rho covers Delta^2 / (2 sigma^2), as it does at every gap >= 1/6.
+        assert row.sensitivity(n, gap) ** 2 / (2.0 * row.noise(1.0, 1e-6, n, gap) ** 2) \
+            <= row.rho(1.0, 1e-6)
+
+        def project(A):
+            Y = (2.0 / (n * gap)) * (A - (B11 + B12) / n)
+            return _dykstra_psd_diag(Y, 1.0 / n, _DYKSTRA_TOL, _DYKSTRA_MAX_ITER)[0]
+
+        for A, B in _edge_pairs(n, 0.5, (1012, 7, n)):
+            out.append((float(np.linalg.norm(project(A) - project(B))), row.sensitivity(n, gap)))
+    return out
+
+
+def _audit_power_method(row):
+    # ||(A - A')X||_F over orthonormal n x 2k blocks X, k = 2.
+    out = []
+    for n in (6, 8):
+        k, L = 2, math.ceil(12.0 * math.log(n))
+        # The declared rho covers L steps of Delta^2 / (2 sigma^2).
+        assert L * row.sensitivity() ** 2 / (2.0 * row.noise(1.0, 1e-6, k, L) ** 2) \
+            <= row.rho(1.0, 1e-6)
+        Xs = np.linalg.qr(spawn(1012, 8, n).standard_normal((10, n, 2 * k)))[0]
+        out += [(float(np.linalg.norm((A - B) @ X)), row.sensitivity())
+                for A, B in _edge_pairs(n, 0.5, (1012, 9, n)) for X in Xs]
+    return out
+
+
+_AUDITS = {
+    "edge_slots": _audit_edge_slots,
+    "subspace_chunks": _audit_subspace_chunks,
+    "pca_split": _audit_pca_split,
+    "deflation_split": _audit_deflation_split,
+    "mean_degree": _audit_mean_degree,
+    "rayleigh": _audit_rayleigh,
+    "lhat": _audit_lhat,
+    "extension": _audit_extension,
+    "two_community": _audit_two_community,
+    "power_method": _audit_power_method,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATION))
+def test_criterion_12_calibration_table(name):
+    """Every row of accounting.CALIBRATION against enumeration at n <= 8:
+    node-adjacent pairs from `rewirings` (of bounded-degree or G(n, p) bases,
+    as the row's input class says), edge-adjacent pairs from single-edge
+    toggles. No measured change may exceed the row's stated sensitivity;
+    split rows are measured as the privacy loss, in units of eps, of the
+    draws they cover."""
+    row = CALIBRATION[name]
+    pairs = _AUDITS[name](row)
+    violations = sum(m > s + 1e-6 for m, s in pairs)
+    worst = max(m / s for m, s in pairs)
+    assert report(
+        f"12 calibration[{name}]", violations == 0 and len(pairs) >= 50,
+        f"{len(pairs)} checks, {violations} violations, largest measured/stated "
+        f"{worst:.3f}; {row.norm}, {row.inputs}",
+    )

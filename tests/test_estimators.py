@@ -27,7 +27,7 @@ from nodedp import (
     subspace_estimation,
     two_community_convex,
 )
-from nodedp.accounting import approx_dp, pure_dp
+from nodedp.accounting import CALIBRATION, approx_dp, pure_dp
 from nodedp.clustering import approx_kmeans, sym_eigs
 from nodedp.estimators import AssumptionViolation, BoundedDegreeEstimator, _dykstra_psd_diag
 from nodedp.registry import PIPELINES, make_bounded_base, run_pipeline
@@ -405,7 +405,7 @@ def _matrix_estimation_reference(g, k, eps, delta, seed, noise_off=False, restar
     rng = spawn(*seed)
     n, A = g.n, g.as_float()
     L, p = max(1, math.ceil(12.0 * math.log(n))), min(2 * k, n)
-    sigma = 0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / delta)) / eps
+    sigma = 0.0 if noise_off else CALIBRATION["power_method"].noise(eps, delta, k, L)
     X, _ = np.linalg.qr(rng.standard_normal((n, p)))
     for _ in range(L):
         G = sigma * rng.standard_normal((n, p)) if sigma > 0 else 0.0
@@ -455,7 +455,7 @@ def _matrix_estimation_lone_loop(g, k, eps, delta, rng, noise_off=False):
     """One run of the noisy power method as a 2-D loop: (labels, k-means cost)."""
     n, A = g.n, g.as_float()
     L, p = max(1, math.ceil(12.0 * math.log(n))), min(2 * k, n)
-    sigma = 0.0 if noise_off else math.sqrt(4.0 * k * L * math.log(1.0 / delta)) / eps
+    sigma = 0.0 if noise_off else CALIBRATION["power_method"].noise(eps, delta, k, L)
     X, _ = np.linalg.qr(rng.standard_normal((n, p)))
     for _ in range(L):
         G = sigma * rng.standard_normal((n, p)) if sigma > 0 else 0.0

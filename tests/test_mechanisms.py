@@ -803,27 +803,37 @@ def test_zero_concentration_needs_no_spectrum(monkeypatch, eigvalsh_calls):
 # Symmetry checks: an exact test first, then today's tolerance.
 
 @pytest.mark.parametrize("caller", ["sample_sphere_exp", "sample_lipschitz_exp", "sym_eigs"])
-@pytest.mark.parametrize("case", ["exact", "within", "beyond", "nan"])
+@pytest.mark.parametrize("case", ["exact", "within", "beyond", "nan", "inf", "inf_pair"])
 def test_symmetry_check_verdicts(caller, case):
+    # A matrix must be finite and symmetric within 1e-10 max(1, max|M|). An
+    # infinite entry, even a symmetric pair, raises before anything is drawn;
+    # unchecked, sym_eigs returned NaN eigenvalues and the samplers ran to
+    # their trial cap.
     M = np.array([[1.0, 0.4, 0.0, 0.2], [0.4, -0.5, 0.3, 0.0],
                   [0.0, 0.3, 0.8, -0.6], [0.2, 0.0, -0.6, 0.1]])
     if case == "within":
-        M[0, 1] += 1e-12  # inside atol = 1e-10 (sym_eigs: 1e-10 max(1, max|M|))
+        M[0, 1] += 1e-12  # inside atol = 1e-10 max(1, max|M|)
     elif case == "beyond":
         M[0, 1] += 1e-3
     elif case == "nan":
         M[0, 2] = M[2, 0] = math.nan
+    elif case == "inf":
+        M[0, 0] = math.inf
+    elif case == "inf_pair":
+        M[0, 1] = M[1, 0] = math.inf
+    rng = spawn(109, 0)
     run = {
-        "sample_sphere_exp": lambda: sample_sphere_exp(M, 2.0, 0),
+        "sample_sphere_exp": lambda: sample_sphere_exp(M, 2.0, rng),
         "sample_lipschitz_exp": lambda: sample_lipschitz_exp(lambda v: float(v @ M @ v),
-                                                             M, 2.0, 0),
+                                                             M, 2.0, rng),
         "sym_eigs": lambda: sym_eigs(M, 2),
     }[caller]
     if case in ("exact", "within"):
         run()
     else:
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError, match="finite and symmetric"):
             run()
+        assert rng.random() == spawn(109, 0).random()
 
 
 def test_one_symmetry_check_per_sampler_call(monkeypatch):
@@ -832,9 +842,9 @@ def test_one_symmetry_check_per_sampler_call(monkeypatch):
     checks = []
     real = nodedp.mechanisms.is_symmetric
 
-    def spy(M, atol):
+    def spy(M):
         checks.append(M.shape)
-        return real(M, atol)
+        return real(M)
 
     monkeypatch.setattr(nodedp.mechanisms, "is_symmetric", spy)
     monkeypatch.setattr(nodedp.clustering, "is_symmetric", spy)

@@ -10,13 +10,13 @@ from nodedp import (
     SbmParams,
     WeightedGraph,
     degree_truncate,
-    extension_score_sensitivity,
     lipschitz_extension_score,
     max_degree,
     private_sensitivity_bound,
     sample_sbm,
     weighted_degree_truncate,
 )
+from nodedp.accounting import CALIBRATION
 from nodedp.rng import spawn
 from nodedp.truncation import extension_is_quadratic
 
@@ -148,7 +148,7 @@ def test_extension_sensitivity_small_exhaustive():
         for v in vs:
             a = lipschitz_extension_score(base, v, D, force_lp=True)
             b = lipschitz_extension_score(g2, v, D, force_lp=True)
-            assert abs(a - b) <= extension_score_sensitivity(D) + 1e-6
+            assert abs(a - b) <= CALIBRATION["extension"].pointwise(D) + 1e-6
 
 
 def test_extension_lp_rows_follow_the_docstring(monkeypatch):
