@@ -119,37 +119,62 @@ def _kmeans_pp_seed(sets, k, rngs, restarts):
     ``Generator.choice(n, p=d2 / total)`` consumes once its checks pass,
     mapped to a row by the same cumsum, normalisation and right-side search;
     or, once the mass runs out (total <= 0), integers(n, size=k - c) for the
-    rest. Where one restart's draws stop, and so where the next restart's
+    rest. Where a restart runs out, and so where the next restart's draws
     start, depends on its own draws (distinct rows whose squared distance
-    underflows to 0 need not cover each other), so the restarts of a set go
-    one after another; the sets go together. Distances add the dimensions in
-    order, as _assign does, so for d <= 7 every bit equals
-    ``np.sum((points - c) ** 2, axis=1)``; at d >= 8 numpy adds pairwise
-    instead, so the seeding probabilities may differ from that form's in the
-    last bits.
+    underflows to 0 need not cover each other). So the seedings go in passes.
+    In a pass each set draws, restart after restart, integers(n) and k - 1
+    uniforms for every restart it has left, as if none ran out, and every
+    such restart of every set is seeded at once. If restart r of a set runs
+    out at center c, that set's restarts before r stand, its stream goes back
+    to where the pass began and draws again up to r's c-th center, then
+    integers(n, size=k - c) for r's rest, and its restarts after r wait for
+    the next pass. Distances add the dimensions in order, as _assign does, so
+    for d <= 7 every bit equals ``np.sum((points - c) ** 2, axis=1)``; at
+    d >= 8 numpy adds pairwise instead, so the seeding probabilities may
+    differ from that form's in the last bits.
     """
     S, n, d = sets.shape
-    pT = np.ascontiguousarray(sets.transpose(0, 2, 1))
-    centers = np.empty((S, restarts, k, d))
-    for r in range(restarts):
-        live = np.arange(S)
-        centers[:, r, 0] = sets[live, [rng.integers(n) for rng in rngs]]
-        d2 = _sq_dist(pT, centers[:, r, 0])
+    pT = np.ascontiguousarray(sets.transpose(0, 2, 1))[:, None]  # (S, 1, d, n)
+    rows = np.arange(S)[:, None]
+    centers, seeded = np.empty((S, restarts, k, d)), np.empty((S, restarts, k, d))
+    first, u = np.empty((S, restarts), dtype=np.intp), np.empty((S, restarts, k - 1))
+    start = [0] * S  # each set's first restart not yet seeded
+    while pending := [s for s in range(S) if start[s] < restarts]:
+        began = {}
+        for s in pending:
+            began[s] = rngs[s].bit_generator.state
+            for r in range(start[s], restarts):
+                first[s, r], u[s, r] = rngs[s].integers(n), rngs[s].random(k - 1)
+        ran_out = np.full((S, restarts), k)  # the center at which the mass ran out
+        overflow = np.zeros((S, restarts), dtype=bool)
+        seeded[:, :, 0] = sets[rows, first]
+        d2 = _sq_dist(pT, seeded[:, :, 0])  # (S, R, n)
         for c in range(1, k):
-            total = d2.sum(axis=1)
-            if np.isinf(total).any():  # where choice(p=d2 / total) raised
-                raise ValueError("squared distances overflow")
-            spent = total <= 0
-            if spent.any():
-                for s in live[spent]:
-                    centers[s, r, c:] = sets[s, rngs[s].integers(n, size=k - c)]
-                live, d2, total = live[~spent], d2[~spent], total[~spent]
-            cdf = (d2 / total[:, None]).cumsum(axis=1)
-            cdf /= cdf[:, -1:]
-            u = np.array([rngs[s].random() for s in live])
-            centers[live, r, c] = sets[live, (cdf <= u[:, None]).sum(axis=1)]
+            total = d2.sum(axis=2)
+            new = (ran_out == k) & ~((total > 0) & (total < np.inf))
+            ran_out[new], overflow[new] = c, np.isinf(total[new])
+            with np.errstate(divide="ignore", invalid="ignore"):  # only where it ran out
+                cdf = (d2 / total[..., None]).cumsum(axis=2)
+                cdf /= cdf[..., -1:]
+            seeded[:, :, c] = sets[rows, (cdf <= u[:, :, c - 1, None]).sum(axis=2)]
             if c + 1 < k:
-                np.minimum(d2, _sq_dist(pT[live], centers[live, r, c]), out=d2)
+                np.minimum(d2, _sq_dist(pT, seeded[:, :, c]), out=d2)
+        for s in pending:
+            r0 = start[s]
+            out = r0 + np.flatnonzero(ran_out[s, r0:] < k)
+            r = out[0] if out.size else restarts
+            centers[s, r0:r + 1] = seeded[s, r0:r + 1]
+            start[s] = r + 1
+            if r == restarts:
+                continue
+            if overflow[s, r]:  # where choice(p=d2 / total) raised
+                raise ValueError("squared distances overflow")
+            c, rng = ran_out[s, r], rngs[s]
+            rng.bit_generator.state = began[s]
+            for _ in range(r0, r):
+                rng.integers(n), rng.random(k - 1)
+            rng.integers(n), rng.random(c - 1)
+            centers[s, r, c:] = sets[s, rng.integers(n, size=k - c)]
     return centers
 
 

@@ -335,6 +335,49 @@ def test_kmeans_pp_seeding_matches_reference_bit_for_bit():
         assert _same_bits(got_rng.random(), ref_rng.random())
 
 
+class _CountingRanOut:
+    """A Generator for kmeans_pp_init_ref that counts the seedings that ran
+    out of mass (the draws of integers with a size)."""
+
+    def __init__(self, rng):
+        self.rng, self.ran_out = rng, 0
+
+    def integers(self, n, size=None):
+        self.ran_out += size is not None
+        return self.rng.integers(n, size=size)
+
+    def choice(self, n, p):
+        return self.rng.choice(n, p=p)
+
+
+def test_kmeans_pp_seeding_rewinds_where_a_restart_runs_out_of_mass():
+    # The default 20 restarts of two sets seeded together: rows on a grid of
+    # step 1e-162, where some restarts run out of mass and others do not,
+    # and rows drawn from at most k distinct points, where every restart
+    # does. A restart that runs out before the last of its set draws fewer
+    # uniforms than the seeding drew for it at first, so its set's stream
+    # has to go back; the later restarts' centers and the next draw show
+    # whether it did.
+    restarts, ran_out_early = 20, 0
+    for case in range(24):
+        rng = spawn(172, case)
+        d, k = 1 + case % 4, int(rng.integers(2, 6))
+        n = int(rng.integers(2 * k, 100))
+        distinct = rng.integers(0, 3, size=(int(rng.integers(1, k + 1)), d)).astype(float)
+        sets = np.stack([rng.integers(0, 6, size=(n, d)) * 1e-162,
+                         distinct[rng.integers(0, len(distinct), size=n)]])
+        got_rngs = [spawn(172, case, s) for s in range(2)]
+        got = _kmeans_pp_seed(sets, k, got_rngs, restarts)
+        for s, points in enumerate(sets):
+            ref_rng = _CountingRanOut(spawn(172, case, s))
+            for r in range(restarts):
+                before = ref_rng.ran_out
+                assert _same_bits(got[s, r], kmeans_pp_init_ref(points, k, ref_rng))
+                ran_out_early += r < restarts - 1 and ref_rng.ran_out > before
+            assert _same_bits(got_rngs[s].random(), ref_rng.rng.random())
+    assert ran_out_early > 0
+
+
 def test_lloyd_restarts_match_reference_at_max_iter_and_empty_clusters():
     # Two point sets in one batch, each re-seeding from its own rows.
     rng = spawn(179, 0)
