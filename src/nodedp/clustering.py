@@ -25,25 +25,39 @@ def _lanczos(M, k, by_abs):
     smaller than the whole space certifies them.
 
     Block Lanczos (Golub & Van Loan, Matrix Computations, 4th ed., ch. 10) from
-    k random vectors, so an eigenvalue repeated among the top k shows all its
-    copies. Each step multiplies the newest k basis vectors by M and
-    orthogonalises the products against the basis by classical Gram-Schmidt,
-    twice; the coefficients fill H = Q M Q^T, and what is left, orthonormal, is
-    the next block. The wanted Ritz pairs (theta, Q^T s) of H are accepted once
-    each residual |what is left @ s| <= 1e-10 max |theta|, checked at 2k + 6
-    vectors, then where the residual's fall since the last check, extrapolated,
-    meets that bound (3 to m/2 further; else a quarter further). A breakdown (a
-    vector left below 1e-12 of its |M q|) draws a fresh random vector
-    orthogonal to the basis, with no check. Random vectors come from
-    np.random.default_rng(0): two calls agree.
+    b random vectors, so an eigenvalue repeated up to b times among the top k
+    shows all its copies. By lambda it runs on A = M with b = k. By |lambda|
+    it runs on A = M^2 with b = max(k, 2): lambda and -lambda both go to
+    lambda^2 at the top of A's spectrum, so the wanted pairs stand apart in
+    about half the steps, and H stays half the size. In exact arithmetic a
+    Krylov space of M^2 holds one direction of the plane of a pair +-lambda
+    per start vector, so b >= 2 lets it hold both eigenvectors (with b = 1
+    only rounding would seed the second, once the first has converged).
+
+    Each step multiplies the newest b basis vectors by A and orthogonalises
+    the products against the basis by classical Gram-Schmidt, twice; what is
+    left, orthonormal, is the next block. H = Q M Q^T comes from the
+    Gram-Schmidt coefficients on A = M, and from the products M q that
+    A = M^2 passes through. The wanted Ritz pairs (theta, y = Q^T s) of H are
+    accepted once each residual |M y - theta y| <= 1e-10 max |theta| (on
+    A = M read off what is left, |what is left @ s|), checked at 2b + 6
+    vectors, then where the residual's fall since the last check,
+    extrapolated, meets that bound (3 to m/2 further; else a quarter
+    further). A breakdown (a vector left below 1e-12 of its |A q|) draws a
+    fresh random vector orthogonal to the basis, with no check. Random
+    vectors come from np.random.default_rng(0): two calls agree.
     """
     n, rng = M.shape[0], np.random.default_rng(0)
+    b = max(k, 2) if by_abs else k
+    if b >= n:
+        return None
     Q, H = np.empty((n, n)), np.empty((n, n))  # basis vectors as rows; upper triangle of Q M Q^T
-    W, scale = rng.standard_normal((n, k)), np.zeros(k)  # the next block, not yet orthonormal
-    check, last = min(2 * k + 6, n - k), None
-    for m in range(0, n - k + 1, k):  # W becomes Q[m:m + k]
+    MQ = np.empty((n, n)) if by_abs else None  # M q for each basis vector q, as columns
+    W, scale = rng.standard_normal((n, b)), np.zeros(b)  # the next block, not yet orthonormal
+    check, last = min(2 * b + 6, n - b), None
+    for m in range(0, n - b + 1, b):  # W becomes Q[m:m + b]
         broke = False
-        for i in range(k):
+        for i in range(b):
             w, C = W[:, i].copy(), Q[m:m + i]  # W is already orthogonal to Q[:m]
             for _ in range(2 if i else 0):
                 w -= (C @ w) @ C
@@ -55,20 +69,29 @@ def _lanczos(M, k, by_abs):
         if m >= check and not broke:
             theta, S = np.linalg.eigh(H[:m, :m], UPLO="U")
             sel = _top(theta, k, by_abs)
-            res, tol = np.linalg.norm(W @ S[m - k:, sel], axis=0).max(), 1e-10 * np.abs(theta).max()
+            if by_abs:
+                R = MQ[:, :m] @ S[:, sel] - (Q[:m].T @ S[:, sel]) * theta[sel]
+            else:
+                R = W @ S[m - k:, sel]
+            res, tol = np.linalg.norm(R, axis=0).max(), 1e-10 * np.abs(theta).max()
             if res <= tol:
                 return theta[sel], Q[:m].T @ S[:, sel]
             step = max(3, m // 4)
             if last and 0 < tol < res < last[1]:
                 step = min(max(3, int((m - last[0]) * math.log(tol / res) / math.log(res / last[1]))), m // 2)
             last, check = (m, res), m + step
-        B, W = Q[:m + k], M @ Q[m:m + k].T
+        B, W = Q[:m + b], M @ Q[m:m + b].T
+        if by_abs:
+            MQ[:, m:m + b] = W
+            H[:m + b, m:m + b] = B @ W
+            W = M @ W
         scale = np.einsum("ij,ij->j", W, W)
         c = B @ W
         W -= B.T @ c
         d = B @ W
         W -= B.T @ d
-        H[:m + k, m:m + k] = c + d
+        if not by_abs:
+            H[:m + b, m:m + b] = c + d
     return None
 
 

@@ -145,6 +145,44 @@ def test_sym_eigs_certifies_every_wanted_pair():
         _assert_matches_eigh(M, 2, by_abs)
 
 
+def test_sym_eigs_by_abs_certifies_plus_minus_pairs_and_a_negative_top():
+    # By |lambda|, Lanczos runs on M^2, where lambda and -lambda are one
+    # eigenvalue; in exact arithmetic a Krylov space of M^2 holds one
+    # direction of their plane per start vector. Each case must be certified
+    # by _lanczos itself, without the dense branch:
+    # - a bipartite graph, every eigenvalue in a +-pair, at k = 1 and k = 2.
+    #   Rounding breaks the tie of lambda_max and -lambda_min, in the
+    #   reference as here, so k = 1 compares |lambda| and k = 2 the pair in
+    #   sorted order;
+    # - a largest |lambda| that is negative: -10 beside 9.99, and a negated
+    #   SBM adjacency matrix.
+    rng = spawn(217, 0)
+    cross = (rng.random((70, 50)) < 0.2).astype(float)
+    bipartite = np.block([[np.zeros((70, 70)), cross], [cross.T, np.zeros((50, 50))]])
+    n = 120
+    Q = np.linalg.qr(spawn(217, 1).standard_normal((n, n)))[0]
+    near = (Q * np.concatenate(([-10.0, 9.99, -5.0], np.linspace(-4.0, 4.0, n - 3)))) @ Q.T
+    near = (near + near.T) / 2.0
+    sbm = sample_sbm(SbmParams(n=n, k=2, B=np.array([[0.4, 0.1], [0.1, 0.4]])),
+                     spawn(217, 2)).as_float()
+    for M, k, tied in ((bipartite, 1, True), (bipartite, 2, True), (near, 1, False),
+                       (near, 2, False), (-sbm, 1, False), (-sbm, 2, False)):
+        ref_vals, _ = sym_eigs_ref(M, k)
+        lanczos = _lanczos(M, k, by_abs=True)
+        assert lanczos is not None
+        got = sym_eigs(M, k, by_abs=True)
+        assert all(_same_bits(a, b) for a, b in zip(got, lanczos))
+        vals, vecs = got
+        if tied:
+            vals, ref_vals = (np.abs(vals), np.abs(ref_vals)) if k == 1 else (np.sort(vals),
+                                                                             np.sort(ref_vals))
+        else:
+            assert ref_vals[0] < 0
+        assert np.all(np.abs(vals - ref_vals) <= 1e-10 * np.abs(ref_vals))
+        residual = np.linalg.norm(M @ got[1] - got[1] * got[0], axis=0)
+        assert residual.max() <= 1e-10 * np.abs(got[0]).max()
+
+
 def test_sym_eigs_zero_matrix_takes_the_dense_branch():
     # Every Lanczos step breaks down (each vector maps to zero), so no Krylov
     # space short of the whole space is checked, and Lanczos certifies nothing.
