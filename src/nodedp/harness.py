@@ -228,16 +228,19 @@ class _OneBlasThread:
     concurrent and nested sweeps are safe. Loaded libraries are found in
     /proc/self/maps; scipy's, which the sampler's lazy scipy.linalg import
     would load inside a sweep, is loaded on entry from scipy.libs (found
-    without importing scipy). Without OpenBLAS (or Linux) it does nothing.
+    without importing scipy). The libraries are looked up once per process,
+    on the first entry; the counts are read and set on every first entry.
+    Without OpenBLAS (or Linux) it does nothing.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
+        self._controls = None  # [(get_num_threads, set_num_threads)]
         self._saved = []  # [(set_num_threads, count before entry)]
 
     @staticmethod
-    def _controls():
+    def _find_controls():
         spec = importlib.util.find_spec("scipy")
         libs = Path(spec.origin).parent.parent / "scipy.libs" if spec else None
         paths = {str(p.resolve()) for p in libs.glob("*openblas*.so*")} if libs else set()
@@ -267,7 +270,9 @@ class _OneBlasThread:
     def __enter__(self):
         with self._lock:
             if self._depth == 0:
-                self._saved = [(set_, get()) for get, set_ in self._controls()]
+                if self._controls is None:
+                    self._controls = self._find_controls()
+                self._saved = [(set_, get()) for get, set_ in self._controls]
                 for set_, _ in self._saved:
                     set_(1)
             self._depth += 1
@@ -343,8 +348,8 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
         }
         for name in ("loss_overall", "loss_worst_case"):
             vals = [getattr(r, name) for r in ok]
-            for stat, q in (("median", 0.5), ("q10", 0.1), ("q90", 0.9)):
-                row[f"{name}_{stat}"] = float(np.quantile(vals, q)) if vals else None
+            qs = np.quantile(vals, (0.5, 0.1, 0.9)).tolist() if vals else [None] * 3
+            row.update(zip((f"{name}_median", f"{name}_q10", f"{name}_q90"), qs))
         out.append(row)
     return out
 

@@ -173,11 +173,9 @@ def degree_truncate(g: Graph, D: int) -> tuple[Graph, float]:
     # Only edges at a high node enter a row; rows 0..h-1 are the high nodes'.
     at_high = high[iu] | high[ju]
     ends = np.column_stack([iu[at_high], ju[at_high]])
-    h = int(high.sum())
-    edge, side = np.nonzero(high[ends])  # one (edge, end) per row entry
-    row = (np.cumsum(high) - 1)[ends[edge, side]]
     cut = np.zeros(len(ends), dtype=bool)
     x = _certified_round_one(g, D, high)  # None: HiGHS solves round one
+    edge = None  # built where HiGHS first runs
     while True:
         if x is not None:
             over = ~cut & (x[ends].sum(axis=1) > 1.0 + _THRESH_TOL)
@@ -185,6 +183,10 @@ def degree_truncate(g: Graph, D: int) -> tuple[Graph, float]:
                 break
             cut |= over
         from scipy import sparse  # with HiGHS, only where an LP is solved
+        if edge is None:
+            h = int(high.sum())
+            edge, side = np.nonzero(high[ends])  # one (edge, end) per row entry
+            row = (np.cumsum(high) - 1)[ends[edge, side]]
         uncut = ~cut[edge]  # per row entry
         cut_ends = ends[cut]
         k = cut_ends.shape[0]
