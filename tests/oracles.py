@@ -233,8 +233,9 @@ def sym_eigs_ref(M, k, by_abs=True):
 
 
 # ---------------------------------------------------------------------------
-# k-means reference: one restart at a time, each a Python loop of Lloyd steps
-# (the library's code before its restarts ran as one batch).
+# k-means reference: one restart at a time, a k-means++ seeding by
+# Generator.choice (weights 1/n once the squared-distance mass runs out) and a
+# Python loop of Lloyd steps.
 
 def kmeans_pp_init_ref(points, k, rng):
     n = points.shape[0]
@@ -243,10 +244,8 @@ def kmeans_pp_init_ref(points, k, rng):
     d2 = np.sum((points - centers[0]) ** 2, axis=1)
     for c in range(1, k):
         total = d2.sum()
-        if total <= 0:
-            centers[c:] = points[rng.integers(n, size=k - c)]
-            break
-        centers[c] = points[rng.choice(n, p=d2 / total)]
+        p = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centers[c] = points[rng.choice(n, p=p)]
         d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
     return centers
 

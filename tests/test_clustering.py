@@ -374,28 +374,27 @@ def test_kmeans_pp_seeding_matches_reference_bit_for_bit():
 
 
 class _CountingRanOut:
-    """A Generator for kmeans_pp_init_ref that counts the seedings that ran
-    out of mass (the draws of integers with a size)."""
+    """A Generator for kmeans_pp_init_ref that counts the centers drawn after
+    the mass ran out (the choice calls with uniform weights)."""
 
     def __init__(self, rng):
         self.rng, self.ran_out = rng, 0
 
-    def integers(self, n, size=None):
-        self.ran_out += size is not None
-        return self.rng.integers(n, size=size)
+    def integers(self, n):
+        return self.rng.integers(n)
 
     def choice(self, n, p):
+        self.ran_out += bool((p == 1.0 / n).all())
         return self.rng.choice(n, p=p)
 
 
-def test_kmeans_pp_seeding_rewinds_where_a_restart_runs_out_of_mass():
+def test_kmeans_pp_seeding_maps_uniforms_where_a_restart_runs_out_of_mass():
     # The default 20 restarts of two sets seeded together: rows on a grid of
     # step 1e-162, where some restarts run out of mass and others do not,
     # and rows drawn from at most k distinct points, where every restart
-    # does. A restart that runs out before the last of its set draws fewer
-    # uniforms than the seeding drew for it at first, so its set's stream
-    # has to go back; the later restarts' centers and the next draw show
-    # whether it did.
+    # does. A restart that runs out before the last of its set maps its own
+    # remaining uniforms with weights 1/n; the later restarts' centers and
+    # the next draw show that it consumed exactly those.
     restarts, ran_out_early = 20, 0
     for case in range(24):
         rng = spawn(172, case)
