@@ -282,26 +282,26 @@ def write_graph(path, g: Graph | WeightedGraph) -> None:
 
 
 def read_graph(path) -> Graph | WeightedGraph:
+    """Read write_graph's format; a node id outside 0..n-1 raises ValueError
+    naming its line."""
     with open(path) as fh:
         header = fh.readline().strip()
         fields = dict(part.split("=") for part in header.split())
         n = int(fields["n"])
         weighted = bool(int(fields["weighted"]))
-        if weighted:
-            w = np.zeros((n, n))
-            for line in fh:
-                if not line.strip():
-                    continue
-                u, v, x = line.split()
-                w[int(u), int(v)] = w[int(v), int(u)] = float(x)
-            return WeightedGraph(n, w)
-        adj = np.zeros((n, n), dtype=np.uint8)
-        for line in fh:
+        m = np.zeros((n, n), dtype=np.float64 if weighted else np.uint8)
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            u, v = line.split()[:2]
-            adj[int(u), int(v)] = adj[int(v), int(u)] = 1
-        return Graph(n, adj)
+            if weighted:
+                u, v, x = line.split()
+            else:
+                (u, v), x = line.split()[:2], 1
+            u, v = int(u), int(v)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"{path}, line {lineno}: node id not in 0..{n - 1}: {line.strip()!r}")
+            m[u, v] = m[v, u] = float(x)
+        return WeightedGraph(n, m) if weighted else Graph(n, m)
 
 
 def write_labels(path, theta: LabelAssignment) -> None:

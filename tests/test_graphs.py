@@ -231,6 +231,17 @@ def test_graph_file_roundtrip(tmp_path):
     assert np.array_equal(read_labels(lpath).labels, params.theta.labels)
 
 
+@pytest.mark.parametrize("weighted, edge", [(0, "-1 2"), (0, "4 1"), (0, "2 -4"),
+                                             (1, "-4 1 2.5"), (1, "1 4 2.5")])
+def test_read_graph_rejects_node_ids_outside_range(tmp_path, weighted, edge):
+    # At n = 4, -1 would wrap around to node 3 and 4 would index past the end.
+    path = tmp_path / "bad.graph"
+    first = "0 1 1.0" if weighted else "0 1"
+    path.write_text(f"n=4 weighted={weighted}\n{first}\n\n{edge}\n")
+    with pytest.raises(ValueError, match=f"line 4: node id not in 0..3: '{edge}'"):
+        read_graph(path)
+
+
 def test_balanced_labels():
     theta = balanced_labels(12, 3)
     assert list(theta.counts()) == [4, 4, 4]
