@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = int | np.random.Generator | np.random.SeedSequence
+SeedLike = int | np.random.Generator
 
 
 def as_generator(seed: SeedLike) -> np.random.Generator:
     """Return a PCG64 Generator for an int seed (pass-through for Generators)."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
